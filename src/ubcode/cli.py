@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .finite_field import GF
 from .code_model import (
@@ -38,10 +37,6 @@ SYMBOL_WIDTH = 4  # hex digits, enough for any element of a q <= 2^16 field
 def default_seed() -> int:
     env = os.environ.get("UBCODE_SEED")
     return int(env) if env else 0
-
-
-def frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 # -- codeword files ------------------------------------------------------------
@@ -115,9 +110,9 @@ def cmd_bounds(args) -> int:
         "m": list(rep.m),
         "water_level": rep.water_level,
         "min_redundancy": rep.min_redundancy,
-        "min_update_bandwidth": frac_str(rep.min_update_bandwidth),
+        "min_update_bandwidth": str(rep.min_update_bandwidth),
         "min_redundancy_at_min_bandwidth": rep.min_redundancy_at_min_bandwidth,
-        "update_complexity_bound": frac_str(rep.update_complexity_bound),
+        "update_complexity_bound": str(rep.update_complexity_bound),
         "redundancy_profile": list(rep.redundancy_profile),
         "bandwidth_profile": (
             None if rep.bandwidth_profile is None else list(rep.bandwidth_profile)
@@ -129,12 +124,12 @@ def cmd_bounds(args) -> int:
         return 0
     print(f"water level          mu      = {rep.water_level}")
     print(f"min redundancy       R_min   = {rep.min_redundancy}")
-    print(f"min update bandwidth         = {frac_str(rep.min_update_bandwidth)}")
+    print(f"min update bandwidth         = {rep.min_update_bandwidth}")
     if rep.min_redundancy_at_min_bandwidth is not None:
         print(f"min redundancy at min bw     = {rep.min_redundancy_at_min_bandwidth}")
     else:
         print("min redundancy at min bw     = open (k does not divide every m_i)")
-    print(f"update complexity bound      = {frac_str(rep.update_complexity_bound)}")
+    print(f"update complexity bound      = {rep.update_complexity_bound}")
     print(f"redundancy profile           = {list(rep.redundancy_profile)}")
     if rep.bandwidth_profile is not None:
         print(f"bandwidth-optimal profile    = {list(rep.bandwidth_profile)}")
@@ -213,6 +208,7 @@ def cmd_update(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
+    cluster.check_node(args.node)
     if args.data:
         new_data = parse_int_list(args.data)
     else:
@@ -292,7 +288,7 @@ def cmd_verify(args) -> int:
         checks.append(("workload-audit", False, str(exc)))
 
     payload = {
-        "update_bandwidth": frac_str(average),
+        "update_bandwidth": str(average),
         "redundancy": redundancy(view),
         "checks": [
             {"name": name, "ok": ok, "detail": det} for name, ok, det in checks
@@ -319,9 +315,9 @@ def cmd_simulate(args) -> int:
     payload = {
         "updates": result["updates"],
         "repairs": result["repairs"],
-        "mean_update_symbols": frac_str(result["mean_update_symbols"]),
-        "min_update_bandwidth": frac_str(theory.min_update_bandwidth),
-        "update_complexity": frac_str(update_complexity(view)),
+        "mean_update_symbols": str(result["mean_update_symbols"]),
+        "min_update_bandwidth": str(theory.min_update_bandwidth),
+        "update_complexity": str(update_complexity(view)),
         "per_node_update_symbols": result["per_node_update_symbols"],
         "repair_downloads": result["repair_downloads"],
         "audit_ok": result["audit_ok"],
@@ -411,9 +407,9 @@ def cmd_demo(args) -> int:
     print("intermediate vectors:")
     for line in render_intermediates(built):
         print("  " + line)
-    print(f"update bandwidth     = {frac_str(average)}")
+    print(f"update bandwidth     = {average}")
     print(f"redundancy           = {redundancy(view)}")
-    print(f"update complexity    = {frac_str(update_complexity(view))}")
+    print(f"update complexity    = {update_complexity(view)}")
     cluster = Cluster(built, seed=default_seed())
     repair_counts = []
     for node in range(built.n):

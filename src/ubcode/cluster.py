@@ -21,7 +21,7 @@ from fractions import Fraction
 from .code_model import InvalidParamsError
 
 
-class NodeOutOfRangeError(IndexError):
+class NodeOutOfRangeError(ValueError):
     """A node index outside 0..n-1 was addressed."""
 
 
@@ -93,7 +93,8 @@ class Cluster:
     def n(self) -> int:
         return self.code.n
 
-    def _check_node(self, node: int) -> None:
+    def check_node(self, node: int) -> None:
+        """Reject a node index outside 0..n-1."""
         if not 0 <= node < self.n:
             raise NodeOutOfRangeError(f"node {node} outside 0..{self.n - 1}")
 
@@ -105,7 +106,7 @@ class Cluster:
         The edge i -> j carries exactly rank(construction[i][j]) symbols
         regardless of the delta's value: the protocol is data-oblivious.
         """
-        self._check_node(node)
+        self.check_node(node)
         f = self.field
         if len(new_data) != self.code.m[node]:
             raise InvalidParamsError(
@@ -151,14 +152,14 @@ class Cluster:
         A physical symbol is charged once even when several recovery steps
         read it; the rebuilt column must match the lost one bitwise.
         """
-        self._check_node(node)
+        self.check_node(node)
         lost = self.columns[node]
         fetched: dict[tuple[int, int], int] = {}
 
         def fetch(src: int, rows) -> list[int]:
             if src == node:
                 raise NodeOutOfRangeError(f"cannot download from failed node {src}")
-            self._check_node(src)
+            self.check_node(src)
             out = []
             for r in rows:
                 key = (src, r)

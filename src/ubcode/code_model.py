@@ -78,14 +78,65 @@ def validate_dimensions(n: int, k: int, m) -> None:
         raise InvalidParamsError("code must store at least one data symbol")
 
 
-class IrregularArrayCode:
+class ArrayCode:
+    """Column-oriented interface shared by every code object.
+
+    Subclasses set ``field`` and ``params`` and provide ``encode`` and
+    ``column_maps``; this base derives the shape, the default data-then-parity
+    row layout, generic erasure decoding and naive repair from them.
+    """
+
+    field: Field
+    params: CodeParams
+
+    @property
+    def n(self) -> int:
+        return self.params.n
+
+    @property
+    def k(self) -> int:
+        return self.params.k
+
+    @property
+    def m(self) -> tuple[int, ...]:
+        return self.params.m
+
+    @property
+    def p(self) -> tuple[int, ...]:
+        return self.params.p
+
+    @property
+    def col_lens(self) -> tuple[int, ...]:
+        return self.params.col_lens
+
+    def data_rows(self, j: int) -> list[int]:
+        return list(range(self.m[j]))
+
+    def parity_rows(self, j: int) -> list[int]:
+        return list(range(self.m[j], self.col_lens[j]))
+
+    def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
+        """Recover the full codeword from the surviving columns by linear solve."""
+        return self.encode(solve_data_from_columns(self, known))
+
+    def repair(self, failed: int, fetch, helpers=None) -> list[int]:
+        """Rebuild one column by downloading k full surviving columns."""
+        order = [j for j in (helpers or range(self.n)) if j != failed]
+        chosen = order[: self.k]
+        known = {j: fetch(j, list(range(self.col_lens[j]))) for j in chosen}
+        return self.decode_columns(known)[failed]
+
+
+class IrregularArrayCode(ArrayCode):
     """A concrete code: construction matrices plus their factor pairs.
 
     ``construction[i][j]`` is the p_j x m_i map from node i's data into node
     j's parity.  For i != j it factors as ``B[i][j] @ A[i][j]`` with both
     factors of full rank equal to the per-edge update bandwidth: A computes
     the intermediate vector the sender ships, B folds it into the parity.
-    Diagonal entries carry no bandwidth and have no factor pair.
+    Diagonal entries carry no bandwidth and have no factor pair.  Given
+    factors must multiply to the construction; ``from_factors`` derives the
+    construction from them.
     """
 
     def __init__(self, field: Field, params: CodeParams, construction,
@@ -113,46 +164,22 @@ class IrregularArrayCode:
                         continue
                     tall, wide = full_rank_decompose(construction[i][j])
                     B[i][j], A[i][j] = tall, wide
-        else:
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    if B[i][j] @ A[i][j] != construction[i][j]:
-                        raise InvalidParamsError(
-                            f"factor pair at [{i}][{j}] does not multiply back"
-                        )
         self.A = A
         self.B = B
         self._column_maps = None
 
-    # -- shape -----------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def k(self) -> int:
-        return self.params.k
-
-    @property
-    def m(self) -> tuple[int, ...]:
-        return self.params.m
-
-    @property
-    def p(self) -> tuple[int, ...]:
-        return self.params.p
-
-    @property
-    def col_lens(self) -> tuple[int, ...]:
-        return self.params.col_lens
-
-    def data_rows(self, j: int) -> list[int]:
-        return list(range(self.params.m[j]))
-
-    def parity_rows(self, j: int) -> list[int]:
-        return list(range(self.params.m[j], self.params.m[j] + self.params.p[j]))
+    @classmethod
+    def from_factors(cls, field: Field, params: CodeParams, A, B) -> "IrregularArrayCode":
+        """Zero-diagonal code whose construction matrices are ``B[i][j] @ A[i][j]``."""
+        n = params.n
+        construction = [
+            [
+                Matrix.zeros(field, params.p[j], params.m[i]) if i == j else B[i][j] @ A[i][j]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        return cls(field, params, construction, A, B)
 
     def data_offsets(self) -> list[int]:
         offs = [0]
@@ -203,18 +230,6 @@ class IrregularArrayCode:
                 maps.append(s)
             self._column_maps = maps
         return self._column_maps
-
-    def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
-        """Recover the full codeword from the surviving columns by linear solve."""
-        data = solve_data_from_columns(self, known)
-        return self.encode(data)
-
-    def repair(self, failed: int, fetch, helpers=None) -> list[int]:
-        """Rebuild one column by downloading k full surviving columns."""
-        order = [j for j in (helpers or range(self.n)) if j != failed]
-        chosen = order[: self.k]
-        known = {j: fetch(j, list(range(self.params.col_lens[j]))) for j in chosen}
-        return self.decode_columns(known)[failed]
 
 
 def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]]:
@@ -281,17 +296,7 @@ def zero_diagonal(code: IrregularArrayCode) -> IrregularArrayCode:
     """
     if all(code.construction[i][i].is_zero() for i in range(code.n)):
         return code
-    n = code.n
-    grid = [
-        [
-            Matrix.zeros(code.field, code.p[j], code.m[i])
-            if i == j
-            else code.construction[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return IrregularArrayCode(code.field, code.params, grid, code.A, code.B)
+    return IrregularArrayCode.from_factors(code.field, code.params, code.A, code.B)
 
 
 def update_complexity(code: IrregularArrayCode) -> Fraction:
@@ -660,15 +665,12 @@ def code_from_json(obj: dict) -> IrregularArrayCode:
     pr = obj["params"]
     params = CodeParams(pr["n"], pr["k"], tuple(pr["m"]), tuple(pr["p"]), pr["q"])
     n = params.n
-    grid_a = [[None] * n for _ in range(n)]
-    grid_b = [[None] * n for _ in range(n)]
-    construction = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                construction[i][j] = Matrix.zeros(field, params.p[j], params.m[i])
-                continue
-            grid_a[i][j] = matrix_from_json(field, obj["matrices"]["A"][i][j])
-            grid_b[i][j] = matrix_from_json(field, obj["matrices"]["B"][i][j])
-            construction[i][j] = grid_b[i][j] @ grid_a[i][j]
-    return IrregularArrayCode(field, params, construction, grid_a, grid_b)
+
+    def grid(name):
+        return [
+            [None if i == j else matrix_from_json(field, obj["matrices"][name][i][j])
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    return IrregularArrayCode.from_factors(field, params, grid("A"), grid("B"))

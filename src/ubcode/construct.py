@@ -26,10 +26,13 @@ from .linalg import (
     UnderdeterminedSystemError,
     hstack,
     invert,
+    rref,
+    solve,
     solve_vec,
     vandermonde_columns,
 )
 from .code_model import (
+    ArrayCode,
     CodeParams,
     InvalidParamsError,
     IrregularArrayCode,
@@ -67,15 +70,16 @@ def assert_column_selections_invertible(m: Matrix, r: int) -> None:
 
 
 class RowWiseMdsBase:
-    """Row-wise systematic MDS encoding of one node's data vector.
+    """Row-wise systematic MDS encoding of a node's data vector.
 
-    The data vector (length rows*k) is reshaped column-major into rows of k
+    A data vector of length rows*k is reshaped column-major into rows of k
     symbols; each row is encoded by a k x n_out systematic generator whose
     every k-column selection is invertible, so any k output columns recover
-    the vector.
+    the vector.  The row count follows from the vector, so one base serves
+    every node that uses the same generator.
     """
 
-    def __init__(self, field: Field, n_out: int, k: int, rows: int, generator=None):
+    def __init__(self, field: Field, n_out: int, k: int, generator=None):
         if n_out < k:
             raise InvalidParamsError(f"need n_out >= k, got {n_out} < {k}")
         if generator is None:
@@ -90,18 +94,14 @@ class RowWiseMdsBase:
         self.field = field
         self.n_out = n_out
         self.k = k
-        self.rows = rows
         self.generator = generator
 
-    @property
-    def data_len(self) -> int:
-        return self.rows * self.k
-
     def _reshape(self, x: list[int]) -> Matrix:
-        if len(x) != self.data_len:
-            raise InvalidParamsError(f"data length {len(x)} != {self.data_len}")
-        grid = [[x[c * self.rows + r] for c in range(self.k)] for r in range(self.rows)]
-        return Matrix(self.field, self.rows, self.k, grid)
+        rows, rest = divmod(len(x), self.k)
+        if rest:
+            raise InvalidParamsError(f"data length {len(x)} is not a multiple of {self.k}")
+        grid = [[x[c * rows + r] for c in range(self.k)] for r in range(rows)]
+        return Matrix(self.field, rows, self.k, grid)
 
     def encode(self, x: list[int]) -> Matrix:
         """rows x n_out matrix whose column d is the vector hosted at offset d+1."""
@@ -116,14 +116,15 @@ class RowWiseMdsBase:
             )
         sub = invert(self.generator.take_cols(positions))
         f = self.field
-        x = [0] * self.data_len
-        for r in range(self.rows):
+        rows = len(known[positions[0]])
+        x = [0] * (rows * self.k)
+        for r in range(rows):
             picked = [known[pos][r] for pos in positions]
             for c in range(self.k):
                 acc = 0
                 for t in range(self.k):
                     acc = f.add(acc, f.mul(picked[t], sub.data[t][c]))
-                x[c * self.rows + r] = acc
+                x[c * rows + r] = acc
         return x
 
 
@@ -145,13 +146,13 @@ def default_field(n: int, k: int, m_vec) -> Field:
     return GF(1 << w)
 
 
-class BuiltCode:
+class BuiltCode(ArrayCode):
     """A constructed code together with its per-node bases and assembly matrices.
 
-    Exposes the same column-oriented interface as IrregularArrayCode (shape,
-    encode, column_maps, decode_columns, repair) plus the intermediate-vector
-    pipeline the update protocol rides on.  Immutable after construction, so
-    one instance can back any number of concurrent encodes/decodes.
+    Adds to the shared code interface the intermediate-vector pipeline the
+    update protocol rides on, a structured decoder, and an optional
+    registered repair schedule.  Immutable after construction, so one
+    instance can back any number of concurrent encodes/decodes.
     """
 
     def __init__(self, kind: str, field: Field, params: CodeParams,
@@ -163,34 +164,6 @@ class BuiltCode:
         self.assemblies = assemblies  # per node j: p_j x sum(m_i/k) matrix
         self.code = code
         self.repair_schedule = None   # optional: node -> [(source, row), ...]
-
-    # -- shape delegation --------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def k(self) -> int:
-        return self.params.k
-
-    @property
-    def m(self) -> tuple[int, ...]:
-        return self.params.m
-
-    @property
-    def p(self) -> tuple[int, ...]:
-        return self.params.p
-
-    @property
-    def col_lens(self) -> tuple[int, ...]:
-        return self.params.col_lens
-
-    def data_rows(self, j: int) -> list[int]:
-        return self.code.data_rows(j)
-
-    def parity_rows(self, j: int) -> list[int]:
-        return self.code.parity_rows(j)
 
     def column_maps(self):
         return self.code.column_maps()
@@ -252,6 +225,9 @@ class BuiltCode:
             raise TooManyErasuresError(
                 f"{len(erased)} erasures exceed tolerance {n - k}"
             )
+        for j in known:
+            if len(known[j]) != self.col_lens[j]:
+                raise InvalidParamsError(f"column {j} has wrong length")
         if not erased:
             return [list(known[j]) for j in range(n)]
         survivors = sorted(known)
@@ -310,10 +286,7 @@ class BuiltCode:
             plan = self.repair_schedule.get(failed)
             if plan is not None:
                 return scheduled_repair(self, failed, plan, fetch)
-        order = [j for j in (helpers or range(self.n)) if j != failed]
-        chosen = order[: self.k]
-        known = {j: fetch(j, list(range(self.params.col_lens[j]))) for j in chosen}
-        return self.decode_columns(known)[failed]
+        return super().repair(failed, fetch, helpers)
 
 
 def scheduled_repair(code, failed: int, plan, fetch) -> list[int]:
@@ -339,20 +312,14 @@ def scheduled_repair(code, failed: int, plan, fetch) -> list[int]:
     total = maps[failed].cols
     downloads = Matrix(field, len(coeff_rows), total, coeff_rows)
 
-    # Keep only an independent subset of download rows, then express every
-    # lost row in their span.
-    from .linalg import rank as _rank, solve as _solve, vstack as _vstack
-
-    basis_idx: list[int] = []
-    current = Matrix(field, 0, total)
-    for idx in range(downloads.rows):
-        trial = _vstack(field, [current, downloads.take_rows([idx])])
-        if _rank(trial) > current.rows:
-            current = trial
-            basis_idx.append(idx)
+    # Keep only an independent subset of download rows (the pivot columns of
+    # the transpose: each row not in the span of the rows before it), then
+    # express every lost row in their span.
+    basis_idx = rref(downloads.transpose())[1]
+    current = downloads.take_rows(basis_idx)
     target = maps[failed]
     try:
-        weights = _solve(current.transpose(), target.transpose())
+        weights = solve(current.transpose(), target.transpose())
     except (UnderdeterminedSystemError, InconsistentSystemError) as exc:
         raise InternalRankFailureError(
             f"registered schedule cannot span column {failed}: {exc}"
@@ -379,16 +346,7 @@ def build_mrmub(n: int, k: int, m: int, field: Field | None = None,
         raise InvalidParamsError("per-node data count must be positive")
     if m % k:
         raise DivisibilityError(f"k={k} must divide m={m}")
-    return _assemble(
-        "mrmub",
-        n,
-        k,
-        [m] * n,
-        field,
-        [base_generator] * n,
-        None if assembly is None else [assembly] * n,
-        shared_assembly=assembly is None,
-    )
+    return _assemble("mrmub", n, k, [m] * n, field, [base_generator] * n, [assembly] * n)
 
 
 def build_mub(n: int, k: int, m_vec, field: Field | None = None,
@@ -399,57 +357,63 @@ def build_mub(n: int, k: int, m_vec, field: Field | None = None,
     if any(mi % k for mi in m_vec):
         raise DivisibilityError(f"k={k} must divide every entry of {m_vec}")
     return _assemble(
-        "mub",
-        n,
-        k,
-        m_vec,
-        field,
-        base_generators or [None] * n,
-        assemblies,
-        shared_assembly=False,
+        "mub", n, k, m_vec, field, base_generators or [None] * n, assemblies or [None] * n
     )
 
 
-def _assemble(kind, n, k, m_vec, field, gens, assemblies, shared_assembly):
+def _matrix_key(v):
+    """Hashable entries of a caller-supplied matrix; None (the default) stays None."""
+    if v is None:
+        return None
+    return tuple(map(tuple, v.data if isinstance(v, Matrix) else v))
+
+
+def _assembly_matrix(field: Field, given, j: int, rows: int, cols: int) -> Matrix:
+    """Node j's assembly matrix, the caller's or the default Vandermonde one,
+    with every rows-column selection checked invertible."""
+    if given is None:
+        v = vandermonde_columns(field, rows, cols)
+    else:
+        v = given if isinstance(given, Matrix) else Matrix.from_rows(field, given)
+        if (v.rows, v.cols) != (rows, cols):
+            raise InvalidParamsError(
+                f"assembly {j} is {v.rows}x{v.cols}, expected {rows}x{cols}"
+            )
+    assert_column_selections_invertible(v, rows)
+    return v
+
+
+def _assemble(kind, n, k, m_vec, field, gens, assemblies):
+    """Build the code from per-node generators and assembly matrices, where
+    None selects the default.  Each distinct matrix is built and checked
+    once and then shared by every node that uses it."""
     p_vec = bandwidth_optimal_profile(n, k, m_vec)
     if field is None:
         field = default_field(n, k, m_vec)
     params = CodeParams(n, k, tuple(m_vec), p_vec, field.q)
-
-    bases = []
-    for i in range(n):
-        if m_vec[i] == 0:
-            bases.append(None)
-            continue
-        bases.append(
-            RowWiseMdsBase(field, n - 1, k, m_vec[i] // k, generator=gens[i])
-        )
-
     widths = [sum(m_vec[i] // k for i in range(n) if i != j) for j in range(n)]
-    if assemblies is None:
-        if shared_assembly:
-            shared = vandermonde_columns(field, p_vec[0], widths[0])
-            assert_column_selections_invertible(shared, p_vec[0])
-            assemblies = [shared] * n
-        else:
-            assemblies = []
-            for j in range(n):
-                v = vandermonde_columns(field, p_vec[j], widths[j])
-                assert_column_selections_invertible(v, p_vec[j])
-                assemblies.append(v)
-    else:
-        fixed = []
-        for j, v in enumerate(assemblies):
-            if not isinstance(v, Matrix):
-                v = Matrix.from_rows(field, v)
-            if (v.rows, v.cols) != (p_vec[j], widths[j]):
-                raise InvalidParamsError(
-                    f"assembly {j} is {v.rows}x{v.cols}, expected "
-                    f"{p_vec[j]}x{widths[j]}"
-                )
-            assert_column_selections_invertible(v, p_vec[j])
-            fixed.append(v)
-        assemblies = fixed
+
+    built = {}
+
+    def shared(key, make):
+        if key not in built:
+            built[key] = make()
+        return built[key]
+
+    bases = [
+        None if m_vec[i] == 0 else shared(
+            ("base", _matrix_key(gens[i])),
+            lambda: RowWiseMdsBase(field, n - 1, k, generator=gens[i]),
+        )
+        for i in range(n)
+    ]
+    assemblies = [
+        shared(
+            ("assembly", p_vec[j], widths[j], _matrix_key(assemblies[j])),
+            lambda: _assembly_matrix(field, assemblies[j], j, p_vec[j], widths[j]),
+        )
+        for j in range(n)
+    ]
 
     # Sender-side maps: columns of each node's row-wise MDS encoding, read
     # off by encoding basis vectors; destination (i+d) mod n hosts column d-1.
@@ -483,16 +447,7 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies, shared_assembly):
             grid_b[i][j] = assemblies[j].take_cols(range(off, off + width))
             off += width
 
-    construction = [
-        [
-            Matrix.zeros(field, p_vec[j], m_vec[i])
-            if i == j
-            else grid_b[i][j] @ grid_a[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    code = IrregularArrayCode(field, params, construction, grid_a, grid_b)
+    code = IrregularArrayCode.from_factors(field, params, grid_a, grid_b)
     return BuiltCode(kind, field, params, bases, assemblies, code)
 
 

@@ -11,8 +11,6 @@ and reproducible.
 
 from __future__ import annotations
 
-from math import comb
-
 from .finite_field import Field
 
 
@@ -303,16 +301,12 @@ def solve_vec(a: Matrix, b: list[int]) -> list[int]:
     return [row[0] for row in solve(a, rhs).data]
 
 
-SELECTION_CHECK_LIMIT = 10**4
-
-
 def vandermonde_columns(field: Field, r: int, c: int) -> Matrix:
     """r x c matrix whose every selection of r columns is invertible.
 
     Column j is (1, a_j, a_j^2, ..., a_j^(r-1)) on the j-th element of the
     deterministic field enumeration 0, 1, g, g^2, ...; distinct evaluation
     points make every r-column minor a nonzero Vandermonde determinant.
-    The property is re-verified exhaustively while that stays cheap.
     """
     if c > field.q:
         raise FieldTooSmallError(
@@ -329,11 +323,6 @@ def vandermonde_columns(field: Field, r: int, c: int) -> Matrix:
         for i in range(r):
             out.data[i][j] = v
             v = field.mul(v, a)
-    if r <= c and comb(c, r) <= SELECTION_CHECK_LIMIT:
-        from itertools import combinations
-
-        for sel in combinations(range(c), r):
-            invert(out.take_cols(sel))
     return out
 
 

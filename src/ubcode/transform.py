@@ -20,8 +20,8 @@ bandwidth optima at the doubled parameters.
 from __future__ import annotations
 
 from .finite_field import Field
-from .linalg import FieldTooSmallError, Matrix
-from .code_model import CodeParams, InvalidParamsError, IrregularArrayCode
+from .linalg import FieldTooSmallError, Matrix, vstack
+from .code_model import ArrayCode, CodeParams, InvalidParamsError, IrregularArrayCode
 
 
 class InvalidPairError(ValueError):
@@ -37,7 +37,7 @@ def _require_regular(base) -> tuple[int, int]:
     return m[0], lens[0]
 
 
-class TransformedCode:
+class TransformedCode(ArrayCode):
     """A base code plus one pairing round; rounds nest by using another
     TransformedCode as the base.  Physical columns hold the two instance
     halves contiguously, so instance reads are contiguous row ranges.
@@ -65,6 +65,9 @@ class TransformedCode:
         self.pair = (a, b)
         self.g = g
         self.field = field
+        self.params = CodeParams(
+            n, k, (2 * base_m,) * n, (2 * (base_len - base_m),) * n, field.q
+        )
         self.base_data_len = base_m
         self.base_col_len = base_len
         self._inv_g1 = field.inv(field.sub(g, 1))
@@ -72,26 +75,6 @@ class TransformedCode:
         self._flat = None
 
     # -- shape -------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    @property
-    def m(self) -> tuple[int, ...]:
-        return tuple(2 * self.base_data_len for _ in range(self.n))
-
-    @property
-    def p(self) -> tuple[int, ...]:
-        return tuple(2 * (self.base_col_len - self.base_data_len) for _ in range(self.n))
-
-    @property
-    def col_lens(self) -> tuple[int, ...]:
-        return tuple(2 * self.base_col_len for _ in range(self.n))
 
     @property
     def rounds(self) -> int:
@@ -176,22 +159,38 @@ class TransformedCode:
         return columns
 
     def column_maps(self) -> list[Matrix]:
+        """Compose the base maps with the instance split and the pair mixing.
+
+        Row t of ``split[s]`` is instance s's base data (flattened) for the
+        t-th unit transformed data vector, so instance s of base column j
+        maps the transformed data through ``(split[s] @ M_j^T)^T``.
+        """
         if self._column_maps is None:
-            total = sum(self.m)
-            maps = [
-                Matrix(self.field, 2 * self.base_col_len, total) for _ in range(self.n)
+            f = self.field
+            a, b = self.pair
+            width = 2 * self.base_data_len
+            split = ([], [])
+            unit = [[0] * width for _ in range(self.n)]
+            for t in range(sum(self.m)):
+                node, off = divmod(t, width)
+                unit[node][off] = 1
+                for rows, x in zip(split, self.base_data(unit)):
+                    rows.append([v for vec in x for v in vec])
+                unit[node][off] = 0
+            base_maps = self.base.column_maps()
+            c0, c1 = [
+                [(Matrix.from_rows(f, rows) @ m.transpose()).transpose() for m in base_maps]
+                for rows in split
             ]
-            zero = [[0] * (2 * self.base_data_len) for _ in range(self.n)]
-            for idx in range(total):
-                node, off = divmod(idx, 2 * self.base_data_len)
-                zero[node][off] = 1
-                cols = self.encode(zero)
-                zero[node][off] = 0
-                for j in range(self.n):
-                    col = cols[j]
-                    for r, v in enumerate(col):
-                        if v:
-                            maps[j].data[r][idx] = v
+            maps = []
+            for j in range(self.n):
+                if j == a:
+                    halves = [c0[a], c0[b] + c1[b].scale(self.g)]
+                elif j == b:
+                    halves = [c0[b] + c1[b], c1[a]]
+                else:
+                    halves = [c0[j], c1[j]]
+                maps.append(vstack(f, halves))
             self._column_maps = maps
         return self._column_maps
 
@@ -205,7 +204,6 @@ class TransformedCode:
         if self._flat is None:
             n = self.n
             maps = self.column_maps()
-            params = CodeParams(n, self.k, self.m, self.p, self.field.q)
             offs = [2 * self.base_data_len * i for i in range(n + 1)]
             grid = []
             for i in range(n):
@@ -224,15 +222,9 @@ class TransformedCode:
                 if own != Matrix.identity(self.field, 2 * self.base_data_len):
                     raise AssertionError("transformed data rows are not systematic")
             self._flat = IrregularArrayCode(
-                self.field, params, [[grid[i][j] for j in range(n)] for i in range(n)]
+                self.field, self.params, [[grid[i][j] for j in range(n)] for i in range(n)]
             )
         return self._flat
-
-    def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
-        from .code_model import solve_data_from_columns
-
-        data = solve_data_from_columns(self, known)
-        return self.encode(data)
 
     # -- repair -------------------------------------------------------------------
 

@@ -179,7 +179,7 @@ def test_c6_update_complexity(fig1b_code, mrmub_codes):
     checked = 0
     for n, k, m, built in mrmub_codes:
         if k > n - 2:
-            continue  # bound's sound range; see decisions ledger for the k=n-1 gap
+            continue  # at k = n-1 these codes reach complexity 1, below the bound
         code = built.code
         assert update_complexity(code) >= Fraction(n - k) + Fraction(k - 1, k), (n, k)
         for i in range(n):

@@ -157,6 +157,20 @@ def test_transformed_spec_update_and_repair_flow(tmp_path, capsys):
     assert "total,12" in out  # paired node at the repair optimum
 
 
+@pytest.mark.parametrize("command", ["update", "repair"])
+@pytest.mark.parametrize("node", ["9", "-1"])
+def test_out_of_range_node_is_a_usage_error(tmp_path, capsys, spec_file, command, node):
+    cw = tmp_path / "codeword.txt"
+    run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "7", "--out", str(cw)])
+    argv = [command, "--spec", str(spec_file), "--in", str(cw), "--node", node]
+    if command == "update":
+        argv += ["--out", str(tmp_path / "updated.txt")]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert f"node {node} outside" in err
+
+
 def test_update_rejects_corrupt_codeword(tmp_path, capsys, spec_file):
     cw = tmp_path / "codeword.txt"
     run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "9", "--out", str(cw)])

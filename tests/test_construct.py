@@ -17,7 +17,9 @@ from ubcode.code_model import (
     update_complexity,
     verify_mds,
 )
+from ubcode import construct
 from ubcode.construct import (
+    PARITY_CHECK_3_2,
     DivisibilityError,
     RowWiseMdsBase,
     TooManyErasuresError,
@@ -172,7 +174,7 @@ def test_fig3_decode_erase_first_two(fig3_code, rng):
 
 
 def test_parity_check_base_matches_worked_example(gf2):
-    base = RowWiseMdsBase(gf2, 3, 2, 1, generator=[[1, 0, 1], [0, 1, 1]])
+    base = RowWiseMdsBase(gf2, 3, 2, generator=[[1, 0, 1], [0, 1, 1]])
     enc = base.encode([1, 0])
     assert enc.data == [[1, 0, 1]]
     enc = base.encode([0, 1])
@@ -180,7 +182,7 @@ def test_parity_check_base_matches_worked_example(gf2):
 
 
 def test_two_row_base_column_major_split(gf2):
-    base = RowWiseMdsBase(gf2, 3, 2, 2, generator=[[1, 0, 1], [0, 1, 1]])
+    base = RowWiseMdsBase(gf2, 3, 2, generator=[[1, 0, 1], [0, 1, 1]])
     enc = base.encode([1, 0, 1, 0])
     # rows pair (x1, x3) and (x2, x4)
     assert enc.data == [[1, 1, 0], [0, 0, 0]]
@@ -188,7 +190,7 @@ def test_two_row_base_column_major_split(gf2):
 
 def test_base_decode_from_any_k_columns(rng):
     f = GF(8)
-    base = RowWiseMdsBase(f, 5, 3, 2)
+    base = RowWiseMdsBase(f, 5, 3)
     for _ in range(50):
         x = [rng.randrange(8) for _ in range(6)]
         enc = base.encode(x)
@@ -207,7 +209,44 @@ def test_systematic_generator_shape_and_property():
 
 def test_base_rejects_bad_generator(gf2):
     with pytest.raises(InvalidParamsError):
-        RowWiseMdsBase(gf2, 3, 2, 1, generator=[[1, 0, 1], [0, 0, 1]])
+        RowWiseMdsBase(gf2, 3, 2, generator=[[1, 0, 1], [0, 0, 1]])
+
+
+# -- builders: one selection check per distinct matrix ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, checks",
+    [
+        (lambda: build_mrmub(10, 6, 12), 2),  # one shared generator, one shared assembly
+        (fig1b, 2),
+        (lambda: build_mub(8, 4, [8, 8, 4, 4, 0, 12, 4, 8]), 5),  # 4 distinct assembly shapes
+    ],
+    ids=["mrmub-10-6-12", "fig1b", "mub-8-4"],
+)
+def test_each_distinct_matrix_checked_once(monkeypatch, build, checks):
+    real = construct.assert_column_selections_invertible
+    calls = []
+
+    def counted(m, r):
+        calls.append((m.rows, m.cols, r))
+        real(m, r)
+
+    monkeypatch.setattr(construct, "assert_column_selections_invertible", counted)
+    build()
+    assert len(calls) == checks, calls
+
+
+def test_build_rejects_dependent_assembly(gf2):
+    dependent = [[0, 1, 1], [0, 1, 1]]  # columns 1 and 2 coincide
+    with pytest.raises(InvalidParamsError):
+        build_mrmub(4, 2, 2, field=gf2, base_generator=PARITY_CHECK_3_2, assembly=dependent)
+    with pytest.raises(InvalidParamsError):
+        build_mub(
+            4, 2, [2, 2, 2, 2], field=gf2,
+            base_generators=[PARITY_CHECK_3_2] * 4,
+            assemblies=[[[0, 1, 1], [1, 1, 0]]] * 3 + [dependent],
+        )
 
 
 # -- builders: parameters and optimality ---------------------------------------------------
@@ -298,6 +337,12 @@ def test_decode_rejects_too_many_erasures(fig1b_code, rng):
     cols = fig1b_code.encode(data)
     with pytest.raises(TooManyErasuresError):
         fig1b_code.decode_columns({0: cols[0]})
+
+
+def test_decode_rejects_wrong_column_length(fig1b_code, rng):
+    cols = fig1b_code.encode(random_fill(fig1b_code, rng))
+    with pytest.raises(InvalidParamsError):
+        fig1b_code.decode_columns({0: cols[0][:-1], 1: cols[1]})  # parity symbol cut
 
 
 def test_receiver_blocks_have_full_rank(mrmub_codes, mub_codes):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ubcode import linalg
 from ubcode.finite_field import GF
 from ubcode.linalg import (
     FieldTooSmallError,
@@ -186,6 +187,15 @@ def test_vandermonde_any_r_columns_invertible(gf4):
     v4 = vandermonde_columns(gf4, 3, 4)
     for trip in itertools.combinations(range(4), 3):
         invert(v4.take_cols(trip))
+
+
+def test_vandermonde_does_not_self_check(monkeypatch, gf4):
+    # The builders run the selection check once per matrix; this one stays cheap.
+    def no_invert(m):
+        raise AssertionError("vandermonde_columns inverted a submatrix")
+
+    monkeypatch.setattr(linalg, "invert", no_invert)
+    assert vandermonde_columns(gf4, 3, 4).cols == 4
 
 
 def test_vandermonde_single_row_all_ones(gf4):

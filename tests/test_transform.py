@@ -201,6 +201,27 @@ def test_five_node_transform_mds():
                 assert grid[i][j] == 2  # 2m/k = 2
 
 
+def unit_encode_maps(code):
+    """Reference column maps: encode every unit data vector, one per symbol."""
+    total = sum(code.m)
+    maps = [[[0] * total for _ in range(length)] for length in code.col_lens]
+    for t in range(total):
+        node, off = divmod(t, code.m[0])
+        data = [[0] * mi for mi in code.m]
+        data[node][off] = 1
+        for j, col in enumerate(code.encode(data)):
+            for r, v in enumerate(col):
+                maps[j][r][t] = v
+    return maps
+
+
+@pytest.mark.parametrize("q", [8, 25])
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_composed_column_maps_match_unit_encodes(q, rounds):
+    code = iterate_transform(build_mrmub(5, 3, 3, field=GF(q)), rounds)
+    assert [m.data for m in code.column_maps()] == unit_encode_maps(code)
+
+
 def test_transformed_decode_all_patterns(single_round):
     rng = random.Random(23)
     n, k = single_round.n, single_round.k
