@@ -34,6 +34,10 @@ from .linalg import rank
 SYMBOL_WIDTH = 4  # hex digits, enough for any element of a q <= 2^16 field
 
 
+class CodewordMismatchError(Exception):
+    """A well-formed codeword file that is not a codeword of its spec."""
+
+
 def default_seed() -> int:
     env = os.environ.get("UBCODE_SEED")
     return int(env) if env else 0
@@ -179,6 +183,9 @@ def cmd_decode(args) -> int:
     with open(args.infile) as fh:
         columns = parse_columns(fh.read(), code.col_lens)
     erased = set(parse_int_list(args.erased))
+    for j in sorted(erased):
+        if not 0 <= j < code.n:
+            raise ValueError(f"erased node {j} outside 0..{code.n - 1}")
     known = {j: columns[j] for j in range(code.n) if j not in erased}
     restored = code.decode_columns(known)
     for j in range(code.n):
@@ -198,16 +205,12 @@ def _cluster_from_files(args):
     data = [[columns[j][r] for r in code.data_rows(j)] for j in range(code.n)]
     cluster = Cluster(code, data=data)
     if cluster.columns != columns:
-        raise ValueError("codeword file is not a valid codeword of this spec")
+        raise CodewordMismatchError("codeword file is not a valid codeword of this spec")
     return cluster
 
 
 def cmd_update(args) -> int:
-    try:
-        cluster = _cluster_from_files(args)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    cluster = _cluster_from_files(args)
     cluster.check_node(args.node)
     if args.data:
         new_data = parse_int_list(args.data)
@@ -226,16 +229,8 @@ def cmd_update(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    try:
-        cluster = _cluster_from_files(args)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    try:
-        log = cluster.fail_and_repair(args.node)
-    except RepairMismatchError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    cluster = _cluster_from_files(args)
+    log = cluster.fail_and_repair(args.node)
     for line in log.lines():
         print(line)
     print(f"total,{log.total()}")
@@ -500,7 +495,9 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (RepairMismatchError, ClusterStateError, InternalRankFailureError) as exc:
+    except (
+        CodewordMismatchError, RepairMismatchError, ClusterStateError, InternalRankFailureError
+    ) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

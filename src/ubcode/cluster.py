@@ -84,7 +84,7 @@ class Cluster:
                 len(x) != mi for x, mi in zip(data, code.m)
             ):
                 raise InvalidParamsError("data does not match the code's data profile")
-            data = [list(x) for x in data]
+            data = [[self.field.validate(v) for v in x] for x in data]
         self.truth = data
         self.columns = code.encode(data)
         self.log = TransferLog()
@@ -112,6 +112,7 @@ class Cluster:
             raise InvalidParamsError(
                 f"update vector length {len(new_data)} != {self.code.m[node]}"
             )
+        new_data = [f.validate(v) for v in new_data]
         old = self.truth[node]
         delta = [f.sub(a, b) for a, b in zip(new_data, old)]
         oplog = TransferLog()
@@ -139,7 +140,7 @@ class Cluster:
             for r, v in zip(self.code.parity_rows(node), addend):
                 own[r] = f.add(own[r], v)
 
-        self.truth[node] = list(new_data)
+        self.truth[node] = new_data
         self._assert_consistent("update")
         self.log.extend(oplog)
         return oplog

@@ -119,7 +119,10 @@ class Field:
     cached factory :func:`GF` rather than constructing directly.
     """
 
-    __slots__ = ("q", "characteristic", "degree", "modulus", "primitive", "_exp", "_log")
+    __slots__ = (
+        "q", "characteristic", "degree", "modulus", "primitive",
+        "_mod_int", "_exp", "_log", "_zech",
+    )
 
     def __init__(self, q: int):
         if q > MAX_FIELD_SIZE:
@@ -129,6 +132,7 @@ class Field:
         self.characteristic = p
         self.degree = d
         self.modulus = None if d == 1 else tuple(_smallest_irreducible(p, d))
+        self._mod_int = None if d == 1 else _digits_to_int(list(self.modulus), p)
         self.primitive = self._find_primitive()
         self._build_tables()
 
@@ -140,7 +144,7 @@ class Field:
         if self.degree == 1:
             return (a * b) % p
         if p == 2:
-            mod = _digits_to_int(list(self.modulus), 2)
+            mod = self._mod_int
             top = 1 << self.degree
             acc = 0
             while b:
@@ -159,7 +163,7 @@ class Field:
                 continue
             for j, cb in enumerate(db):
                 prod[i + j] = (prod[i + j] + ca * cb) % p
-        _, rem = _poly_divmod(prod, list(self.modulus), p)
+        _, rem = _poly_divmod(prod, self.modulus, p)
         rem += [0] * (self.degree - len(rem))
         return _digits_to_int(rem, p)
 
@@ -196,6 +200,15 @@ class Field:
             raise AssertionError("primitive element does not have full order")
         self._exp = exp
         self._log = log
+        self._zech = None
+        p = self.characteristic
+        if p != 2 and self.degree > 1:
+            # zech[t] = log(1 + g^t), or -1 where 1 + g^t = 0.  Adding 1 only
+            # changes the lowest base-p digit, so each entry is O(1).
+            self._zech = [
+                -1 if v == p - 1 else log[v - v % p + (v + 1) % p]
+                for v in exp
+            ]
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -259,6 +272,51 @@ class Field:
                 raise ZeroDivisionError(f"0 ** {e} in GF({self.q})")
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
+
+    # -- row kernel ------------------------------------------------------------
+    #
+    # Elimination spends nearly all its time on whole-row updates, so these
+    # two work on rows of canonical elements with one branch per field kind
+    # and no per-entry calls.  Entries are trusted: validate at the boundary.
+
+    def scale_row(self, c: int, row: list[int]) -> list[int]:
+        """The row c*row, entrywise."""
+        if self.degree == 1:
+            p = self.q
+            return [(c * v) % p for v in row]
+        if c == 0:
+            return [0] * len(row)
+        exp, log, order = self._exp, self._log, self.q - 1
+        lc = log[c]
+        return [exp[(lc + log[v]) % order] if v else 0 for v in row]
+
+    def sub_scaled_row(self, dst: list[int], c: int, src: list[int]) -> list[int]:
+        """The row dst - c*src, entrywise."""
+        if self.degree == 1:
+            p = self.q
+            return [(d - c * s) % p for d, s in zip(dst, src)]
+        if c == 0:
+            return list(dst)
+        exp, log, order = self._exp, self._log, self.q - 1
+        if self.characteristic == 2:
+            lc = log[c]
+            return [d ^ exp[(lc + log[s]) % order] if s else d for d, s in zip(dst, src)]
+        # Odd extension field: -c*s = g^(log c + log s + order/2), and
+        # d + g^x = g^(log d) * (1 + g^(x - log d)) via the Zech table.
+        zech = self._zech
+        lm = log[c] + order // 2
+        out = []
+        for d, s in zip(dst, src):
+            if s:
+                lx = lm + log[s]
+                if d:
+                    ld = log[d]
+                    z = zech[(lx - ld) % order]
+                    d = 0 if z < 0 else exp[(ld + z) % order]
+                else:
+                    d = exp[lx % order]
+            out.append(d)
+        return out
 
     def elements(self):
         """Deterministic enumeration 0, 1, g, g^2, ... of all q elements."""

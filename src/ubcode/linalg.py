@@ -143,24 +143,18 @@ class Matrix:
             )
         f = self.field
         out = Matrix(f, self.rows, other.cols)
-        for i in range(self.rows):
-            srow = self.data[i]
+        for i, srow in enumerate(self.data):
             orow = out.data[i]
-            for t in range(self.cols):
-                a = srow[t]
-                if a == 0:
-                    continue
-                brow = other.data[t]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = f.add(orow[j], f.mul(a, b))
+            for a, brow in zip(srow, other.data):
+                if a:  # orow += a * brow
+                    orow = f.sub_scaled_row(orow, f.neg(a), brow)
+            out.data[i] = orow
         return out
 
     def scale(self, c: int) -> "Matrix":
         f = self.field
         out = Matrix(f, self.rows, self.cols)
-        out.data = [[f.mul(c, v) for v in row] for row in self.data]
+        out.data = [f.scale_row(c, row) for row in self.data]
         return out
 
     def apply(self, vec: list[int]) -> list[int]:
@@ -229,18 +223,18 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
             continue
         if src != prow:
             r.data[prow], r.data[src] = r.data[src], r.data[prow]
-        lead = r.data[prow][col]
-        if lead != 1:
-            inv = f.inv(lead)
-            r.data[prow] = [f.mul(inv, v) for v in r.data[prow]]
-        prow_data = r.data[prow]
+        # The pivot row is zero left of col, so only the tail from col changes.
+        tail = r.data[prow][col:]
+        if tail[0] != 1:
+            tail = f.scale_row(f.inv(tail[0]), tail)
+            r.data[prow][col:] = tail
         for i in range(r.rows):
             if i == prow:
                 continue
-            c = r.data[i][col]
+            row = r.data[i]
+            c = row[col]
             if c:
-                row = r.data[i]
-                r.data[i] = [f.sub(v, f.mul(c, w)) for v, w in zip(row, prow_data)]
+                row[col:] = f.sub_scaled_row(row[col:], c, tail)
         pivots.append(col)
         prow += 1
     return r, pivots

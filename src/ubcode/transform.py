@@ -169,19 +169,17 @@ class TransformedCode(ArrayCode):
             f = self.field
             a, b = self.pair
             width = 2 * self.base_data_len
-            split = ([], [])
+            total = sum(self.m)
+            split = [Matrix(f, total, self.n * self.base_data_len) for _ in range(2)]
             unit = [[0] * width for _ in range(self.n)]
-            for t in range(sum(self.m)):
+            for t in range(total):
                 node, off = divmod(t, width)
                 unit[node][off] = 1
-                for rows, x in zip(split, self.base_data(unit)):
-                    rows.append([v for vec in x for v in vec])
+                for s, x in zip(split, self.base_data(unit)):
+                    s.data[t] = [v for vec in x for v in vec]
                 unit[node][off] = 0
             base_maps = self.base.column_maps()
-            c0, c1 = [
-                [(Matrix.from_rows(f, rows) @ m.transpose()).transpose() for m in base_maps]
-                for rows in split
-            ]
+            c0, c1 = [[(s @ m.transpose()).transpose() for m in base_maps] for s in split]
             maps = []
             for j in range(self.n):
                 if j == a:

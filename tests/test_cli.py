@@ -188,6 +188,78 @@ def test_update_rejects_corrupt_codeword(tmp_path, capsys, spec_file):
     assert "not a valid codeword" in err
 
 
+@pytest.fixture
+def gf16_codeword(tmp_path, capsys):
+    spec = tmp_path / "gf16.json"
+    cw = tmp_path / "gf16.cw"
+    assert run([
+        "construct", "--kind", "mub", "--n", "4", "--k", "2", "--m", "4,2,2,0",
+        "--q", "16", "--out", str(spec),
+    ]) == 0
+    assert run(["encode", "--spec", str(spec), "--seed", "5", "--out", str(cw)]) == 0
+    capsys.readouterr()
+    return spec, cw
+
+
+def assert_usage_error(capsys, argv, message):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert message in err
+
+
+def test_update_out_of_field_symbol_is_a_usage_error(tmp_path, capsys, gf16_codeword):
+    spec, cw = gf16_codeword
+    assert_usage_error(capsys, [
+        "update", "--spec", str(spec), "--in", str(cw), "--node", "0",
+        "--data", "1,99999,3,4", "--out", str(tmp_path / "out.cw"),
+    ], "99999 is not an element of GF(16)")
+
+
+@pytest.mark.parametrize("command", ["update", "repair", "decode"])
+def test_out_of_field_codeword_symbol_is_a_usage_error(tmp_path, capsys, gf16_codeword, command):
+    spec, cw = gf16_codeword
+    lines = cw.read_text().splitlines()
+    lines[0] = "ffff" + lines[0][4:]  # node 0's first data symbol
+    cw.write_text("\n".join(lines) + "\n")
+    argv = [command, "--spec", str(spec), "--in", str(cw), "--out", str(tmp_path / "out.cw")]
+    argv += ["--erased", "1"] if command == "decode" else ["--node", "1"]
+    assert_usage_error(capsys, argv, "65535 is not an element of GF(16)")
+
+
+@pytest.mark.parametrize("command", ["update", "repair", "decode"])
+def test_malformed_codeword_file_is_a_usage_error(tmp_path, capsys, spec_file, command):
+    cw = tmp_path / "codeword.txt"
+    run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "7", "--out", str(cw)])
+    cw.write_text(cw.read_text().splitlines()[0] + "\n")  # one column of four
+    argv = [command, "--spec", str(spec_file), "--in", str(cw), "--out", str(tmp_path / "o")]
+    argv += ["--erased", "1"] if command == "decode" else ["--node", "1"]
+    assert_usage_error(capsys, argv, "expected 4 columns, found 1")
+
+
+@pytest.mark.parametrize("erased", ["9", "0,-1"])
+def test_decode_out_of_range_erasure_is_a_usage_error(tmp_path, capsys, spec_file, erased):
+    cw = tmp_path / "codeword.txt"
+    run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "7", "--out", str(cw)])
+    assert_usage_error(capsys, [
+        "decode", "--spec", str(spec_file), "--in", str(cw), "--erased", erased,
+        "--out", str(tmp_path / "o"),
+    ], "outside 0..3")
+
+
+def test_repair_rejects_corrupt_codeword(tmp_path, capsys, spec_file):
+    cw = tmp_path / "codeword.txt"
+    run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "9", "--out", str(cw)])
+    lines = cw.read_text().splitlines()
+    lines[0] = lines[0][:-4] + ("0001" if lines[0][-4:] == "0000" else "0000")
+    cw.write_text("\n".join(lines) + "\n")
+    code, out, err = run_capture(capsys, [
+        "repair", "--spec", str(spec_file), "--in", str(cw), "--node", "1",
+    ])
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "not a valid codeword" in err
+
+
 def test_columns_round_trip_format():
     cols = [[0, 1, 255], [4096, 2]]
     text = dump_columns(cols)

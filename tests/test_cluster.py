@@ -44,6 +44,19 @@ def test_init_validates_shape(fig1b_code):
         Cluster(fig1b_code, data=[[0, 0]] * 3)
 
 
+def test_init_and_update_validate_symbols():
+    code = build_mrmub(4, 2, 2)  # over GF(8)
+    with pytest.raises(ValueError, match="not an element of GF"):
+        Cluster(code, data=[[0, 0], [0, 8], [0, 0], [0, 0]])
+    cluster = Cluster(code, seed=1)
+    before = [col[:] for col in cluster.columns]
+    with pytest.raises(ValueError, match="not an element of GF"):
+        cluster.apply_update(1, [3, 99999])
+    with pytest.raises(ValueError, match="not an element of GF"):
+        cluster.apply_update(1, [-1, 0])
+    assert cluster.columns == before and cluster.audit().ok
+
+
 # -- update ---------------------------------------------------------------------------
 
 

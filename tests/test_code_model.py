@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ubcode.construct import build_mrmub
 from ubcode.finite_field import GF
 from ubcode.linalg import Matrix, rank
 from ubcode.code_model import (
@@ -375,3 +376,21 @@ def test_verify_mds_detects_insufficient_threshold(fig1b_code):
 
     stacked = vstack(fig1b_code.field, [maps[j] for j in rep.insufficient_subset])
     assert got < total or rank(stacked) < total
+
+
+@pytest.mark.parametrize("q", [25, 256])
+def test_verify_mds_rejects_dependent_parity_rows(q):
+    # Row 1 of node 0's parity becomes g times row 0 for every source node.
+    # Each column holds exactly total/k symbols, so every k-subset with node
+    # 0 loses rank and the code is no longer MDS.
+    f = GF(q)
+    view = build_mrmub(4, 2, 2, field=f).as_irregular_code()
+    assert verify_mds(view).is_mds
+    grid = [[blk.copy() for blk in row] for row in view.construction]
+    for i in range(view.n):
+        blk = grid[i][0]
+        blk.data[1] = [f.mul(f.primitive, v) for v in blk.data[0]]
+    broken = IrregularArrayCode(f, view.params, grid)
+    rep = verify_mds(broken)
+    assert not rep.is_mds
+    assert 0 in rep.witness

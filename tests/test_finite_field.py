@@ -168,3 +168,46 @@ def test_gf256_add_mul_consistent_with_polynomials(a, b):
     assert f.add(a, b) == a ^ b
     if a and b:
         assert f.div(f.mul(a, b), b) == a
+
+
+# -- row kernel --------------------------------------------------------------------
+
+# Every field kind the kernel branches on: characteristic 2 (including the
+# prime GF(2)), odd primes, and odd extension fields through the Zech table.
+KERNEL_FIELDS = [2, 4, 8, 32, 256, 1 << 16, 3, 7, 9, 25, 27, 243]
+
+
+@st.composite
+def kernel_rows(draw):
+    f = GF(draw(st.sampled_from(KERNEL_FIELDS)))
+    element = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    c = draw(element)
+    size = draw(st.integers(0, 12))
+    src = draw(st.lists(element, min_size=size, max_size=size))
+    dst = draw(st.lists(element, min_size=size, max_size=size))
+    # Some entries cancel exactly (d == c*s), which in an odd extension
+    # field is the 1 + g^t = 0 slot of the Zech table.
+    cancel = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    dst = [f.mul(c, s) if hit else d for d, s, hit in zip(dst, src, cancel)]
+    return f, dst, c, src
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_rows())
+def test_row_kernel_matches_scalar_arithmetic(case):
+    f, dst, c, src = case
+    before = (dst[:], src[:])
+    assert f.sub_scaled_row(dst, c, src) == [f.sub(d, f.mul(c, s)) for d, s in zip(dst, src)]
+    assert f.scale_row(c, src) == [f.mul(c, v) for v in src]
+    assert (dst, src) == before  # operands are never mutated
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27])
+def test_row_kernel_exhaustive_small_fields(q):
+    f = GF(q)
+    pairs = list(itertools.product(range(q), repeat=2))
+    dst = [d for d, _ in pairs]
+    src = [s for _, s in pairs]
+    for c in range(q):
+        assert f.sub_scaled_row(dst, c, src) == [f.sub(d, f.mul(c, s)) for d, s in pairs]
+        assert f.scale_row(c, src) == [f.mul(c, s) for s in src]

@@ -25,6 +25,8 @@ from ubcode.linalg import (
 )
 
 FIELDS = [GF(2), GF(3), GF(4), GF(5), GF(8)]
+# One or more fields of each kind the row kernel branches on.
+KERNEL_FIELDS = [GF(q) for q in (2, 4, 8, 256, 3, 7, 9, 25, 27)]
 
 
 def random_matrix(field, rows, cols, rng):
@@ -231,3 +233,99 @@ def test_apply_matches_matmul(gf4):
         v = [rng.randrange(4) for _ in range(4)]
         col = Matrix(gf4, 4, 1, [[x] for x in v])
         assert m.apply(v) == [r[0] for r in (m @ col).data]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_matmul_and_scale_match_scalar_reference(field):
+    # apply stays scalar, so it is the reference for the row-kernel product.
+    rng = random.Random(2)
+    for _ in range(30):
+        m = random_matrix(field, 3, 4, rng)
+        x = random_matrix(field, 4, 3, rng)
+        prod = m @ x
+        for j in range(x.cols):
+            assert m.apply(x.col(j)) == prod.col(j)
+        c = x.data[0][0]
+        assert m.scale(c).data == [[field.mul(c, v) for v in row] for row in m.data]
+
+
+# -- elimination against a scalar reference ---------------------------------------
+
+
+def reference_rref(m):
+    """Textbook Gauss-Jordan with one scalar field operation per entry and the
+    same pivot rule as ``rref``: first nonzero entry, columns left to right."""
+    f = m.field
+    r = [row[:] for row in m.data]
+    pivots = []
+    prow = 0
+    for col in range(m.cols):
+        if prow == m.rows:
+            break
+        src = next((i for i in range(prow, m.rows) if r[i][col]), None)
+        if src is None:
+            continue
+        r[prow], r[src] = r[src], r[prow]
+        inv = f.inv(r[prow][col])
+        r[prow] = [f.mul(inv, v) for v in r[prow]]
+        for i in range(m.rows):
+            c = r[i][col]
+            if i != prow and c:
+                r[i] = [f.sub(v, f.mul(c, w)) for v, w in zip(r[i], r[prow])]
+        pivots.append(col)
+        prow += 1
+    return r, pivots
+
+
+def rank_deficient_matrix(field, rows, cols, rng):
+    """Random matrix with some rows replaced by combinations of earlier ones
+    and some columns zeroed, so elimination meets skipped pivot columns."""
+    m = random_matrix(field, rows, cols, rng)
+    for i in range(1, rows):
+        if rng.random() < 0.3:
+            j = rng.randrange(i)
+            c = rng.randrange(field.q)
+            m.data[i] = [field.add(v, field.mul(c, w)) for v, w in zip(m.data[i], m.data[j])]
+    for j in range(cols):
+        if rng.random() < 0.15:
+            for row in m.data:
+                row[j] = 0
+    return m
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_rref_matches_scalar_reference(field):
+    rng = random.Random(field.q)
+    for _ in range(40):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 9)
+        make = random_matrix if rng.random() < 0.5 else rank_deficient_matrix
+        m = make(field, rows, cols, rng)
+        before = m.copy()
+        red, pivots = rref(m)
+        assert (red.data, pivots) == reference_rref(m)
+        assert m == before
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_solve_and_invert_match_scalar_reference(field):
+    rng = random.Random(1000 + field.q)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        make = random_matrix if rng.random() < 0.6 else rank_deficient_matrix
+        a = make(field, n, n, rng)
+        b = random_matrix(field, n, rng.randint(1, 3), rng)
+        red, pivots = reference_rref(hstack(field, [a, Matrix.identity(field, n)]))
+        if pivots[:n] == list(range(n)):
+            assert invert(a).data == [row[n:] for row in red]
+        else:
+            with pytest.raises(SingularMatrixError):
+                invert(a)
+        red, pivots = reference_rref(hstack(field, [a, b]))
+        if any(p >= n for p in pivots):
+            with pytest.raises(InconsistentSystemError):
+                solve(a, b)
+        elif len(pivots) < n:
+            with pytest.raises(UnderdeterminedSystemError):
+                solve(a, b)
+        else:
+            assert solve(a, b).data == [row[n:] for row in red]
