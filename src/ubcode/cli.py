@@ -13,15 +13,18 @@ import argparse
 import json
 import os
 import random
+import string
 import sys
 
 from .finite_field import GF
 from .code_model import (
+    SpecSchemaError,
     bounds,
     code_from_json,
     code_to_json,
     feasible,
     redundancy,
+    spec_value,
     update_bandwidth,
     update_complexity,
     verify_mds,
@@ -52,18 +55,34 @@ def dump_columns(columns: list[list[int]]) -> str:
     ) + "\n"
 
 
-def parse_columns(text: str, col_lens) -> list[list[int]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def parse_columns(text: str, col_lens, field) -> list[list[int]]:
+    """Parse one line per column: ``col_lens[j]`` hex symbols of ``field``
+    on line j, so an empty column is an empty line."""
+    lines = text.splitlines()
     if len(lines) != len(col_lens):
         raise ValueError(f"expected {len(col_lens)} columns, found {len(lines)}")
     columns = []
-    for ln, want in zip(lines, col_lens):
+    for j, (ln, want) in enumerate(zip(lines, col_lens)):
         if len(ln) != want * SYMBOL_WIDTH:
-            raise ValueError(f"column line has {len(ln)} chars, expected {want * SYMBOL_WIDTH}")
-        columns.append(
-            [int(ln[i * SYMBOL_WIDTH : (i + 1) * SYMBOL_WIDTH], 16) for i in range(want)]
-        )
+            raise ValueError(
+                f"column {j} line has {len(ln)} chars, expected {want * SYMBOL_WIDTH}"
+            )
+        if not all(c in string.hexdigits for c in ln):
+            raise ValueError(f"column {j} line is not hex digits")
+        columns.append([
+            field.validate(int(ln[i : i + SYMBOL_WIDTH], 16))
+            for i in range(0, len(ln), SYMBOL_WIDTH)
+        ])
     return columns
+
+
+def read_columns(path: str, col_lens, field) -> list[list[int]]:
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse_columns(text, col_lens, field)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- spec files -----------------------------------------------------------------
@@ -88,8 +107,12 @@ def load_spec(path: str):
         doc = json.load(fh)
     code = code_from_json(doc)
     if "transform" in doc:
-        g = doc["transform"]["g"]
-        for pair in doc["transform"]["pairs"]:
+        g = spec_value(doc, ("transform", "g"), int)
+        pairs = spec_value(doc, ("transform", "pairs"), list)
+        for t in range(len(pairs)):
+            pair = spec_value(doc, ("transform", "pairs", t), list, int)
+            if len(pair) != 2:
+                raise SpecSchemaError(f"spec key transform.pairs[{t}] must hold two nodes")
             code = TransformedCode(code, tuple(pair), g)
     return code
 
@@ -163,12 +186,7 @@ def cmd_construct(args) -> int:
 def cmd_encode(args) -> int:
     code = load_spec(args.spec)
     if args.data:
-        with open(args.data) as fh:
-            raw = [ln for ln in fh.read().splitlines() if ln.strip()]
-        data = [
-            [int(ln[i * SYMBOL_WIDTH : (i + 1) * SYMBOL_WIDTH], 16) for i in range(mi)]
-            for ln, mi in zip(raw, code.m)
-        ]
+        data = read_columns(args.data, code.m, code.field)
     else:
         data = random_data(code, args.seed)
     columns = code.encode(data)
@@ -180,8 +198,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     code = load_spec(args.spec)
-    with open(args.infile) as fh:
-        columns = parse_columns(fh.read(), code.col_lens)
+    columns = read_columns(args.infile, code.col_lens, code.field)
     erased = set(parse_int_list(args.erased))
     for j in sorted(erased):
         if not 0 <= j < code.n:
@@ -200,8 +217,7 @@ def cmd_decode(args) -> int:
 
 def _cluster_from_files(args):
     code = load_spec(args.spec)
-    with open(args.infile) as fh:
-        columns = parse_columns(fh.read(), code.col_lens)
+    columns = read_columns(args.infile, code.col_lens, code.field)
     data = [[columns[j][r] for r in code.data_rows(j)] for j in range(code.n)]
     cluster = Cluster(code, data=data)
     if cluster.columns != columns:

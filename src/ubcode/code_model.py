@@ -16,7 +16,6 @@ so subset checks may run concurrently over shared instances.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -25,8 +24,6 @@ from math import comb
 from .finite_field import Field, GF
 from .linalg import (
     Matrix,
-    UnderdeterminedSystemError,
-    InconsistentSystemError,
     full_rank_decompose,
     rank,
     solve,
@@ -567,43 +564,52 @@ class MdsReport:
     detail: str = ""
 
 
-def verify_mds(code, fills: int = 20, seed: int = 2024) -> MdsReport:
-    """Brute-force the reconstruction threshold.
+def verify_mds(code) -> MdsReport:
+    """Check the reconstruction threshold, one rank test per column subset.
 
-    Every k-subset of columns must determine every data symbol (checked by
-    solving for ``fills`` random codewords at once), and some (k-1)-subset
-    must fail, either by raw symbol count or by rank deficiency, so the code
-    is exactly (n, k).
+    Every k-subset of columns must determine every data symbol, and some
+    (k-1)-subset must fail, either by raw symbol count or by rank deficiency,
+    so the code is exactly (n, k).  On the systematic view a kept set S holds
+    its own data verbatim, so eliminating those identity rows leaves
+
+        rank(stacked column maps of S) = sum(m_S) + rank(P_{S,E}),
+
+    where E is the erased complement and ``P_{S,E}`` is S's parity rows on
+    E's data columns.  S determines the data iff ``rank(P_{S,E}) == sum(m_E)``.
     """
     n, k = code.n, code.k
     if comb(n, k) > MDS_SUBSET_LIMIT:
         raise EnumerationTooLargeError(f"C({n},{k}) exceeds {MDS_SUBSET_LIMIT}")
-    field = code.field
-    total = sum(code.m)
-    maps = code.column_maps()
-    rng = random.Random(seed)
-    data = Matrix(
-        field, total, fills,
-        [[rng.randrange(field.q) for _ in range(fills)] for _ in range(total)],
-    )
-    stored = [maps[j] @ data for j in range(n)]
+    view = code.as_irregular_code()
+    total = sum(view.m)
+
+    def erased_rank(kept) -> tuple[int, int]:
+        """(rank of P_{S,E}, sum(m_E)) for the kept columns S."""
+        erased = [i for i in range(n) if i not in kept]
+        width = sum(view.m[i] for i in erased)
+        rows = [
+            [v for i in erased for v in view.construction[i][j].data[r]]
+            for j in kept
+            for r in range(view.p[j])
+        ]
+        block = Matrix(view.field, len(rows), width)
+        block.data = rows
+        return rank(block), width
 
     for subset in combinations(range(n), k):
-        lhs = vstack(field, [maps[j] for j in subset])
-        rhs = vstack(field, [stored[j] for j in subset])
-        try:
-            recovered = solve(lhs, rhs)
-        except (UnderdeterminedSystemError, InconsistentSystemError) as exc:
-            return MdsReport(False, subset, None, f"columns {subset}: {exc}")
-        if recovered != data:
-            return MdsReport(False, subset, None, f"columns {subset}: wrong data")
+        got, need = erased_rank(subset)
+        if got < need:
+            return MdsReport(
+                False, subset, None,
+                f"columns {subset}: column rank {total - need + got} < {total} unknowns",
+            )
 
     for subset in combinations(range(n), k - 1):
-        symbols = sum(code.col_lens[j] for j in subset)
+        symbols = sum(view.col_lens[j] for j in subset)
         if symbols < total:
             return MdsReport(True, None, subset, "symbol count below data size")
-        lhs = vstack(field, [maps[j] for j in subset])
-        if rank(lhs) < total:
+        got, need = erased_rank(subset)
+        if got < need:
             return MdsReport(True, None, subset, "rank deficient")
     return MdsReport(
         False, None, None, f"every {k - 1}-subset already determines the data"
@@ -617,8 +623,43 @@ def matrix_to_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [row[:] for row in m.data]}
 
 
-def matrix_from_json(field: Field, obj: dict) -> Matrix:
-    return Matrix(field, obj["rows"], obj["cols"], obj["entries"])
+class SpecSchemaError(ValueError):
+    """A code-spec document lacks a key or holds a value of the wrong type."""
+
+
+def spec_value(doc, path: tuple, kind: type, item: type | None = None):
+    """The value at ``path`` (dict keys, list indices) of a spec document.
+
+    It must be a ``kind``; with ``item`` given, a list of ``item`` values.
+    """
+    value = doc
+    try:
+        for key in path:
+            value = value[key]
+    except (KeyError, IndexError, TypeError):
+        raise SpecSchemaError(f"spec has no key {_key_name(path)}") from None
+    if not isinstance(value, kind) or (
+        item is not None and not all(isinstance(v, item) for v in value)
+    ):
+        what = kind.__name__ if item is None else f"a list of {item.__name__}"
+        raise SpecSchemaError(f"spec key {_key_name(path)} must be {what}")
+    return value
+
+
+def _key_name(path: tuple) -> str:
+    return path[0] + "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in path[1:]
+    )
+
+
+def matrix_from_json(field: Field, doc: dict, path: tuple) -> Matrix:
+    """The matrix stored at ``path`` of a spec document."""
+    return Matrix(
+        field,
+        spec_value(doc, path + ("rows",), int),
+        spec_value(doc, path + ("cols",), int),
+        spec_value(doc, path + ("entries",), list, list),
+    )
 
 
 def code_to_json(code: IrregularArrayCode) -> dict:
@@ -656,19 +697,23 @@ def code_to_json(code: IrregularArrayCode) -> dict:
 
 
 def code_from_json(obj: dict) -> IrregularArrayCode:
-    field = GF(obj["field"]["q"])
-    stored = obj["field"]
+    """Rebuild a code from its spec document.
+
+    A missing or ill-typed key raises ``SpecSchemaError`` naming the key.
+    """
+    stored = spec_value(obj, ("field",), dict)
+    field = GF(spec_value(obj, ("field", "q"), int))
     if stored.get("primitive") not in (None, field.primitive) or (
         stored.get("modulus") or None
     ) != (list(field.modulus) if field.modulus else None):
         raise InvalidParamsError("field tables in file do not match this build")
-    pr = obj["params"]
-    params = CodeParams(pr["n"], pr["k"], tuple(pr["m"]), tuple(pr["p"]), pr["q"])
-    n = params.n
+    n, k, q = (spec_value(obj, ("params", key), int) for key in ("n", "k", "q"))
+    m, p = (tuple(spec_value(obj, ("params", key), list, int)) for key in ("m", "p"))
+    params = CodeParams(n, k, m, p, q)
 
     def grid(name):
         return [
-            [None if i == j else matrix_from_json(field, obj["matrices"][name][i][j])
+            [None if i == j else matrix_from_json(field, obj, ("matrices", name, i, j))
              for j in range(n)]
             for i in range(n)
         ]

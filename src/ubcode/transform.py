@@ -212,13 +212,15 @@ class TransformedCode(ArrayCode):
                     )
                     row.append(sub)
                 grid.append(row)
-            # sanity: stored data rows are the data vector verbatim
+            # The view stores data rows as the identity, so it spans the same
+            # symbols per node only if every stored data row is the unit
+            # vector at its own offset and zero on all foreign columns.
             for j in range(n):
-                own = maps[j].take_rows(self.data_rows(j)).take_cols(
-                    range(offs[j], offs[j + 1])
-                )
-                if own != Matrix.identity(self.field, 2 * self.base_data_len):
-                    raise AssertionError("transformed data rows are not systematic")
+                for t, r in enumerate(self.data_rows(j)):
+                    unit = [0] * offs[n]
+                    unit[offs[j] + t] = 1
+                    if maps[j].data[r] != unit:
+                        raise AssertionError("transformed data rows are not systematic")
             self._flat = IrregularArrayCode(
                 self.field, self.params, [[grid[i][j] for j in range(n)] for i in range(n)]
             )

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ubcode.cli import dump_columns, parse_columns, run
+from ubcode.finite_field import GF
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,6 +81,53 @@ def test_verify_corrupted_spec_fails(tmp_path, capsys):
     code, out, err = run_capture(capsys, ["verify", str(spec)])
     assert code == 1
     assert "FAIL" in out
+
+
+def set_key(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def drop_key(path):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (drop_key(["params", "k"]), "spec has no key params.k"),
+        (drop_key(["matrices", "B", 1, 0, "entries"]), "spec has no key matrices.B[1][0].entries"),
+        (set_key(["matrices", "A"], [[]]), "spec has no key matrices.A[0][1]"),
+        (set_key(["params", "m"], "2,2,2,2"), "spec key params.m must be a list of int"),
+        (set_key(["field", "q"], "8"), "spec key field.q must be int"),
+        (set_key(["transform"], {"pairs": [[2, 3]]}), "spec has no key transform.g"),
+        (set_key(["transform", "g"], 2.0), "spec key transform.g must be int"),
+        (set_key(["transform", "pairs"], [[2]]), "spec key transform.pairs[0] must hold two nodes"),
+        (set_key(["transform", "pairs"], [2, 3]), "spec key transform.pairs[0] must be a list of int"),
+    ],
+    ids=["missing-k", "missing-entries", "short-grid", "m-type", "q-type",
+         "transform-no-g", "transform-g-type", "transform-short-pair", "transform-flat-pairs"],
+)
+def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
+    spec = tmp_path / "spec.json"
+    assert run([
+        "construct", "--kind", "mrmub", "--n", "4", "--k", "2", "--m", "2,2,2,2",
+        "--transform-rounds", "1", "--out", str(spec),
+    ]) == 0
+    capsys.readouterr()
+    doc = json.loads(spec.read_text())
+    edit(doc)
+    spec.write_text(json.dumps(doc))
+    assert_usage_error(capsys, ["verify", str(spec)], message)
 
 
 def test_usage_error_exit_2(capsys):
@@ -228,6 +276,52 @@ def test_out_of_field_codeword_symbol_is_a_usage_error(tmp_path, capsys, gf16_co
 
 
 @pytest.mark.parametrize("command", ["update", "repair", "decode"])
+def test_out_of_field_parity_symbol_is_a_usage_error(tmp_path, capsys, gf16_codeword, command):
+    spec, cw = gf16_codeword
+    lines = cw.read_text().splitlines()
+    lines[0] = lines[0][:-4] + "ffff"  # node 0's last parity symbol
+    cw.write_text("\n".join(lines) + "\n")
+    argv = [command, "--spec", str(spec), "--in", str(cw), "--out", str(tmp_path / "out.cw")]
+    argv += ["--erased", "1"] if command == "decode" else ["--node", "1"]
+    assert_usage_error(capsys, argv, "65535 is not an element of GF(16)")
+
+
+def test_encode_data_file_with_dataless_node(tmp_path, capsys, gf16_codeword):
+    spec, _ = gf16_codeword
+    want = ["000100020003000f", "00040005", "00060007", ""]  # m = 4,2,2,0
+    data = tmp_path / "data.txt"
+    data.write_text("\n".join(want) + "\n")
+    cw = tmp_path / "cw.txt"
+    code, out, err = run_capture(capsys, [
+        "encode", "--spec", str(spec), "--data", str(data), "--out", str(cw),
+    ])
+    assert code == 0, err
+    # Each column starts with its node's data verbatim.
+    got = cw.read_text().splitlines()
+    assert [col[: len(d)] for col, d in zip(got, want)] == want
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ffff000100020003\n00040005\n00060007\n\n", "65535 is not an element of GF(16)"),
+        ("000100020003\n00040005\n00060007\n\n", "column 0 line has 12 chars, expected 16"),
+        ("0001000200030004\n00040005\n00060007\n\n0001\n", "expected 4 columns, found 5"),
+        ("0001000200030004\n00040005\n00060007\n", "expected 4 columns, found 3"),
+        ("0001000200030004\n0x040005\n00060007\n\n", "column 1 line is not hex digits"),
+    ],
+    ids=["out-of-field", "short-line", "extra-line", "missing-line", "not-hex"],
+)
+def test_encode_bad_data_file_is_a_usage_error(tmp_path, capsys, gf16_codeword, text, message):
+    spec, _ = gf16_codeword
+    data = tmp_path / "data.txt"
+    data.write_text(text)
+    assert_usage_error(capsys, [
+        "encode", "--spec", str(spec), "--data", str(data), "--out", str(tmp_path / "cw"),
+    ], message)
+
+
+@pytest.mark.parametrize("command", ["update", "repair", "decode"])
 def test_malformed_codeword_file_is_a_usage_error(tmp_path, capsys, spec_file, command):
     cw = tmp_path / "codeword.txt"
     run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "7", "--out", str(cw)])
@@ -264,7 +358,7 @@ def test_columns_round_trip_format():
     cols = [[0, 1, 255], [4096, 2]]
     text = dump_columns(cols)
     assert text == "0000000100ff\n10000002\n"
-    assert parse_columns(text, [3, 2]) == cols
+    assert parse_columns(text, [3, 2], GF(2**16)) == cols
 
 
 # -- simulate ------------------------------------------------------------------------

@@ -1,19 +1,30 @@
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubcode.construct import build_mrmub
+from ubcode.construct import build_mrmub, build_mub, fig1b, fig3
 from ubcode.finite_field import GF
-from ubcode.linalg import Matrix, rank
+from ubcode.linalg import (
+    InconsistentSystemError,
+    Matrix,
+    UnderdeterminedSystemError,
+    rank,
+    solve,
+    vstack,
+)
+from ubcode.transform import iterate_transform
 from ubcode.code_model import (
     Admissibility,
     CodeParams,
     EnumerationTooLargeError,
     InvalidParamsError,
     IrregularArrayCode,
+    MdsReport,
     bandwidth_optimal_profile,
     bounds,
     code_from_json,
@@ -394,3 +405,88 @@ def test_verify_mds_rejects_dependent_parity_rows(q):
     rep = verify_mds(broken)
     assert not rep.is_mds
     assert 0 in rep.witness
+
+
+def reference_verify_mds(code, fills: int = 20) -> MdsReport:
+    """Brute-force threshold check by solving over the stacked column maps.
+
+    Every k-subset must recover ``fills`` random data vectors from their
+    stored symbols, and some (k-1)-subset must fail by symbol count or rank.
+    """
+    n, k = code.n, code.k
+    field = code.field
+    total = sum(code.m)
+    maps = code.column_maps()
+    rng = random.Random(2024)
+    data = Matrix(
+        field, total, fills,
+        [[rng.randrange(field.q) for _ in range(fills)] for _ in range(total)],
+    )
+    stored = [maps[j] @ data for j in range(n)]
+
+    for subset in combinations(range(n), k):
+        lhs = vstack(field, [maps[j] for j in subset])
+        rhs = vstack(field, [stored[j] for j in subset])
+        try:
+            recovered = solve(lhs, rhs)
+        except (UnderdeterminedSystemError, InconsistentSystemError) as exc:
+            return MdsReport(False, subset, None, f"columns {subset}: {exc}")
+        if recovered != data:
+            return MdsReport(False, subset, None, f"columns {subset}: wrong data")
+
+    for subset in combinations(range(n), k - 1):
+        symbols = sum(code.col_lens[j] for j in subset)
+        if symbols < total:
+            return MdsReport(True, None, subset, "symbol count below data size")
+        lhs = vstack(field, [maps[j] for j in subset])
+        if rank(lhs) < total:
+            return MdsReport(True, None, subset, "rank deficient")
+    return MdsReport(
+        False, None, None, f"every {k - 1}-subset already determines the data"
+    )
+
+
+def broken_copies(view, rng, count):
+    """Copies of ``view`` with one parity row of one block overwritten by a
+    multiple of another row of the same block."""
+    f = view.field
+    blocks = [
+        (i, j) for i in range(view.n) for j in range(view.n)
+        if view.construction[i][j].rows >= 2 and view.construction[i][j].cols
+    ]
+    out = []
+    for _ in range(count):
+        i, j = rng.choice(blocks)
+        dst, src = rng.sample(range(view.construction[i][j].rows), 2)
+        c = rng.randrange(f.q)
+        grid = [[blk.copy() for blk in row] for row in view.construction]
+        grid[i][j].data[dst] = f.scale_row(c, grid[i][j].data[src])
+        out.append(IrregularArrayCode(f, view.params, grid))
+    return out
+
+
+def mds_check_codes():
+    codes = [fig1b(), fig3()]
+    for q in (8, 16, 25, 256):
+        f = GF(q)
+        codes.append(build_mrmub(4, 2, 2, field=f))
+        codes.append(build_mrmub(5, 3, 3, field=f))
+        codes.append(build_mub(4, 2, [4, 2, 2, 0], field=f))
+        codes.append(build_mub(6, 3, [6, 3, 3, 0, 3, 0], field=f))
+    for q, rounds in [(8, 1), (25, 2), (256, 1)]:
+        codes.append(iterate_transform(build_mrmub(4, 2, 2, field=GF(q)), rounds))
+    codes.append(iterate_transform(build_mrmub(5, 3, 3, field=GF(8)), 3))
+    return codes
+
+
+def test_verify_mds_matches_solve_reference():
+    rng = random.Random(7)
+    codes = mds_check_codes()
+    for code in list(codes):
+        codes.extend(broken_copies(code.as_irregular_code(), rng, 3))
+    reports = [verify_mds(code) for code in codes]
+    for code, rep in zip(codes, reports):
+        assert rep == reference_verify_mds(code)
+    # The broken copies reach every verdict path, not only "is MDS".
+    assert any(not rep.is_mds and rep.witness for rep in reports)
+    assert any(rep.is_mds for rep in reports)

@@ -244,6 +244,17 @@ def test_flattened_diagonal_normalizes(single_round):
     assert update_bandwidth(flat)[1] == update_bandwidth(normalized)[1]
 
 
+@pytest.mark.parametrize("node", [0, 3])
+def test_flattening_rejects_foreign_entry_in_data_row(base42, node):
+    # Node 3 is paired, node 0 is not; the own-node block stays the identity.
+    t = pair_transform(base42, (2, 3))
+    row = t.column_maps()[node].data[t.data_rows(node)[0]]
+    foreign = 2 * t.base_data_len * ((node + 1) % t.n)
+    row[foreign] = 1
+    with pytest.raises(AssertionError, match="not systematic"):
+        t.as_irregular_code()
+
+
 # -- repair ------------------------------------------------------------------------
 
 
