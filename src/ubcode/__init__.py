@@ -4,8 +4,9 @@ Library layout:
 
 - ``finite_field``: GF(q) arithmetic (prime and prime-power fields)
 - ``linalg``: dense exact matrix algebra over GF(q)
-- ``code_model``: code abstraction, metrics, closed-form bounds, verification
-- ``construct``: explicit builders, encode/decode, worked-example fixtures
+- ``code_model``: code abstraction, erasure decoding, metrics, closed-form
+  bounds, verification
+- ``construct``: explicit builders, their encoders, worked-example fixtures
 - ``transform``: node-size-doubling transformation with optimal repair
 - ``cluster``: deterministic simulated cluster with symbol accounting
 - ``cli``: the ``ubcode`` command-line tool

@@ -32,7 +32,7 @@ from .code_model import (
 from .construct import InternalRankFailureError, build_mrmub, build_mub, fig1b, fig3
 from .transform import TransformedCode, iterate_transform
 from .cluster import Cluster, ClusterStateError, RepairMismatchError
-from .linalg import rank
+from .linalg import InconsistentSystemError, rank
 
 SYMBOL_WIDTH = 4  # hex digits, enough for any element of a q <= 2^16 field
 
@@ -204,11 +204,12 @@ def cmd_decode(args) -> int:
         if not 0 <= j < code.n:
             raise ValueError(f"erased node {j} outside 0..{code.n - 1}")
     known = {j: columns[j] for j in range(code.n) if j not in erased}
-    restored = code.decode_columns(known)
-    for j in range(code.n):
-        if j not in erased and restored[j] != columns[j]:
-            print(f"surviving column {j} inconsistent with decode", file=sys.stderr)
-            return 1
+    try:
+        restored = code.decode_columns(known)
+    except InconsistentSystemError:
+        raise CodewordMismatchError(
+            "codeword file is not a valid codeword of this spec: surviving columns disagree"
+        ) from None
     with open(args.out, "w") as fh:
         fh.write(dump_columns(restored))
     print(f"recovered {sorted(erased)} -> {args.out}")

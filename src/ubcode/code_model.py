@@ -22,13 +22,7 @@ from itertools import combinations
 from math import comb
 
 from .finite_field import Field, GF
-from .linalg import (
-    Matrix,
-    full_rank_decompose,
-    rank,
-    solve,
-    vstack,
-)
+from .linalg import Matrix, full_rank_decompose, rank, solve
 
 FEASIBILITY_SUBSET_LIMIT = 10**6
 MDS_SUBSET_LIMIT = 10**4
@@ -40,6 +34,10 @@ class InvalidParamsError(ValueError):
 
 class EnumerationTooLargeError(ValueError):
     """A brute-force check would need to enumerate too many subsets."""
+
+
+class TooManyErasuresError(ValueError):
+    """More columns erased than the code can tolerate."""
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,10 @@ def validate_dimensions(n: int, k: int, m) -> None:
 class ArrayCode:
     """Column-oriented interface shared by every code object.
 
-    Subclasses set ``field`` and ``params`` and provide ``encode`` and
-    ``column_maps``; this base derives the shape, the default data-then-parity
-    row layout, generic erasure decoding and naive repair from them.
+    Subclasses set ``field`` and ``params`` and provide ``encode``,
+    ``column_maps`` and ``as_irregular_code``; this base derives the shape,
+    the default data-then-parity row layout, erasure decoding and naive
+    repair from them.
     """
 
     field: Field
@@ -113,7 +112,7 @@ class ArrayCode:
         return list(range(self.m[j], self.col_lens[j]))
 
     def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
-        """Recover the full codeword from the surviving columns by linear solve."""
+        """Recover the full codeword from the surviving columns."""
         return self.encode(solve_data_from_columns(self, known))
 
     def repair(self, failed: int, fetch, helpers=None) -> list[int]:
@@ -229,32 +228,55 @@ class IrregularArrayCode(ArrayCode):
         return self._column_maps
 
 
+def erased_block(view: IrregularArrayCode, kept) -> Matrix:
+    """``P_{S,E}``: the parity rows of the kept columns S, in order, on the
+    data columns of the erased nodes E, the complement of S."""
+    erased = [i for i in range(view.n) if i not in kept]
+    block = Matrix(view.field, sum(view.p[j] for j in kept), sum(view.m[i] for i in erased))
+    block.data = [
+        [v for i in erased for v in view.construction[i][j].data[r]]
+        for j in kept
+        for r in range(view.p[j])
+    ]
+    return block
+
+
 def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]]:
     """Solve for every data vector given a subset of intact columns.
 
-    Works for any object exposing ``field``, ``m``, ``col_lens`` and
-    ``column_maps``; raises Underdetermined/Inconsistent errors when the
-    surviving columns do not pin the data down.
+    The one erasure decoder for every code class.  Survivors hold their own
+    data verbatim (``code.data_rows``); taking the survivors' contributions
+    off each kept parity row leaves exactly ``P_{S,E} x_E`` (see
+    ``erased_block``), so one solve of that block yields the erased data.
+    Raises TooManyErasuresError beyond n-k erased columns, and
+    Underdetermined/Inconsistent errors when the surviving columns do not
+    pin the data down or contradict each other.
     """
-    maps = code.column_maps()
-    idxs = sorted(known)
-    for j in idxs:
+    n, f = code.n, code.field
+    for j in known:
         if len(known[j]) != code.col_lens[j]:
             raise InvalidParamsError(f"column {j} has wrong length")
-    lhs = vstack(code.field, [maps[j] for j in idxs])
-    rhs = Matrix(
-        code.field,
-        lhs.rows,
-        1,
-        [[v] for j in idxs for v in known[j]],
-    )
-    flat = [row[0] for row in solve(lhs, rhs).data]
-    out = []
+    kept = sorted(known)
+    erased = [i for i in range(n) if i not in known]
+    if len(erased) > n - code.k:
+        raise TooManyErasuresError(f"{len(erased)} erasures exceed tolerance {n - code.k}")
+    view = code.as_irregular_code()
+    data = [
+        [known[j][r] for r in code.data_rows(j)] if j in known else [0] * code.m[j]
+        for j in range(n)
+    ]
+    residue = []
+    for j in kept:
+        short = [known[j][r] for r in code.parity_rows(j)]
+        for i in kept:
+            short = [f.sub(a, b) for a, b in zip(short, view.construction[i][j].apply(data[i]))]
+        residue.extend([v] for v in short)
+    x = solve(erased_block(view, kept), Matrix(f, len(residue), 1, residue)).data
     pos = 0
-    for mi in code.m:
-        out.append(flat[pos : pos + mi])
-        pos += mi
-    return out
+    for i in erased:
+        data[i] = [row[0] for row in x[pos : pos + code.m[i]]]
+        pos += code.m[i]
+    return data
 
 
 # -- metrics -----------------------------------------------------------------
@@ -583,33 +605,21 @@ def verify_mds(code) -> MdsReport:
     view = code.as_irregular_code()
     total = sum(view.m)
 
-    def erased_rank(kept) -> tuple[int, int]:
-        """(rank of P_{S,E}, sum(m_E)) for the kept columns S."""
-        erased = [i for i in range(n) if i not in kept]
-        width = sum(view.m[i] for i in erased)
-        rows = [
-            [v for i in erased for v in view.construction[i][j].data[r]]
-            for j in kept
-            for r in range(view.p[j])
-        ]
-        block = Matrix(view.field, len(rows), width)
-        block.data = rows
-        return rank(block), width
-
     for subset in combinations(range(n), k):
-        got, need = erased_rank(subset)
-        if got < need:
+        block = erased_block(view, subset)
+        got = rank(block)
+        if got < block.cols:
             return MdsReport(
                 False, subset, None,
-                f"columns {subset}: column rank {total - need + got} < {total} unknowns",
+                f"columns {subset}: column rank {total - block.cols + got} < {total} unknowns",
             )
 
     for subset in combinations(range(n), k - 1):
         symbols = sum(view.col_lens[j] for j in subset)
         if symbols < total:
             return MdsReport(True, None, subset, "symbol count below data size")
-        got, need = erased_rank(subset)
-        if got < need:
+        block = erased_block(view, subset)
+        if rank(block) < block.cols:
             return MdsReport(True, None, subset, "rank deficient")
     return MdsReport(
         False, None, None, f"every {k - 1}-subset already determines the data"
@@ -653,13 +663,18 @@ def _key_name(path: tuple) -> str:
 
 
 def matrix_from_json(field: Field, doc: dict, path: tuple) -> Matrix:
-    """The matrix stored at ``path`` of a spec document."""
-    return Matrix(
-        field,
-        spec_value(doc, path + ("rows",), int),
-        spec_value(doc, path + ("cols",), int),
-        spec_value(doc, path + ("entries",), list, list),
-    )
+    """The matrix stored at ``path`` of a spec document.
+
+    Entries outside the field, or a grid that does not match ``rows`` x
+    ``cols``, raise ``SpecSchemaError`` naming the entries key.
+    """
+    rows = spec_value(doc, path + ("rows",), int)
+    cols = spec_value(doc, path + ("cols",), int)
+    entries = spec_value(doc, path + ("entries",), list, list)
+    try:
+        return Matrix(field, rows, cols, entries)
+    except ValueError as exc:
+        raise SpecSchemaError(f"spec key {_key_name(path + ('entries',))}: {exc}") from None
 
 
 def code_to_json(code: IrregularArrayCode) -> dict:

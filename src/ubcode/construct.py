@@ -24,11 +24,9 @@ from .linalg import (
     Matrix,
     SingularMatrixError,
     UnderdeterminedSystemError,
-    hstack,
     invert,
     rref,
     solve,
-    solve_vec,
     vandermonde_columns,
 )
 from .code_model import (
@@ -36,6 +34,7 @@ from .code_model import (
     CodeParams,
     InvalidParamsError,
     IrregularArrayCode,
+    TooManyErasuresError,
     bandwidth_optimal_profile,
 )
 
@@ -44,10 +43,6 @@ SELECTION_CHECK_LIMIT = 10**4
 
 class DivisibilityError(ValueError):
     """Node data counts must be divisible by the reconstruction threshold."""
-
-
-class TooManyErasuresError(ValueError):
-    """More columns erased than the code can tolerate."""
 
 
 class InternalRankFailureError(RuntimeError):
@@ -150,9 +145,9 @@ class BuiltCode(ArrayCode):
     """A constructed code together with its per-node bases and assembly matrices.
 
     Adds to the shared code interface the intermediate-vector pipeline the
-    update protocol rides on, a structured decoder, and an optional
-    registered repair schedule.  Immutable after construction, so one
-    instance can back any number of concurrent encodes/decodes.
+    update protocol rides on and an optional registered repair schedule.
+    Immutable after construction, so one instance can back any number of
+    concurrent encodes/decodes.
     """
 
     def __init__(self, kind: str, field: Field, params: CodeParams,
@@ -209,75 +204,6 @@ class BuiltCode(ArrayCode):
                 parity = [f.add(a, b) for a, b in zip(parity, contrib)]
             columns.append(list(data[j]) + parity)
         return columns
-
-    def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
-        """Erasure decoding along the construction's own structure.
-
-        Survivors first rebuild the per-edge vectors they can compute
-        locally, subtract them from their parities, and solve the remaining
-        assembly-column system for the erased nodes' vectors; each erased
-        data vector is then recovered by its row-wise MDS base and all
-        parities re-encoded.
-        """
-        n, k = self.n, self.k
-        erased = [j for j in range(n) if j not in known]
-        if len(erased) > n - k:
-            raise TooManyErasuresError(
-                f"{len(erased)} erasures exceed tolerance {n - k}"
-            )
-        for j in known:
-            if len(known[j]) != self.col_lens[j]:
-                raise InvalidParamsError(f"column {j} has wrong length")
-        if not erased:
-            return [list(known[j]) for j in range(n)]
-        survivors = sorted(known)
-        f = self.field
-        data = {j: list(known[j][: self.params.m[j]]) for j in survivors}
-        parity = {j: list(known[j][self.params.m[j]:]) for j in survivors}
-
-        inter = {}
-        for i in survivors:
-            for j, vec in self.intermediates(i, data[i]):
-                inter[(i, j)] = vec
-
-        active = [e for e in erased if self.params.m[e] > 0]
-        for j in survivors:
-            residue = parity[j]
-            for i in survivors:
-                if i == j or not inter.get((i, j)):
-                    continue
-                contrib = self.code.B[i][j].apply(inter[(i, j)])
-                residue = [f.sub(a, b) for a, b in zip(residue, contrib)]
-            blocks = [self.code.B[e][j] for e in active]
-            stacked = hstack(f, blocks) if blocks else Matrix(f, self.params.p[j], 0)
-            if stacked.cols == 0:
-                if any(residue):
-                    raise InternalRankFailureError(
-                        f"node {j} holds residue with no erased contributors"
-                    )
-                continue
-            try:
-                sol = solve_vec(stacked, residue)
-            except (UnderdeterminedSystemError, InconsistentSystemError) as exc:
-                raise InternalRankFailureError(
-                    f"assembly system at node {j} unsolvable: {exc}"
-                ) from exc
-            pos = 0
-            for e in active:
-                width = self.code.B[e][j].cols
-                inter[(e, j)] = sol[pos : pos + width]
-                pos += width
-
-        for e in active:
-            got = {}
-            for j in survivors:
-                d = (j - e) % n
-                got[d - 1] = inter[(e, j)]
-            data[e] = self.bases[e].decode(got)
-        for e in erased:
-            if self.params.m[e] == 0:
-                data[e] = []
-        return self.encode([data[i] for i in range(n)])
 
     def repair(self, failed: int, fetch, helpers=None) -> list[int]:
         """Rebuild one column; uses the registered download schedule if any,

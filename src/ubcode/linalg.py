@@ -290,11 +290,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     return x
 
 
-def solve_vec(a: Matrix, b: list[int]) -> list[int]:
-    rhs = Matrix(a.field, len(b), 1, [[v] for v in b])
-    return [row[0] for row in solve(a, rhs).data]
-
-
 def vandermonde_columns(field: Field, r: int, c: int) -> Matrix:
     """r x c matrix whose every selection of r columns is invertible.
 

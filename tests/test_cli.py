@@ -113,9 +113,14 @@ def drop_key(path):
         (set_key(["transform", "g"], 2.0), "spec key transform.g must be int"),
         (set_key(["transform", "pairs"], [[2]]), "spec key transform.pairs[0] must hold two nodes"),
         (set_key(["transform", "pairs"], [2, 3]), "spec key transform.pairs[0] must be a list of int"),
+        (set_key(["matrices", "A", 0, 1, "entries", 0, 0], 99),
+         "spec key matrices.A[0][1].entries: 99 is not an element of GF(4)"),
+        (set_key(["matrices", "B", 1, 0, "rows"], 7),
+         "spec key matrices.B[1][0].entries: data does not match shape 7x1"),
     ],
     ids=["missing-k", "missing-entries", "short-grid", "m-type", "q-type",
-         "transform-no-g", "transform-g-type", "transform-short-pair", "transform-flat-pairs"],
+         "transform-no-g", "transform-g-type", "transform-short-pair", "transform-flat-pairs",
+         "entry-out-of-field", "entries-shape"],
 )
 def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     spec = tmp_path / "spec.json"
@@ -219,23 +224,6 @@ def test_out_of_range_node_is_a_usage_error(tmp_path, capsys, spec_file, command
     assert f"node {node} outside" in err
 
 
-def test_update_rejects_corrupt_codeword(tmp_path, capsys, spec_file):
-    cw = tmp_path / "codeword.txt"
-    run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "9", "--out", str(cw)])
-    lines = cw.read_text().splitlines()
-    # flip one parity symbol of node 0 (last 4 hex digits of line 0)
-    first = lines[0]
-    tweak = "0001" if first[-4:] == "0000" else "0000"
-    lines[0] = first[:-4] + tweak
-    cw.write_text("\n".join(lines) + "\n")
-    code, out, err = run_capture(capsys, [
-        "update", "--spec", str(spec_file), "--in", str(cw),
-        "--node", "0", "--data", "1,2,3,4", "--out", str(cw),
-    ])
-    assert code == 1
-    assert "not a valid codeword" in err
-
-
 @pytest.fixture
 def gf16_codeword(tmp_path, capsys):
     spec = tmp_path / "gf16.json"
@@ -331,25 +319,31 @@ def test_malformed_codeword_file_is_a_usage_error(tmp_path, capsys, spec_file, c
     assert_usage_error(capsys, argv, "expected 4 columns, found 1")
 
 
-@pytest.mark.parametrize("erased", ["9", "0,-1"])
-def test_decode_out_of_range_erasure_is_a_usage_error(tmp_path, capsys, spec_file, erased):
+@pytest.mark.parametrize(
+    "erased, message",
+    [("9", "outside 0..3"), ("0,-1", "outside 0..3"), ("0,1,2", "3 erasures exceed tolerance 2")],
+    ids=["9", "0,-1", "0,1,2"],
+)
+def test_decode_out_of_range_erasure_is_a_usage_error(tmp_path, capsys, spec_file, erased, message):
     cw = tmp_path / "codeword.txt"
     run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "7", "--out", str(cw)])
     assert_usage_error(capsys, [
         "decode", "--spec", str(spec_file), "--in", str(cw), "--erased", erased,
         "--out", str(tmp_path / "o"),
-    ], "outside 0..3")
+    ], message)
 
 
-def test_repair_rejects_corrupt_codeword(tmp_path, capsys, spec_file):
+@pytest.mark.parametrize("command", ["update", "repair", "decode"])
+def test_repair_rejects_corrupt_codeword(tmp_path, capsys, spec_file, command):
     cw = tmp_path / "codeword.txt"
     run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "9", "--out", str(cw)])
     lines = cw.read_text().splitlines()
+    # flip one parity symbol of node 0 (last 4 hex digits of line 0)
     lines[0] = lines[0][:-4] + ("0001" if lines[0][-4:] == "0000" else "0000")
     cw.write_text("\n".join(lines) + "\n")
-    code, out, err = run_capture(capsys, [
-        "repair", "--spec", str(spec_file), "--in", str(cw), "--node", "1",
-    ])
+    argv = [command, "--spec", str(spec_file), "--in", str(cw), "--out", str(tmp_path / "o")]
+    argv += ["--erased", "1"] if command == "decode" else ["--node", "1"]
+    code, out, err = run_capture(capsys, argv)
     assert code == 1
     assert len(err.splitlines()) == 1 and "not a valid codeword" in err
 

@@ -25,6 +25,7 @@ from ubcode.code_model import (
     InvalidParamsError,
     IrregularArrayCode,
     MdsReport,
+    TooManyErasuresError,
     bandwidth_optimal_profile,
     bounds,
     code_from_json,
@@ -38,6 +39,8 @@ from ubcode.code_model import (
     verify_mds,
     zero_diagonal,
 )
+
+from conftest import random_fill
 
 
 def pcode_fixture():
@@ -347,6 +350,80 @@ def test_solve_data_from_columns_validates_lengths():
     code = pcode_fixture()
     with pytest.raises(InvalidParamsError):
         solve_data_from_columns(code, {0: [0, 0, 0]})
+
+
+def reference_decode(code, known):
+    """Every data vector from the known columns, by one solve over their
+    stacked full column maps."""
+    maps = code.column_maps()
+    idxs = sorted(known)
+    lhs = vstack(code.field, [maps[j] for j in idxs])
+    rhs = Matrix(code.field, lhs.rows, 1, [[v] for j in idxs for v in known[j]])
+    flat = [row[0] for row in solve(lhs, rhs).data]
+    out, pos = [], 0
+    for mi in code.m:
+        out.append(flat[pos : pos + mi])
+        pos += mi
+    return out
+
+
+def decoder_check_codes():
+    codes = [fig1b(), fig3()]
+    for q in (8, 25, 256):
+        f = GF(q)
+        codes.append(build_mrmub(4, 2, 2, field=f))
+        codes.append(build_mrmub(5, 3, 3, field=f))
+        codes.append(build_mub(4, 2, [4, 2, 2, 0], field=f))
+        codes.append(build_mub(6, 3, [6, 3, 3, 0, 3, 0], field=f))
+    for q in (8, 25):
+        for rounds in (1, 2, 3):
+            transformed = iterate_transform(build_mrmub(5, 3, 3, field=GF(q)), rounds)
+            codes.extend([transformed, transformed.as_irregular_code()])
+    return codes
+
+
+def erasure_patterns(code, most):
+    for size in range(most + 1):
+        yield from combinations(range(code.n), size)
+
+
+@pytest.fixture(scope="module")
+def decoder_codes():
+    return decoder_check_codes()
+
+
+def test_decoder_matches_full_column_map_reference(decoder_codes, rng):
+    for code in decoder_codes:
+        data = random_fill(code, rng)
+        cols = code.encode(data)
+        for erased in erasure_patterns(code, code.n - code.k):
+            known = {j: cols[j] for j in range(code.n) if j not in erased}
+            assert solve_data_from_columns(code, known) == reference_decode(code, known) == data
+            assert code.decode_columns(known) == cols
+
+
+def test_decoder_rejects_too_many_erasures_for_every_class(fig1b_code):
+    transformed = iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 1)
+    for code in (fig1b_code, fig1b_code.as_irregular_code(), transformed):
+        cols = code.encode([[0] * mi for mi in code.m])
+        known = {j: cols[j] for j in range(code.k - 1)}
+        with pytest.raises(TooManyErasuresError, match="3 erasures exceed tolerance 2"):
+            code.decode_columns(known)
+
+
+def test_decoder_rejects_a_corrupted_survivor(decoder_codes, rng):
+    # Below n-k erasures the survivors hold more than k columns, so a single
+    # changed symbol contradicts the rest.
+    for code in decoder_codes:
+        f = code.field
+        cols = code.encode(random_fill(code, rng))
+        for erased in erasure_patterns(code, code.n - code.k - 1):
+            known = {j: list(cols[j]) for j in range(code.n) if j not in erased}
+            j = rng.choice([j for j in known if known[j]])
+            r = rng.randrange(len(known[j]))
+            known[j][r] = f.add(known[j][r], 1 + rng.randrange(f.q - 1))
+            with pytest.raises(InconsistentSystemError):
+                solve_data_from_columns(code, known)
 
 
 # -- serialization ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ from ubcode.linalg import (
     rank,
     rref,
     solve,
-    solve_vec,
     vandermonde_columns,
     vstack,
 )
@@ -140,13 +139,13 @@ def test_solve_examples(gf2):
     assert solve(eye, b) == b
 
     a = Matrix.from_rows(gf2, [[1, 1], [1, 0]])
-    assert solve_vec(a, [0, 1]) == [1, 1]
+    assert solve(a, Matrix.from_rows(gf2, [[0], [1]])).data == [[1], [1]]
 
     with pytest.raises(InconsistentSystemError):
-        solve_vec(Matrix.from_rows(gf2, [[1], [0]]), [0, 1])
+        solve(Matrix.from_rows(gf2, [[1], [0]]), Matrix.from_rows(gf2, [[0], [1]]))
 
     with pytest.raises(UnderdeterminedSystemError):
-        solve_vec(Matrix.from_rows(gf2, [[1, 1]]), [1])
+        solve(Matrix.from_rows(gf2, [[1, 1]]), Matrix.from_rows(gf2, [[1]]))
 
 
 def test_solve_round_trip_random():
