@@ -207,6 +207,8 @@ class Cluster:
         Returns exact measured statistics: mean symbols per update (a
         Fraction), per-node update totals, and per-repair download counts.
         """
+        if updates < 0 or repairs < 0:
+            raise InvalidParamsError(f"negative workload: {updates} updates, {repairs} repairs")
         rng = random.Random(seed)
         per_node = [0] * self.n
         total = 0

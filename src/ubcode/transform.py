@@ -4,23 +4,21 @@ One application takes a regular (n, k = n-2) MDS array code, interleaves two
 independent codewords, and rewrites a chosen pair of columns so that either
 one can be rebuilt from (n-1) * alpha' / 2 downloaded symbols instead of the
 naive k full columns.  Columns outside the pair stack the two instances
-verbatim; the paired columns mix the two instances of each other's column
-through a primitive element g:
-
-    column a: [ instance-0 column of a ; inst-0 of b + g * inst-1 of b ]
-    column b: [ inst-0 of b + inst-1 of b ; instance-1 column of a   ]
-
-The mixing is invertible because g != 1, which is why the base field must
-have more than two elements.  Re-applying the transformation with disjoint
-pairs (descending rotation) makes every node repair-optimal; with a balanced
-minimum-redundancy base the result keeps both the redundancy and the update-
-bandwidth optima at the doubled parameters.
+verbatim.  Of the pair (a, b), a keeps instance 0 of column a, b takes its
+instance 1, and each stores a different mix of the two instances of column b,
+weighted through a primitive element g; the pairing table of
+``TransformedCode`` records which half holds what.  The mixing is invertible
+because g != 1, which is why the base field must have more than two elements.
+Re-applying the transformation with disjoint pairs (descending rotation) makes
+every node repair-optimal; with a balanced minimum-redundancy base the result
+keeps both the redundancy and the update-bandwidth optima at the doubled
+parameters.
 """
 
 from __future__ import annotations
 
 from .finite_field import Field
-from .linalg import FieldTooSmallError, Matrix, vstack
+from .linalg import FieldTooSmallError, Matrix, invert
 from .code_model import ArrayCode, CodeParams, InvalidParamsError, IrregularArrayCode
 
 
@@ -37,11 +35,30 @@ def _require_regular(base) -> tuple[int, int]:
     return m[0], lens[0]
 
 
+def _mix(f: Field, w: tuple[int, int], u, v) -> list[int]:
+    """The row w[0]*u + w[1]*v.  An operand of weight 0 is not read (it may be
+    None), and a lone operand of weight 1 is returned as it is."""
+    if not w[1]:
+        return u if w[0] == 1 else f.scale_row(w[0], u)
+    if not w[0]:
+        return v if w[1] == 1 else f.scale_row(w[1], v)
+    return f.sub_scaled_row(u if w[0] == 1 else f.scale_row(w[0], u), f.neg(w[1]), v)
+
+
 class TransformedCode(ArrayCode):
     """A base code plus one pairing round; rounds nest by using another
     TransformedCode as the base.  Physical columns hold the two instance
     halves contiguously, so instance reads are contiguous row ranges.
-    Immutable; repair/update state lives in the owning cluster."""
+    Immutable; repair/update state lives in the owning cluster.
+
+    Every method derives from one pairing table, built here:
+
+    - ``halves[j][h] = (x, w)``: half h of node j stores
+      w[0] * (instance 0 of base column x) + w[1] * (instance 1 of x);
+    - ``homes[x]``: the two (node, half) slots that store base column x;
+    - ``unmix[x]``: the inverse of their 2x2 weight matrix, so instance s of
+      column x is unmix[x][s][0] * home 0 + unmix[x][s][1] * home 1.
+    """
 
     def __init__(self, base, pair: tuple[int, int], g: int | None = None):
         n, k = base.n, base.k
@@ -57,6 +74,7 @@ class TransformedCode(ArrayCode):
             raise InvalidPairError(f"invalid node pair {pair} for n={n}")
         if g is None:
             g = field.primitive
+        field.validate(g)
         if g in (0, 1) or field.multiplicative_order(g) != field.q - 1:
             raise InvalidPairError(f"g={g} is not a primitive element of GF({field.q})")
         base_m, base_len = _require_regular(base)
@@ -70,7 +88,18 @@ class TransformedCode(ArrayCode):
         )
         self.base_data_len = base_m
         self.base_col_len = base_len
-        self._inv_g1 = field.inv(field.sub(g, 1))
+        halves = [[(j, (1, 0)), (j, (0, 1))] for j in range(n)]
+        halves[a] = [(a, (1, 0)), (b, (1, g))]
+        halves[b] = [(b, (1, 1)), (a, (0, 1))]
+        self.halves = halves
+        self.homes = [
+            [(j, h) for j in range(n) for h in (0, 1) if halves[j][h][0] == x]
+            for x in range(n)
+        ]
+        self.unmix = [
+            invert(Matrix.from_rows(field, [halves[j][h][1] for j, h in places])).data
+            for places in self.homes
+        ]
         self._column_maps = None
         self._flat = None
 
@@ -86,15 +115,10 @@ class TransformedCode(ArrayCode):
         inner = self.base.pairs if isinstance(self.base, TransformedCode) else []
         return inner + [self.pair]
 
-    def _second_source(self, j: int) -> int:
-        a, b = self.pair
-        return b if j == a else a if j == b else j
-
     def data_rows(self, j: int) -> list[int]:
+        (top, _), (bottom, _) = self.halves[j]
         alpha = self.base_col_len
-        top = self.base.data_rows(j)
-        bottom = [alpha + r for r in self.base.data_rows(self._second_source(j))]
-        return top + bottom
+        return self.base.data_rows(top) + [alpha + r for r in self.base.data_rows(bottom)]
 
     def parity_rows(self, j: int) -> list[int]:
         data = set(self.data_rows(j))
@@ -105,90 +129,65 @@ class TransformedCode(ArrayCode):
     def base_data(self, data: list[list[int]]) -> tuple[list, list]:
         """Split transformed per-node data into the two base-instance fills."""
         f = self.field
-        a, b = self.pair
         half = self.base_data_len
         if any(len(v) != 2 * half for v in data) or len(data) != self.n:
             raise InvalidParamsError("data vectors do not match the doubled profile")
-        top = [list(v[:half]) for v in data]
-        bottom = [list(v[half:]) for v in data]
-        x0 = [None] * self.n
-        x1 = [None] * self.n
-        for j in range(self.n):
-            if j in (a, b):
-                continue
-            x0[j], x1[j] = top[j], bottom[j]
-        x0[a] = top[a]
-        x1[a] = bottom[b]
-        x1[b] = [f.mul(self._inv_g1, f.sub(u, v)) for u, v in zip(bottom[a], top[b])]
-        x0[b] = [f.sub(v, w) for v, w in zip(top[b], x1[b])]
+        x0, x1 = [], []
+        for places, (r0, r1) in zip(self.homes, self.unmix):
+            u, v = (data[j][h * half : (h + 1) * half] for j, h in places)
+            x0.append(_mix(f, r0, u, v))
+            x1.append(_mix(f, r1, u, v))
         return x0, x1
 
     def joined_data(self, x0: list, x1: list) -> list[list[int]]:
-        """Inverse of base_data: per-node data of the transformed code."""
+        """Inverse of base_data: per-node data of the transformed code.  The
+        mixing is row-wise, so encode applies it to whole base columns."""
         f = self.field
-        a, b = self.pair
-        data = [None] * self.n
-        for j in range(self.n):
-            if j in (a, b):
-                continue
-            data[j] = list(x0[j]) + list(x1[j])
-        data[a] = list(x0[a]) + [
-            f.add(u, f.mul(self.g, v)) for u, v in zip(x0[b], x1[b])
+        return [
+            _mix(f, w, x0[x], x1[x]) + _mix(f, w2, x0[x2], x1[x2])
+            for (x, w), (x2, w2) in self.halves
         ]
-        data[b] = [f.add(u, v) for u, v in zip(x0[b], x1[b])] + list(x1[a])
-        return data
 
     # -- codec ------------------------------------------------------------------
 
     def encode(self, data: list[list[int]]) -> list[list[int]]:
-        f = self.field
-        a, b = self.pair
         x0, x1 = self.base_data(data)
-        c0 = self.base.encode(x0)
-        c1 = self.base.encode(x1)
-        columns = []
-        for j in range(self.n):
-            if j == a:
-                mixed = [f.add(u, f.mul(self.g, v)) for u, v in zip(c0[b], c1[b])]
-                columns.append(c0[a] + mixed)
-            elif j == b:
-                mixed = [f.add(u, v) for u, v in zip(c0[b], c1[b])]
-                columns.append(mixed + c1[a])
-            else:
-                columns.append(c0[j] + c1[j])
-        return columns
+        return self.joined_data(self.base.encode(x0), self.base.encode(x1))
 
     def column_maps(self) -> list[Matrix]:
-        """Compose the base maps with the instance split and the pair mixing.
+        """Scatter the base maps through the pairing table.
 
-        Row t of ``split[s]`` is instance s's base data (flattened) for the
-        t-th unit transformed data vector, so instance s of base column j
-        maps the transformed data through ``(split[s] @ M_j^T)^T``.
+        Transformed data slot (j, h), the data part of half h of node j, is
+        home i of exactly one base column y, and instance s of y's data is
+        unmix[y][s] applied to y's two homes.  Half (x, w) of a column thus
+        maps slot (j, h) through block y of the base map of x, scaled by
+        w[0] * unmix[y][0][i] + w[1] * unmix[y][1][i].
         """
         if self._column_maps is None:
             f = self.field
-            a, b = self.pair
-            width = 2 * self.base_data_len
-            total = sum(self.m)
-            split = [Matrix(f, total, self.n * self.base_data_len) for _ in range(2)]
-            unit = [[0] * width for _ in range(self.n)]
-            for t in range(total):
-                node, off = divmod(t, width)
-                unit[node][off] = 1
-                for s, x in zip(split, self.base_data(unit)):
-                    s.data[t] = [v for vec in x for v in vec]
-                unit[node][off] = 0
+            half = self.base_data_len
+            slots = sorted(
+                (j, h, y, i)
+                for y, places in enumerate(self.homes)
+                for i, (j, h) in enumerate(places)
+            )
             base_maps = self.base.column_maps()
-            c0, c1 = [[(s @ m.transpose()).transpose() for m in base_maps] for s in split]
             maps = []
-            for j in range(self.n):
-                if j == a:
-                    halves = [c0[a], c0[b] + c1[b].scale(self.g)]
-                elif j == b:
-                    halves = [c0[b] + c1[b], c1[a]]
-                else:
-                    halves = [c0[j], c1[j]]
-                maps.append(vstack(f, halves))
+            for node in self.halves:
+                rows = []
+                for x, w in node:
+                    scale = [
+                        (y * half, f.add(f.mul(w[0], self.unmix[y][0][i]),
+                                         f.mul(w[1], self.unmix[y][1][i])))
+                        for _, _, y, i in slots
+                    ]
+                    rows += [
+                        [v for at, c in scale for v in f.scale_row(c, row[at : at + half])]
+                        for row in base_maps[x].data
+                    ]
+                out = Matrix(f, len(rows), len(slots) * half)
+                out.data = rows
+                maps.append(out)
             self._column_maps = maps
         return self._column_maps
 
@@ -203,15 +202,11 @@ class TransformedCode(ArrayCode):
             n = self.n
             maps = self.column_maps()
             offs = [2 * self.base_data_len * i for i in range(n + 1)]
-            grid = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    sub = maps[j].take_rows(self.parity_rows(j)).take_cols(
-                        range(offs[i], offs[i + 1])
-                    )
-                    row.append(sub)
-                grid.append(row)
+            parity = [maps[j].take_rows(self.parity_rows(j)) for j in range(n)]
+            grid = [
+                [parity[j].take_cols(range(offs[i], offs[i + 1])) for j in range(n)]
+                for i in range(n)
+            ]
             # The view stores data rows as the identity, so it spans the same
             # symbols per node only if every stored data row is the unit
             # vector at its own offset and zero on all foreign columns.
@@ -221,9 +216,7 @@ class TransformedCode(ArrayCode):
                     unit[offs[j] + t] = 1
                     if maps[j].data[r] != unit:
                         raise AssertionError("transformed data rows are not systematic")
-            self._flat = IrregularArrayCode(
-                self.field, self.params, [[grid[i][j] for j in range(n)] for i in range(n)]
-            )
+            self._flat = IrregularArrayCode(self.field, self.params, grid)
         return self._flat
 
     # -- repair -------------------------------------------------------------------
@@ -231,28 +224,18 @@ class TransformedCode(ArrayCode):
     def _instance_fetch(self, fetch, instance: int):
         """View one base instance through the physical transformed columns.
 
-        Pure reads map to one half of a column; the pair partner's own
-        column lives on the other node's far half; the mixed column requires
-        both combinations and an unmix step."""
+        Base column x is read from the homes its unmix row weighs: the one
+        home that stores the instance alone, or both homes of a mixed column,
+        which are then unmixed."""
         f = self.field
-        a, b = self.pair
         alpha = self.base_col_len
 
-        def inner(node, rows):
-            if node not in (a, b):
-                return fetch(node, [r + instance * alpha for r in rows])
-            if node == a:
-                if instance == 0:
-                    return fetch(a, list(rows))
-                return fetch(b, [r + alpha for r in rows])
-            plain = fetch(b, list(rows))                    # inst0 + inst1
-            scaled = fetch(a, [r + alpha for r in rows])    # inst0 + g*inst1
-            inst1 = [
-                f.mul(self._inv_g1, f.sub(u, v)) for u, v in zip(scaled, plain)
-            ]
-            if instance == 1:
-                return inst1
-            return [f.sub(u, v) for u, v in zip(plain, inst1)]
+        def inner(x, rows):
+            w = self.unmix[x][instance]
+            (j0, h0), (j1, h1) = self.homes[x]
+            u = fetch(j0, [h0 * alpha + r for r in rows]) if w[0] else None
+            v = fetch(j1, [h1 * alpha + r for r in rows]) if w[1] else None
+            return _mix(f, w, u, v)
 
         return inner
 
@@ -264,29 +247,33 @@ class TransformedCode(ArrayCode):
         node repairs each instance through the base code; duplicate physical
         reads are deduplicated by the caller's fetch."""
         f = self.field
-        a, b = self.pair
         alpha = self.base_col_len
         if not 0 <= failed < self.n:
             raise InvalidPairError(f"node {failed} out of range")
-        unpaired = [j for j in range(self.n) if j not in (a, b)]
-        if failed == a:
-            known = {j: fetch(j, list(range(alpha))) for j in unpaired}
-            cols0 = self.base.decode_columns(known)
-            mixed = fetch(b, list(range(alpha)))  # inst0_b + inst1_b
-            inst1_b = [f.sub(u, v) for u, v in zip(mixed, cols0[b])]
-            lower = [f.add(u, f.mul(self.g, v)) for u, v in zip(cols0[b], inst1_b)]
-            return cols0[a] + lower
-        if failed == b:
-            known = {j: fetch(j, [alpha + r for r in range(alpha)]) for j in unpaired}
-            cols1 = self.base.decode_columns(known)
-            mixed = fetch(a, [alpha + r for r in range(alpha)])  # inst0_b + g*inst1_b
-            inst0_b = [f.sub(u, f.mul(self.g, v)) for u, v in zip(mixed, cols1[b])]
-            upper = [f.add(u, v) for u, v in zip(inst0_b, cols1[b])]
-            return upper + cols1[a]
-        order = [j for j in unpaired if j != failed] + [a, b]
-        top = self.base.repair(failed, self._instance_fetch(fetch, 0), helpers=order)
-        bottom = self.base.repair(failed, self._instance_fetch(fetch, 1), helpers=order)
-        return top + bottom
+        unpaired = [j for j in range(self.n) if j not in self.pair]
+        if failed not in self.pair:
+            order = [j for j in unpaired if j != failed] + list(self.pair)
+            top, bottom = (
+                self.base.repair(failed, self._instance_fetch(fetch, s), helpers=order)
+                for s in (0, 1)
+            )
+            return top + bottom
+        # The failed node stores instance s of one base column alone.  Decode
+        # instance s from the unpaired nodes; each lost half then follows from
+        # cols[x] = w[i] * (lost half) + w[1-i] * (surviving home of x).
+        s = next(w.index(1) for _, w in self.halves[failed] if 0 in w)
+        inst = self._instance_fetch(fetch, s)
+        cols = self.base.decode_columns({j: inst(j, range(alpha)) for j in unpaired})
+        out = []
+        for h, (x, _) in enumerate(self.halves[failed]):
+            i = self.homes[x].index((failed, h))
+            w = self.unmix[x][s]
+            c = f.inv(w[i])
+            d = f.neg(f.mul(c, w[1 - i]))
+            j, hh = self.homes[x][1 - i]
+            survivor = fetch(j, [hh * alpha + r for r in range(alpha)]) if d else None
+            out += _mix(f, (c, d), cols[x], survivor)
+        return out
 
 
 def pair_transform(base, pair: tuple[int, int], g: int | None = None) -> TransformedCode:
@@ -297,6 +284,8 @@ def pair_transform(base, pair: tuple[int, int], g: int | None = None) -> Transfo
 def rotation_pairs(n: int, rounds: int) -> list[tuple[int, int]]:
     """Deterministic disjoint-pair coverage: (n-2, n-1), (n-4, n-3), ...;
     with odd n the leftover node 0 pairs with its cyclic successor last."""
+    if rounds < 0:
+        raise InvalidPairError(f"rounds must be >= 0, got {rounds}")
     if rounds > (n + 1) // 2:
         raise InvalidPairError(f"{rounds} rounds exceed ceil({n}/2)")
     pairs = []

@@ -117,10 +117,12 @@ def drop_key(path):
          "spec key matrices.A[0][1].entries: 99 is not an element of GF(4)"),
         (set_key(["matrices", "B", 1, 0, "rows"], 7),
          "spec key matrices.B[1][0].entries: data does not match shape 7x1"),
+        (set_key(["transform", "g"], 99999), "99999 is not an element of GF(4)"),
+        (set_key(["transform", "g"], -1), "-1 is not an element of GF(4)"),
     ],
     ids=["missing-k", "missing-entries", "short-grid", "m-type", "q-type",
          "transform-no-g", "transform-g-type", "transform-short-pair", "transform-flat-pairs",
-         "entry-out-of-field", "entries-shape"],
+         "entry-out-of-field", "entries-shape", "transform-g-too-large", "transform-g-negative"],
 )
 def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     spec = tmp_path / "spec.json"
@@ -133,6 +135,25 @@ def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     edit(doc)
     spec.write_text(json.dumps(doc))
     assert_usage_error(capsys, ["verify", str(spec)], message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--kind", "mrmub", "--n", "4", "--k", "2", "--m", "2,2,2,2",
+          "--transform-rounds", "-1"], "rounds must be >= 0, got -1"),
+        (["simulate", "--updates", "-1"], "negative workload: -1 updates, 1 repairs"),
+        (["simulate", "--repairs", "-2"], "negative workload: 8 updates, -2 repairs"),
+        (["simulate", "--updates", "-1", "--repairs", "-2"], "negative workload"),
+    ],
+    ids=["transform-rounds", "updates", "repairs", "both"],
+)
+def test_negative_count_is_a_usage_error(tmp_path, capsys, argv, message):
+    spec = tmp_path / "spec.json"
+    if argv[0] == "construct":
+        argv = argv + ["--out", str(spec)]
+    assert_usage_error(capsys, argv, message)
+    assert not spec.exists()
 
 
 def test_usage_error_exit_2(capsys):

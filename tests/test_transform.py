@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -56,6 +57,14 @@ def test_rejects_non_primitive_mixer(base42):
         pair_transform(base42, (2, 3), g=0)
 
 
+@pytest.mark.parametrize("q", [4, 25])
+@pytest.mark.parametrize("g", [-1, 99999])
+def test_rejects_out_of_field_mixer(q, g):
+    # Arithmetic on an out-of-field g never ends in an odd extension field.
+    with pytest.raises(ValueError, match=rf"{g} is not an element of GF\({q}\)"):
+        pair_transform(build_mrmub(4, 2, 2, field=GF(q)), (2, 3), g=g)
+
+
 def test_rejects_bad_pairs(base42):
     with pytest.raises(InvalidPairError):
         pair_transform(base42, (1, 1))
@@ -74,6 +83,8 @@ def test_rotation_pairs():
     assert rotation_pairs(5, 3) == [(3, 4), (1, 2), (0, 1)]
     with pytest.raises(InvalidPairError):
         rotation_pairs(4, 3)
+    with pytest.raises(InvalidPairError, match="rounds must be >= 0"):
+        rotation_pairs(4, -1)
 
 
 def test_iterate_zero_rounds_is_base(base42):
@@ -178,11 +189,7 @@ def test_arbitrary_pair_relabeling(base42):
 
 def test_alternative_primitive_mixer(base42):
     # GF(4) has two primitive elements; either drives a valid pairing.
-    f = base42.field
-    other = next(
-        e for e in range(2, f.q)
-        if e != f.primitive and f.multiplicative_order(e) == f.q - 1
-    )
+    other = alternative_primitive(base42.field)
     t = pair_transform(base42, (2, 3), g=other)
     assert t.g == other
     assert verify_mds(t).is_mds
@@ -215,10 +222,36 @@ def unit_encode_maps(code):
     return maps
 
 
-@pytest.mark.parametrize("q", [8, 25])
-@pytest.mark.parametrize("rounds", [1, 2, 3])
-def test_composed_column_maps_match_unit_encodes(q, rounds):
-    code = iterate_transform(build_mrmub(5, 3, 3, field=GF(q)), rounds)
+def alternative_primitive(f):
+    return next(
+        e for e in range(2, f.q)
+        if e != f.primitive and f.multiplicative_order(e) == f.q - 1
+    )
+
+
+MAP_CASES = [
+    (rounds, q, shape, mixer)
+    for shape in [(5, 3, 3), (6, 4, 4)]
+    for mixer in ["primitive", "alternative"]
+    for rounds in [1, 2, 3]
+    for q in [8, 25]
+]
+
+
+@pytest.mark.parametrize(
+    "rounds, q, shape, mixer",
+    MAP_CASES,
+    ids=[
+        f"{rounds}-{q}" + ("" if shape == (5, 3, 3) else f"-n{shape[0]}")
+        + ("" if mixer == "primitive" else "-alt")
+        for rounds, q, shape, mixer in MAP_CASES
+    ],
+)
+def test_composed_column_maps_match_unit_encodes(rounds, q, shape, mixer):
+    code = build_mrmub(*shape, field=GF(q))
+    g = alternative_primitive(code.field) if mixer == "alternative" else None
+    for pair in rotation_pairs(code.n, rounds):
+        code = TransformedCode(code, pair, g)
     assert [m.data for m in code.column_maps()] == unit_encode_maps(code)
 
 
@@ -261,6 +294,72 @@ def test_flattening_rejects_foreign_entry_in_data_row(base42, node):
 def repair_counts(code, seed=3):
     cluster = Cluster(code, seed=seed)
     return [cluster.fail_and_repair(node).total() for node in range(code.n)]
+
+
+# Every node's sorted (source, row) repair reads: per-source counts in clear
+# and a digest of the rows.  They were recorded from the hand-coded pair
+# mixing the pairing table replaced, so a table edit that moves one read
+# fails here.  The reads do not depend on the field.
+PINNED_READS = {
+    ((6, 4, 4), 1): [
+        ([0, 12, 12, 12, 6, 6], "f84282e7768f4f5a"),
+        ([12, 0, 12, 12, 6, 6], "73faa26ba5e74a24"),
+        ([12, 12, 0, 12, 6, 6], "abb446704741cc36"),
+        ([12, 12, 12, 0, 6, 6], "95f688ee411f9597"),
+        ([6, 6, 6, 6, 0, 6], "b9e372265373c80d"),
+        ([6, 6, 6, 6, 6, 0], "69dd4b01a07e372c"),
+    ],
+    ((6, 4, 4), 2): [
+        ([0, 24, 24, 24, 12, 12], "8eb7f5cd20e106df"),
+        ([24, 0, 24, 24, 12, 12], "e5776ed668b4c901"),
+        ([12, 12, 0, 12, 12, 12], "3b35e4847d41809c"),
+        ([12, 12, 12, 0, 12, 12], "e3f2056390b01279"),
+        ([12, 12, 12, 12, 0, 12], "17e05c6b8bffc108"),
+        ([12, 12, 12, 12, 12, 0], "2669778de0677400"),
+    ],
+    ((6, 4, 4), 3): [
+        ([0, 24, 24, 24, 24, 24], "2b43bc04e6400b65"),
+        ([24, 0, 24, 24, 24, 24], "85e62a1dc15eaa39"),
+        ([24, 24, 0, 24, 24, 24], "b9770afef6ddfda0"),
+        ([24, 24, 24, 0, 24, 24], "8416055069a7faa6"),
+        ([24, 24, 24, 24, 0, 24], "025c4599741035b0"),
+        ([24, 24, 24, 24, 24, 0], "813c80c4af8f1cd6"),
+    ],
+    ((5, 3, 3), 3): [
+        ([0, 20, 20, 20, 20], "50bb6759e1bc7b45"),
+        ([20, 0, 20, 20, 20], "eab983ae17142b79"),
+        ([20, 20, 0, 20, 20], "f80e52a233ecc642"),
+        ([20, 20, 20, 0, 20], "6cbca04873149c40"),
+        ([20, 20, 20, 20, 0], "5dde1e8f8a941001"),
+    ],
+}
+
+
+def repair_reads(code, node):
+    """Sorted (source, row) pairs one repair of node reads, duplicates once."""
+    cols = code.encode(random_fill(code, random.Random(node)))
+    seen = set()
+
+    def fetch(src, rows):
+        seen.update((src, r) for r in rows)
+        return [cols[src][r] for r in rows]
+
+    assert code.repair(node, fetch) == cols[node]
+    return sorted(seen)
+
+
+READ_CASES = [((6, 4, 4), q, r) for q in (8, 25) for r in (1, 2, 3)] + [((5, 3, 3), 8, 3)]
+
+
+@pytest.mark.parametrize(
+    "shape, q, rounds", READ_CASES, ids=[f"n{s[0]}-q{q}-r{r}" for s, q, r in READ_CASES]
+)
+def test_repair_reads_are_pinned(shape, q, rounds):
+    code = iterate_transform(build_mrmub(*shape, field=GF(q)), rounds)
+    for node, (counts, digest) in enumerate(PINNED_READS[shape, rounds]):
+        reads = repair_reads(code, node)
+        assert [sum(1 for s, _ in reads if s == src) for src in range(code.n)] == counts
+        assert hashlib.sha256(repr(reads).encode()).hexdigest()[:16] == digest
 
 
 def test_single_round_repair_counts(single_round):
