@@ -377,16 +377,11 @@ def render_cells(code) -> list[list[str]]:
 
 def render_intermediates(built) -> list[str]:
     names = symbol_names(built)
+    offs = built.code.data_offsets()
     lines = []
-    offs = [0]
-    for mi in built.m:
-        offs.append(offs[-1] + mi)
     for i in range(built.n):
-        if built.m[i] == 0:
-            for d in range(1, built.n):
-                lines.append(f"p[{i}->{(i + d) % built.n}] = ()")
-            continue
-        for j, _vec in built.intermediates(i, [0] * built.m[i]):
+        for d in range(1, built.n):
+            j = (i + d) % built.n
             a_map = built.code.A[i][j]
             comps = []
             for r in range(a_map.rows):

@@ -117,29 +117,15 @@ class Cluster:
         delta = [f.sub(a, b) for a, b in zip(new_data, old)]
         oplog = TransferLog()
 
-        for j in range(self.n):
-            if j == node:
-                continue
-            a_map = self.view.A[node][j]
-            if a_map is None or a_map.rows == 0:
-                continue
-            payload = a_map.apply(delta)
-            oplog.add("update", node, j, len(payload))
-            addend = self.view.B[node][j].apply(payload)
-            rows = self.code.parity_rows(j)
+        for j, payload, addend in self.view.parity_terms(node, delta):
+            if payload is not None:
+                oplog.add("update", node, j, len(payload))
             col = self.columns[j]
-            for r, v in zip(rows, addend):
+            for r, v in zip(self.code.parity_rows(j), addend):
                 col[r] = f.add(col[r], v)
-
         own = self.columns[node]
         for r, v in zip(self.code.data_rows(node), new_data):
             own[r] = v
-        diag = self.view.construction[node][node]
-        if not diag.is_zero():
-            addend = diag.apply(delta)
-            for r, v in zip(self.code.parity_rows(node), addend):
-                own[r] = f.add(own[r], v)
-
         self.truth[node] = new_data
         self._assert_consistent("update")
         self.log.extend(oplog)

@@ -76,10 +76,12 @@ def validate_dimensions(n: int, k: int, m) -> None:
 class ArrayCode:
     """Column-oriented interface shared by every code object.
 
-    Subclasses set ``field`` and ``params`` and provide ``encode``,
-    ``column_maps`` and ``as_irregular_code``; this base derives the shape,
-    the default data-then-parity row layout, erasure decoding and naive
-    repair from them.
+    Subclasses set ``field`` and ``params`` and provide ``as_irregular_code``,
+    the flat construction-matrix view; this base derives the shape, the
+    default data-then-parity row layout, encoding and column maps (both
+    from the view), erasure decoding and naive repair.  A subclass that
+    stores its rows in another layout overrides ``encode``, ``column_maps``
+    and the row maps together.
     """
 
     field: Field
@@ -110,6 +112,12 @@ class ArrayCode:
 
     def parity_rows(self, j: int) -> list[int]:
         return list(range(self.m[j], self.col_lens[j]))
+
+    def encode(self, data: list[list[int]]) -> list[list[int]]:
+        return self.as_irregular_code().encode(data)
+
+    def column_maps(self) -> list[Matrix]:
+        return self.as_irregular_code().column_maps()
 
     def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
         """Recover the full codeword from the surviving columns."""
@@ -162,6 +170,7 @@ class IrregularArrayCode(ArrayCode):
                     B[i][j], A[i][j] = tall, wide
         self.A = A
         self.B = B
+        self._own_terms = [not construction[i][i].is_zero() for i in range(n)]
         self._column_maps = None
 
     @classmethod
@@ -188,24 +197,35 @@ class IrregularArrayCode(ArrayCode):
 
     # -- codec -----------------------------------------------------------
 
+    def parity_terms(self, i: int, x: list[int]):
+        """Node i's data x reaching parity, as the update protocol ships it.
+
+        Yields ``(j, payload, addend)`` for each peer j in ascending order:
+        ``payload = A[i][j] x`` is the intermediate vector sent over edge
+        i -> j (rank-0 edges send nothing and are skipped) and ``addend =
+        B[i][j] payload`` is what j adds to its parity.  A nonzero diagonal
+        (flat views of transformed codes) comes last as ``(i, None, addend)``.
+        Encoding is this protocol run from the zero codeword.
+        """
+        for j, a_map in enumerate(self.A[i]):
+            if j != i and a_map.rows:
+                payload = a_map.apply(x)
+                yield j, payload, self.B[i][j].apply(payload)
+        if self._own_terms[i]:
+            yield i, None, self.construction[i][i].apply(x)
+
     def encode(self, data: list[list[int]]) -> list[list[int]]:
-        """Columns [x_j ; p_j] with p_j the sum of per-node contributions."""
+        """Columns [x_j ; p_j] with p_j the sum of the addends j receives."""
         f = self.field
         if len(data) != self.n or any(
             len(x) != mi for x, mi in zip(data, self.params.m)
         ):
             raise InvalidParamsError("data vectors do not match the data profile")
-        columns = []
-        for j in range(self.n):
-            parity = [0] * self.params.p[j]
-            for i in range(self.n):
-                mm = self.construction[i][j]
-                if mm.rows == 0 or mm.cols == 0 or mm.is_zero():
-                    continue
-                contrib = mm.apply(data[i])
-                parity = [f.add(a, b) for a, b in zip(parity, contrib)]
-            columns.append(list(data[j]) + parity)
-        return columns
+        parity = [[0] * pj for pj in self.params.p]
+        for i in range(self.n):
+            for j, _, addend in self.parity_terms(i, data[i]):
+                parity[j] = [f.add(a, b) for a, b in zip(parity[j], addend)]
+        return [list(x) + pj for x, pj in zip(data, parity)]
 
     def column_maps(self) -> list[Matrix]:
         """Per-column matrices mapping the global data vector to the stored symbols."""
@@ -265,13 +285,13 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
         [known[j][r] for r in code.data_rows(j)] if j in known else [0] * code.m[j]
         for j in range(n)
     ]
-    residue = []
-    for j in kept:
-        short = [known[j][r] for r in code.parity_rows(j)]
-        for i in kept:
-            short = [f.sub(a, b) for a, b in zip(short, view.construction[i][j].apply(data[i]))]
-        residue.extend([v] for v in short)
-    x = solve(erased_block(view, kept), Matrix(f, len(residue), 1, residue)).data
+    residue = {j: [known[j][r] for r in code.parity_rows(j)] for j in kept}
+    for i in kept:
+        for j, _, addend in view.parity_terms(i, data[i]):
+            if j in residue:
+                residue[j] = [f.sub(a, b) for a, b in zip(residue[j], addend)]
+    rhs = [[v] for j in kept for v in residue[j]]
+    x = solve(erased_block(view, kept), Matrix(f, len(rhs), 1, rhs)).data
     pos = 0
     for i in erased:
         data[i] = [row[0] for row in x[pos : pos + code.m[i]]]
@@ -641,6 +661,7 @@ def spec_value(doc, path: tuple, kind: type, item: type | None = None):
     """The value at ``path`` (dict keys, list indices) of a spec document.
 
     It must be a ``kind``; with ``item`` given, a list of ``item`` values.
+    JSON booleans are not ints.
     """
     value = doc
     try:
@@ -648,12 +669,17 @@ def spec_value(doc, path: tuple, kind: type, item: type | None = None):
             value = value[key]
     except (KeyError, IndexError, TypeError):
         raise SpecSchemaError(f"spec has no key {_key_name(path)}") from None
-    if not isinstance(value, kind) or (
-        item is not None and not all(isinstance(v, item) for v in value)
+    if not _is_a(value, kind) or (
+        item is not None and not all(_is_a(v, item) for v in value)
     ):
         what = kind.__name__ if item is None else f"a list of {item.__name__}"
         raise SpecSchemaError(f"spec key {_key_name(path)} must be {what}")
     return value
+
+
+def _is_a(value, kind: type) -> bool:
+    """isinstance, except that a JSON boolean is no int (bool subclasses int)."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def _key_name(path: tuple) -> str:

@@ -1,4 +1,4 @@
-"""Explicit builders for update-bandwidth-optimal codes, plus their codecs.
+"""Explicit builders for update-bandwidth-optimal codes.
 
 Both constructions place, for every source node i, the columns of a small
 row-wise MDS encoding of node i's data on the other n-1 nodes in cyclic
@@ -10,7 +10,9 @@ the update-bandwidth optimum by construction.
 ``build_mrmub`` handles the balanced profile (every node stores m data
 symbols, redundancy is the global minimum); ``build_mub`` handles arbitrary
 per-node data counts divisible by k (redundancy is the minimum attainable at
-optimal update bandwidth).
+optimal update bandwidth).  The builders only assemble the per-edge factor
+grids; encoding, decoding and updates all run on the resulting
+``IrregularArrayCode``, whose encoder applies exactly those factors.
 """
 
 from __future__ import annotations
@@ -144,10 +146,10 @@ def default_field(n: int, k: int, m_vec) -> Field:
 class BuiltCode(ArrayCode):
     """A constructed code together with its per-node bases and assembly matrices.
 
-    Adds to the shared code interface the intermediate-vector pipeline the
-    update protocol rides on and an optional registered repair schedule.
-    Immutable after construction, so one instance can back any number of
-    concurrent encodes/decodes.
+    Encodes and decodes through its flat code ``code``; adds the per-edge
+    intermediate vectors (``intermediates``) and an optional registered
+    repair schedule.  Immutable after construction, so one instance can back
+    any number of concurrent encodes/decodes.
     """
 
     def __init__(self, kind: str, field: Field, params: CodeParams,
@@ -160,50 +162,13 @@ class BuiltCode(ArrayCode):
         self.code = code
         self.repair_schedule = None   # optional: node -> [(source, row), ...]
 
-    def column_maps(self):
-        return self.code.column_maps()
-
     def as_irregular_code(self) -> IrregularArrayCode:
         return self.code
 
-    # -- codec ----------------------------------------------------------------
-
     def intermediates(self, i: int, x_i: list[int]) -> list[tuple[int, list[int]]]:
-        """The n-1 per-destination vectors of node i, cyclic placement order."""
-        n = self.n
-        if self.params.m[i] == 0:
-            return [((i + d) % n, []) for d in range(1, n)]
-        f_enc = self.bases[i].encode(x_i)
-        return [
-            ((i + d) % n, f_enc.col(d - 1))
-            for d in range(1, n)
-        ]
-
-    def encode(self, data: list[list[int]]) -> list[list[int]]:
-        """Encode through the intermediate-vector pipeline.
-
-        Computes every per-edge vector, then folds each node's incoming
-        vectors through its assembly matrix; equals the direct construction-
-        matrix evaluation (the test suite asserts that on random fills).
-        """
-        f = self.field
-        n = self.n
-        if len(data) != n or any(len(x) != mi for x, mi in zip(data, self.params.m)):
-            raise InvalidParamsError("data vectors do not match the data profile")
-        incoming = [[None] * n for _ in range(n)]  # [source][dest]
-        for i in range(n):
-            for j, vec in self.intermediates(i, data[i]):
-                incoming[i][j] = vec
-        columns = []
-        for j in range(n):
-            parity = [0] * self.params.p[j]
-            for i in range(n):
-                if i == j or not incoming[i][j]:
-                    continue
-                contrib = self.code.B[i][j].apply(incoming[i][j])
-                parity = [f.add(a, b) for a, b in zip(parity, contrib)]
-            columns.append(list(data[j]) + parity)
-        return columns
+        """The n-1 per-destination vectors node i ships, cyclic placement order."""
+        dests = [(i + d) % self.n for d in range(1, self.n)]
+        return [(j, self.code.A[i][j].apply(x_i)) for j in dests]
 
     def repair(self, failed: int, fetch, helpers=None) -> list[int]:
         """Rebuild one column; uses the registered download schedule if any,

@@ -119,10 +119,14 @@ def drop_key(path):
          "spec key matrices.B[1][0].entries: data does not match shape 7x1"),
         (set_key(["transform", "g"], 99999), "99999 is not an element of GF(4)"),
         (set_key(["transform", "g"], -1), "-1 is not an element of GF(4)"),
+        (set_key(["transform", "pairs"], [[True, 3]]), "spec key transform.pairs[0] must be a list of int"),
+        (set_key(["transform", "g"], True), "spec key transform.g must be int"),
+        (set_key(["params", "k"], True), "spec key params.k must be int"),
     ],
     ids=["missing-k", "missing-entries", "short-grid", "m-type", "q-type",
          "transform-no-g", "transform-g-type", "transform-short-pair", "transform-flat-pairs",
-         "entry-out-of-field", "entries-shape", "transform-g-too-large", "transform-g-negative"],
+         "entry-out-of-field", "entries-shape", "transform-g-too-large", "transform-g-negative",
+         "transform-pairs-bool", "transform-g-bool", "params-k-bool"],
 )
 def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     spec = tmp_path / "spec.json"

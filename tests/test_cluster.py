@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubcode.code_model import bounds
-from ubcode.construct import build_mrmub
+from ubcode.construct import build_mrmub, build_mub
+from ubcode.finite_field import GF
 from ubcode.cluster import (
     Cluster,
     NodeOutOfRangeError,
@@ -120,6 +124,43 @@ def test_round_robin_mean_equals_theory(mrmub_codes, mub_codes, fig1b_code, fig3
 
 
 # -- repair ----------------------------------------------------------------------------
+
+
+@st.composite
+def mub_shapes(draw):
+    """Random (n, k, m) with k | m_i and some data, small enough that every
+    erasure pattern can be decoded."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    shares = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if not any(shares):
+        shares[draw(st.integers(0, n - 1))] = 1
+    return n, k, [k * s for s in shares]
+
+
+@settings(max_examples=80, deadline=None)
+@given(mub_shapes(), st.integers(0, 2**16))
+def test_write_path_property_sweep(shape, seed):
+    # Per-edge widths are at most (n-1)*2 = 10 assembly columns, so GF(25)
+    # always has enough evaluation points next to the default binary field.
+    n, k, m = shape
+    rep = bounds(n, k, m)
+    for field in (None, GF(25)):
+        code = build_mub(n, k, m, field=field)
+        cluster = Cluster(code, seed=seed)
+        rng = random.Random(seed)
+        shipped = [[0] * n for _ in range(n)]
+        for node in range(n):
+            fresh = [rng.randrange(code.field.q) for _ in range(m[node])]
+            for rec in cluster.apply_update(node, fresh).records:
+                shipped[rec.src][rec.dst] += rec.count
+        assert tuple(map(tuple, shipped)) == rep.bandwidth_assignment
+        assert Fraction(sum(map(sum, shipped)), n) == rep.min_update_bandwidth
+        assert cluster.audit().ok
+        cols = code.encode(cluster.truth)
+        for erased in combinations(range(n), n - k):
+            known = {j: cols[j] for j in range(n) if j not in erased}
+            assert code.decode_columns(known) == cols, (field, erased)
 
 
 def test_scheduled_repair_counts(fig1b_code):

@@ -31,6 +31,8 @@ from ubcode.construct import (
     systematic_mds_generator,
 )
 
+from ubcode.transform import iterate_transform
+
 from conftest import random_fill
 
 
@@ -306,6 +308,28 @@ def test_built_codes_are_mds(mrmub_codes, mub_codes):
         assert rep.insufficient_subset is not None
 
 
+def reference_pipeline_encode(built, data):
+    """Encode through the intermediate-vector pipeline, without the factor
+    grids: node i's row-wise MDS encoding hosts column d-1 on node
+    (i+d) mod n, and node j folds the vectors it hosts, in cyclic arrival
+    order j+1, ..., j+n-1, through the columns of its assembly matrix."""
+    n = built.n
+    columns = []
+    for j in range(n):
+        incoming = []
+        for d in range(1, n):
+            i = (j + d) % n
+            if built.m[i]:
+                incoming += built.bases[i].encode(data[i]).col((j - i) % n - 1)
+        columns.append(list(data[j]) + built.assemblies[j].apply(incoming))
+    return columns
+
+
+def column_map_encode(code, data):
+    flat = [v for x in data for v in x]
+    return [s.apply(flat) for s in code.column_maps()]
+
+
 def test_pipeline_encode_equals_direct_encode(mrmub_codes, mub_codes, fig1b_code, fig3_code):
     rng = random.Random(101)
     built_list = [fig1b_code, fig3_code] + [b for *_, b in mrmub_codes + mub_codes]
@@ -313,7 +337,29 @@ def test_pipeline_encode_equals_direct_encode(mrmub_codes, mub_codes, fig1b_code
     for t in range(trials):
         built = built_list[t % len(built_list)]
         data = random_fill(built, rng)
-        assert built.encode(data) == built.code.encode(data)
+        cols = built.encode(data)
+        assert cols == reference_pipeline_encode(built, data)
+        assert cols == column_map_encode(built, data)
+
+
+@pytest.mark.parametrize("q", [8, 25])
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_flat_transform_encode_with_own_terms(rounds, q):
+    # Flat views of transformed codes carry nonzero diagonal blocks, which the
+    # encoder adds as each node's own term.
+    code = iterate_transform(build_mrmub(4, 2, 2, field=GF(q)), rounds)
+    flat = code.as_irregular_code()
+    assert any(not flat.construction[i][i].is_zero() for i in range(flat.n))
+    rng = random.Random(rounds * q)
+    for _ in range(50):
+        data = random_fill(flat, rng)
+        cols = flat.encode(data)
+        assert cols == column_map_encode(flat, data)
+        stored = code.encode(data)
+        assert cols == [
+            [col[r] for r in code.data_rows(j) + code.parity_rows(j)]
+            for j, col in enumerate(stored)
+        ]
 
 
 def test_decode_every_erasure_pattern(mrmub_codes, mub_codes, fig1b_code, fig3_code):
