@@ -6,7 +6,7 @@ Library layout:
 - ``linalg``: dense exact matrix algebra over GF(q)
 - ``code_model``: code abstraction, erasure decoding, metrics, closed-form
   bounds, verification
-- ``construct``: explicit builders, their encoders, worked-example fixtures
+- ``construct``: explicit builders and worked-example fixtures
 - ``transform``: node-size-doubling transformation with optimal repair
 - ``cluster``: deterministic simulated cluster with symbol accounting
 - ``cli``: the ``ubcode`` command-line tool

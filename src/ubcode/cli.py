@@ -27,6 +27,7 @@ from .code_model import (
     spec_value,
     update_bandwidth,
     update_complexity,
+    validate_dimensions,
     verify_mds,
 )
 from .construct import InternalRankFailureError, build_mrmub, build_mub, fig1b, fig3
@@ -168,7 +169,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_construct(args) -> int:
     m_list = parse_int_list(args.m)
-    field = GF(args.q) if args.q else None
+    validate_dimensions(args.n, args.k, m_list)
+    field = None if args.q is None else GF(args.q)
     if args.kind == "mrmub":
         if any(v != m_list[0] for v in m_list):
             print("mrmub construction needs a uniform data profile", file=sys.stderr)
@@ -377,12 +379,12 @@ def render_cells(code) -> list[list[str]]:
 
 def render_intermediates(built) -> list[str]:
     names = symbol_names(built)
-    offs = built.code.data_offsets()
+    offs = built.data_offsets()
     lines = []
     for i in range(built.n):
         for d in range(1, built.n):
             j = (i + d) % built.n
-            a_map = built.code.A[i][j]
+            a_map = built.A[i][j]
             comps = []
             for r in range(a_map.rows):
                 terms = [
@@ -397,8 +399,7 @@ def render_intermediates(built) -> list[str]:
 
 def cmd_demo(args) -> int:
     built = fig1b() if args.which == "fig1b" else fig3()
-    view = built.code
-    grid, average = update_bandwidth(view)
+    grid, average = update_bandwidth(built)
     cells = render_cells(built)
     height = max(built.col_lens)
     print(f"demo {args.which}: (n={built.n}, k={built.k}, m={list(built.m)}) "
@@ -415,8 +416,8 @@ def cmd_demo(args) -> int:
     for line in render_intermediates(built):
         print("  " + line)
     print(f"update bandwidth     = {average}")
-    print(f"redundancy           = {redundancy(view)}")
-    print(f"update complexity    = {update_complexity(view)}")
+    print(f"redundancy           = {redundancy(built)}")
+    print(f"update complexity    = {update_complexity(built)}")
     cluster = Cluster(built, seed=default_seed())
     repair_counts = []
     for node in range(built.n):
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", required=True, help="comma-separated data profile")
-    p.add_argument("--q", type=int, default=0, help="field size override")
+    p.add_argument("--q", type=int, help="field size override")
     p.add_argument("--transform-rounds", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)

@@ -76,12 +76,11 @@ def validate_dimensions(n: int, k: int, m) -> None:
 class ArrayCode:
     """Column-oriented interface shared by every code object.
 
-    Subclasses set ``field`` and ``params`` and provide ``as_irregular_code``,
-    the flat construction-matrix view; this base derives the shape, the
-    default data-then-parity row layout, encoding and column maps (both
-    from the view), erasure decoding and naive repair.  A subclass that
-    stores its rows in another layout overrides ``encode``, ``column_maps``
-    and the row maps together.
+    Subclasses set ``field`` and ``params`` and provide ``encode``,
+    ``column_maps`` and ``as_irregular_code`` (the flat construction-matrix
+    view); this base derives the shape, the default data-then-parity row
+    layout, erasure decoding and naive repair.  A subclass that stores its
+    rows in another layout overrides the row maps as well.
     """
 
     field: Field
@@ -112,12 +111,6 @@ class ArrayCode:
 
     def parity_rows(self, j: int) -> list[int]:
         return list(range(self.m[j], self.col_lens[j]))
-
-    def encode(self, data: list[list[int]]) -> list[list[int]]:
-        return self.as_irregular_code().encode(data)
-
-    def column_maps(self) -> list[Matrix]:
-        return self.as_irregular_code().column_maps()
 
     def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
         """Recover the full codeword from the surviving columns."""
@@ -740,7 +733,8 @@ def code_to_json(code: IrregularArrayCode) -> dict:
 def code_from_json(obj: dict) -> IrregularArrayCode:
     """Rebuild a code from its spec document.
 
-    A missing or ill-typed key raises ``SpecSchemaError`` naming the key.
+    A missing or ill-typed key, or a diagonal entry that is not the empty
+    matrix, raises ``SpecSchemaError`` naming the key.
     """
     stored = spec_value(obj, ("field",), dict)
     field = GF(spec_value(obj, ("field", "q"), int))
@@ -759,4 +753,8 @@ def code_from_json(obj: dict) -> IrregularArrayCode:
             for i in range(n)
         ]
 
-    return IrregularArrayCode.from_factors(field, params, grid("A"), grid("B"))
+    grids = grid("A"), grid("B")
+    for path in (("matrices", name, i, i) for name in "AB" for i in range(n)):
+        if spec_value(obj, path, dict) != {"rows": 0, "cols": 0, "entries": []}:
+            raise SpecSchemaError(f"spec key {_key_name(path)} must be an empty matrix")
+    return IrregularArrayCode.from_factors(field, params, *grids)

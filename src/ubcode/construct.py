@@ -10,9 +10,9 @@ the update-bandwidth optimum by construction.
 ``build_mrmub`` handles the balanced profile (every node stores m data
 symbols, redundancy is the global minimum); ``build_mub`` handles arbitrary
 per-node data counts divisible by k (redundancy is the minimum attainable at
-optimal update bandwidth).  The builders only assemble the per-edge factor
-grids; encoding, decoding and updates all run on the resulting
-``IrregularArrayCode``, whose encoder applies exactly those factors.
+optimal update bandwidth).  The builders assemble the per-edge factor grids
+and return the ``IrregularArrayCode`` they define, as a ``BuiltCode`` that
+also records its bases and assembly matrices.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from .linalg import (
     vandermonde_columns,
 )
 from .code_model import (
-    ArrayCode,
     CodeParams,
     InvalidParamsError,
     IrregularArrayCode,
     TooManyErasuresError,
     bandwidth_optimal_profile,
+    validate_dimensions,
 )
 
 SELECTION_CHECK_LIMIT = 10**4
@@ -143,32 +143,27 @@ def default_field(n: int, k: int, m_vec) -> Field:
     return GF(1 << w)
 
 
-class BuiltCode(ArrayCode):
-    """A constructed code together with its per-node bases and assembly matrices.
+class BuiltCode(IrregularArrayCode):
+    """A constructed code: the ``IrregularArrayCode`` its factor grids define.
 
-    Encodes and decodes through its flat code ``code``; adds the per-edge
-    intermediate vectors (``intermediates``) and an optional registered
-    repair schedule.  Immutable after construction, so one instance can back
+    The builders attach the construction record, ``kind``, the per-node
+    ``bases`` and ``assemblies``, and may register a repair schedule; this
+    class adds the per-edge intermediate vectors (``intermediates``) and the
+    scheduled repair.  Immutable after construction, so one instance can back
     any number of concurrent encodes/decodes.
     """
 
-    def __init__(self, kind: str, field: Field, params: CodeParams,
-                 bases, assemblies, code: IrregularArrayCode):
-        self.kind = kind
-        self.field = field
-        self.params = params
-        self.bases = bases            # per node; None where the node holds no data
-        self.assemblies = assemblies  # per node j: p_j x sum(m_i/k) matrix
-        self.code = code
-        self.repair_schedule = None   # optional: node -> [(source, row), ...]
+    repair_schedule = None  # optional: node -> [(source, row), ...]
 
-    def as_irregular_code(self) -> IrregularArrayCode:
-        return self.code
+    @property
+    def code(self) -> "BuiltCode":
+        """The code itself: a built code is its own flat code."""
+        return self
 
     def intermediates(self, i: int, x_i: list[int]) -> list[tuple[int, list[int]]]:
         """The n-1 per-destination vectors node i ships, cyclic placement order."""
         dests = [(i + d) % self.n for d in range(1, self.n)]
-        return [(j, self.code.A[i][j].apply(x_i)) for j in dests]
+        return [(j, self.A[i][j].apply(x_i)) for j in dests]
 
     def repair(self, failed: int, fetch, helpers=None) -> list[int]:
         """Rebuild one column; uses the registered download schedule if any,
@@ -233,8 +228,7 @@ def build_mrmub(n: int, k: int, m: int, field: Field | None = None,
                 base_generator=None, assembly=None) -> BuiltCode:
     """Balanced construction: every node stores m data and (n-k)m/k parity
     symbols; redundancy and update bandwidth are both at their minima."""
-    if m <= 0:
-        raise InvalidParamsError("per-node data count must be positive")
+    validate_dimensions(n, k, [m] * n)
     if m % k:
         raise DivisibilityError(f"k={k} must divide m={m}")
     return _assemble("mrmub", n, k, [m] * n, field, [base_generator] * n, [assembly] * n)
@@ -245,6 +239,7 @@ def build_mub(n: int, k: int, m_vec, field: Field | None = None,
     """General construction for arbitrary per-node data counts divisible by k;
     redundancy equals the minimum attainable at optimal update bandwidth."""
     m_vec = list(m_vec)
+    validate_dimensions(n, k, m_vec)
     if any(mi % k for mi in m_vec):
         raise DivisibilityError(f"k={k} must divide every entry of {m_vec}")
     return _assemble(
@@ -306,26 +301,19 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies):
         for j in range(n)
     ]
 
-    # Sender-side maps: columns of each node's row-wise MDS encoding, read
-    # off by encoding basis vectors; destination (i+d) mod n hosts column d-1.
+    # Sender-side maps: node i's row-wise base reads its data column-major
+    # as m_i/k rows of k symbols and multiplies them by G_i; destination
+    # (i+d) mod n hosts column d-1, so row r of that map picks G_i[c][d-1]
+    # at data symbol c*(m_i/k) + r.
     grid_a = [[None] * n for _ in range(n)]
     for i in range(n):
-        mi = m_vec[i]
-        rows = mi // k
-        cols_per_dest = [
-            Matrix(field, rows, mi) for _ in range(n - 1)
-        ]
-        if mi:
-            for c in range(mi):
-                unit = [0] * mi
-                unit[c] = 1
-                f_enc = bases[i].encode(unit)
-                for d in range(1, n):
-                    block = cols_per_dest[d - 1]
-                    for r in range(rows):
-                        block.data[r][c] = f_enc.data[r][d - 1]
+        rows = m_vec[i] // k
         for d in range(1, n):
-            grid_a[i][(i + d) % n] = cols_per_dest[d - 1]
+            block = Matrix(field, rows, m_vec[i])
+            for r in range(rows):
+                for c in range(k):
+                    block.data[r][c * rows + r] = bases[i].generator.data[c][d - 1]
+            grid_a[i][(i + d) % n] = block
 
     # Receiver-side maps: consecutive column blocks of node j's assembly
     # matrix, one per source in cyclic arrival order j+1, ..., j+n-1.
@@ -338,8 +326,11 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies):
             grid_b[i][j] = assemblies[j].take_cols(range(off, off + width))
             off += width
 
-    code = IrregularArrayCode.from_factors(field, params, grid_a, grid_b)
-    return BuiltCode(kind, field, params, bases, assemblies, code)
+    code = BuiltCode.from_factors(field, params, grid_a, grid_b)
+    code.kind = kind
+    code.bases = bases            # per node; None where the node holds no data
+    code.assemblies = assemblies  # per node j: p_j x sum(m_i/k) matrix
+    return code
 
 
 # -- worked-example fixtures -----------------------------------------------------

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ubcode.cli import dump_columns, parse_columns, run
 from ubcode.finite_field import GF
@@ -122,11 +126,13 @@ def drop_key(path):
         (set_key(["transform", "pairs"], [[True, 3]]), "spec key transform.pairs[0] must be a list of int"),
         (set_key(["transform", "g"], True), "spec key transform.g must be int"),
         (set_key(["params", "k"], True), "spec key params.k must be int"),
+        (set_key(["matrices", "A", 0, 0], {"rows": 1, "cols": 2, "entries": [[1, 0]]}),
+         "spec key matrices.A[0][0] must be an empty matrix"),
     ],
     ids=["missing-k", "missing-entries", "short-grid", "m-type", "q-type",
          "transform-no-g", "transform-g-type", "transform-short-pair", "transform-flat-pairs",
          "entry-out-of-field", "entries-shape", "transform-g-too-large", "transform-g-negative",
-         "transform-pairs-bool", "transform-g-bool", "params-k-bool"],
+         "transform-pairs-bool", "transform-g-bool", "params-k-bool", "diagonal-not-empty"],
 )
 def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     spec = tmp_path / "spec.json"
@@ -157,6 +163,30 @@ def test_negative_count_is_a_usage_error(tmp_path, capsys, argv, message):
     if argv[0] == "construct":
         argv = argv + ["--out", str(spec)]
     assert_usage_error(capsys, argv, message)
+    assert not spec.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "mrmub", "--n", "4", "--k", "0", "--m", "2,2,2,2"],
+         "need 1 <= k < n with n >= 2, got n=4 k=0"),
+        (["--kind", "mub", "--n", "4", "--k", "0", "--m", "2,2,2,2"],
+         "need 1 <= k < n with n >= 2, got n=4 k=0"),
+        (["--kind", "mrmub", "--n", "4", "--k", "2", "--m", ""], "data profile () invalid for n=4"),
+        (["--kind", "mrmub", "--n", "4", "--k", "2", "--m", ","], "data profile () invalid for n=4"),
+        (["--kind", "mrmub", "--n", "4", "--k", "2", "--m", "2,2,2"],
+         "data profile (2, 2, 2) invalid for n=4"),
+        (["--kind", "mrmub", "--n", "4", "--k", "2", "--m", "2,2,2,2,2"],
+         "data profile (2, 2, 2, 2, 2) invalid for n=4"),
+        (["--kind", "mrmub", "--n", "4", "--k", "2", "--m", "2,2,2,2", "--q", "0"],
+         "field size must be >= 2, got 0"),
+    ],
+    ids=["mrmub-k0", "mub-k0", "empty-m", "comma-m", "short-m", "long-m", "q0"],
+)
+def test_bad_construct_arguments_are_usage_errors(tmp_path, capsys, argv, message):
+    spec = tmp_path / "spec.json"
+    assert_usage_error(capsys, ["construct", *argv, "--out", str(spec)], message)
     assert not spec.exists()
 
 
@@ -427,3 +457,136 @@ def test_demo_fig3_matches_golden(capsys):
     code, out, _ = run_capture(capsys, ["demo", "fig3"])
     assert code == 0
     assert out == (GOLDEN / "demo_fig3.txt").read_text()
+
+
+# -- fuzzing: no input ends in a traceback ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A plain and a transformed spec, each as a document plus a codeword text."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for name, argv in [
+        ("plain", ["--kind", "mub", "--n", "4", "--k", "2", "--m", "4,2,2,0"]),
+        ("transformed", ["--kind", "mrmub", "--n", "4", "--k", "2", "--m", "2,2,2,2",
+                         "--transform-rounds", "1"]),
+    ]:
+        spec, cw = root / f"{name}.json", root / f"{name}.cw"
+        with redirect_stdout(io.StringIO()):
+            assert run(["construct", *argv, "--out", str(spec)]) == 0
+            assert run(["encode", "--spec", str(spec), "--seed", "1", "--out", str(cw)]) == 0
+        files[name] = (json.loads(spec.read_text()), cw.read_text())
+    return root, files
+
+
+M_TEXTS = st.one_of(
+    st.sampled_from(["", ","]),
+    st.lists(st.integers(-1, 4), min_size=1, max_size=8).map(lambda v: ",".join(map(str, v))),
+)
+
+
+@st.composite
+def argv_cases(draw):
+    """bounds/construct argv: n, k in -1..7; empty, short, long or negative --m."""
+    dims = ["--n", str(draw(st.integers(-1, 7))), "--k", str(draw(st.integers(-1, 7))),
+            f"--m={draw(M_TEXTS)}"]
+    if draw(st.booleans()):
+        return ("argv", ["bounds", *dims])
+    argv = ["construct", "--kind", draw(st.sampled_from(["mrmub", "mub"])), *dims]
+    if draw(st.booleans()):
+        argv.append(f"--q={draw(st.sampled_from([-1, 0, 1, 4, 6, 25]))}")
+    if draw(st.booleans()):
+        argv.append(f"--transform-rounds={draw(st.sampled_from([-1, 0, 1, 2]))}")
+    return ("argv", argv)
+
+
+SPEC_COMMANDS = ["verify", "encode", "decode", "update", "repair"]
+CODEWORD_EDITS = ["truncate", "not-hex", "extra-line", "missing-line", "empty"]
+# Values a mutated spec key takes: type swaps, out-of-field ints, shape edits.
+SPEC_VALUES = [None, "x", 1.5, True, -1, 0, 3, 99999, [], {}, [[1]], [[1, 0], [0, 1]]]
+
+
+def doc_paths(doc, prefix=()):
+    """Every key path of a JSON document below its root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from doc_paths(value, prefix + (key,))
+
+
+def mutate_spec(doc, pick: int, value):
+    """Drop the picked key (value ``"drop"``) or set it to ``value``."""
+    paths = list(doc_paths(doc))
+    *head, last = paths[pick % len(paths)]
+    for key in head:
+        doc = doc[key]
+    if value == "drop":
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+def mutate_codeword(text: str, edit: str, pick: int) -> str:
+    lines = text.splitlines()
+    if edit == "truncate":
+        return text[: pick % len(text)]
+    if edit == "not-hex":
+        line = pick % len(lines)
+        lines[line] = "g" + lines[line][1:]
+    elif edit == "extra-line":
+        lines.append(lines[pick % len(lines)])
+    elif edit == "missing-line":
+        del lines[pick % len(lines)]
+    else:
+        return ""
+    return "\n".join(lines) + "\n"
+
+
+def command_argv(command, spec, cw, out):
+    if command == "verify":
+        return ["verify", str(spec)]
+    argv = [command, "--spec", str(spec), "--out", str(out)]
+    if command != "encode":
+        argv += ["--in", str(cw)]
+    return argv + {"decode": ["--erased", "0"], "update": ["--node", "1"],
+                   "repair": ["--node", "1"]}.get(command, [])
+
+
+FUZZ_CASES = st.one_of(
+    argv_cases(),
+    st.tuples(st.just("spec"), st.sampled_from(["plain", "transformed"]),
+              st.sampled_from(SPEC_COMMANDS), st.integers(0, 10**6),
+              st.sampled_from(["drop", *SPEC_VALUES])),
+    st.tuples(st.just("codeword"), st.sampled_from(["plain", "transformed"]),
+              st.sampled_from(["decode", "update", "repair"]), st.integers(0, 10**6),
+              st.sampled_from(CODEWORD_EDITS)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(FUZZ_CASES)
+@example(("argv", ["construct", "--kind", "mrmub", "--n", "4", "--k", "0", "--m=2,2,2,2"]))
+@example(("argv", ["construct", "--kind", "mub", "--n", "4", "--k", "0", "--m=2,2,2,2"]))
+@example(("argv", ["construct", "--kind", "mrmub", "--n", "4", "--k", "2", "--m="]))
+def test_cli_fuzz_never_tracebacks(fuzz_files, case):
+    root, files = fuzz_files
+    spec, cw, out = root / "case.json", root / "case.cw", root / "case.out"
+    if case[0] == "argv":
+        argv = case[1] + (["--out", str(out)] if case[1][0] == "construct" else [])
+    else:
+        kind, base, command, pick, edit = case
+        doc, text = files[base]
+        doc = json.loads(json.dumps(doc))
+        if kind == "spec":
+            mutate_spec(doc, pick, edit)
+        else:
+            text = mutate_codeword(text, edit, pick)
+        spec.write_text(json.dumps(doc))
+        cw.write_text(text)
+        argv = command_argv(command, spec, cw, out)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -142,10 +142,11 @@ def mub_shapes(draw):
 @given(mub_shapes(), st.integers(0, 2**16))
 def test_write_path_property_sweep(shape, seed):
     # Per-edge widths are at most (n-1)*2 = 10 assembly columns, so GF(25)
-    # always has enough evaluation points next to the default binary field.
+    # and GF(27) always have enough evaluation points next to the default
+    # binary field.
     n, k, m = shape
     rep = bounds(n, k, m)
-    for field in (None, GF(25)):
+    for field in (None, GF(25), GF(27)):
         code = build_mub(n, k, m, field=field)
         cluster = Cluster(code, seed=seed)
         rng = random.Random(seed)
@@ -158,9 +159,15 @@ def test_write_path_property_sweep(shape, seed):
         assert Fraction(sum(map(sum, shipped)), n) == rep.min_update_bandwidth
         assert cluster.audit().ok
         cols = code.encode(cluster.truth)
-        for erased in combinations(range(n), n - k):
-            known = {j: cols[j] for j in range(n) if j not in erased}
-            assert code.decode_columns(known) == cols, (field, erased)
+        for size in range(1, n - k + 1):
+            for erased in combinations(range(n), size):
+                known = {j: cols[j] for j in range(n) if j not in erased}
+                assert code.decode_columns(known) == cols, (field, erased)
+        for node in range(n):
+            helpers = [j for j in range(n) if j != node][:k]
+            log = cluster.fail_and_repair(node)  # raises unless bitwise equal
+            assert cluster.columns[node] == cols[node]
+            assert log.total() == sum(code.col_lens[j] for j in helpers), (field, node)
 
 
 def test_scheduled_repair_counts(fig1b_code):

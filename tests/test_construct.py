@@ -10,6 +10,7 @@ from ubcode.finite_field import GF
 from ubcode.linalg import FieldTooSmallError, Matrix, column_weights, rank, hstack
 from ubcode.code_model import (
     InvalidParamsError,
+    IrregularArrayCode,
     bounds,
     feasible,
     redundancy,
@@ -259,6 +260,27 @@ def test_build_mrmub_rejects_indivisible():
         build_mrmub(4, 2, 3)
     with pytest.raises(DivisibilityError):
         build_mub(4, 2, [2, 3, 2, 0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_mrmub(4, 0, 2),
+        lambda: build_mub(4, 0, [2, 2, 2, 2]),
+        lambda: build_mrmub(4, 2, 0),
+        lambda: build_mub(4, 2, [2, 2, 2]),
+    ],
+    ids=["mrmub-k0", "mub-k0", "mrmub-no-data", "mub-short-profile"],
+)
+def test_builders_check_dimensions_first(build):
+    with pytest.raises(InvalidParamsError):
+        build()
+
+
+def test_built_code_is_the_code_its_grids_define(fig1b_code, fig3_code, mrmub_codes):
+    for code in [fig1b_code, fig3_code] + [built for *_, built in mrmub_codes]:
+        assert isinstance(code, IrregularArrayCode)
+        assert code.as_irregular_code() is code and code.code is code
 
 
 def test_build_rejects_too_small_field():

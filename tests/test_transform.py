@@ -348,7 +348,11 @@ def repair_reads(code, node):
     return sorted(seen)
 
 
-READ_CASES = [((6, 4, 4), q, r) for q in (8, 25) for r in (1, 2, 3)] + [((5, 3, 3), 8, 3)]
+READ_CASES = [
+    (shape, q, rounds)
+    for q in (8, 9, 25, 27)
+    for shape, rounds in [((6, 4, 4), 1), ((6, 4, 4), 2), ((6, 4, 4), 3), ((5, 3, 3), 3)]
+]
 
 
 @pytest.mark.parametrize(
