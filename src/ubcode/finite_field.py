@@ -103,17 +103,40 @@ def _poly_is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
+def _gf2_rem(a: int, b: int) -> int:
+    """Remainder of a divided by b, both polynomials over GF(2) as bit masks."""
+    db = b.bit_length()
+    while (da := a.bit_length()) >= db:
+        a ^= b << (da - db)
+    return a
+
+
 def _smallest_irreducible(p: int, d: int) -> list[int]:
     """Monic irreducible of degree d over GF(p) with smallest integer encoding."""
-    for low in range(p**d):
-        poly = _int_to_digits(low, p, d) + [1]
-        if _poly_is_irreducible(poly, p):
-            return poly
+    if p == 2:
+        # Bit i of a mask is the coefficient of x^i, so masks in increasing
+        # order are the encodings in increasing order, and every mask in
+        # [2, 2^(d//2+1)) is a monic trial divisor of degree 1..d//2.
+        for poly in range(1 << d, 2 << d):
+            if all(_gf2_rem(poly, den) for den in range(2, 2 << d // 2)):
+                return _int_to_digits(poly, 2, d + 1)
+    else:
+        for low in range(p**d):
+            poly = _int_to_digits(low, p, d) + [1]
+            if _poly_is_irreducible(poly, p):
+                return poly
     raise AssertionError(f"no irreducible polynomial of degree {d} over GF({p})")
 
 
 class Field:
     """GF(q) with fixed modulus, primitive element, and full mul/inv tables.
+
+    Construction walks the powers of the primitive element g with one table
+    lookup per element: g times the low and the high half of an element are
+    read from split tables of about sqrt(q) products and added (XOR in
+    characteristic 2, a digit-wise add table in odd extension fields).  In
+    odd extension fields a Zech table (log(1 + g^t)) also serves scalar
+    add/neg/sub and the row kernel.
 
     Immutable after construction; safe to share between threads.  Use the
     cached factory :func:`GF` rather than constructing directly.
@@ -188,21 +211,57 @@ class Field:
         raise AssertionError(f"no primitive element in GF({self.q})")
 
     def _build_tables(self) -> None:
+        # One lookup step per element.  Multiplying by g is linear over GF(p),
+        # so g*val is g*(low half of val) plus g*(high half of val), and each
+        # half's products fill a table of about sqrt(q) entries.
+        p, d, g = self.characteristic, self.degree, self.primitive
         order = self.q - 1
         exp = [1] * order
         log = [0] * self.q
         val = 1
-        for i in range(order):
-            exp[i] = val
-            log[val] = i
-            val = self._raw_mul(val, self.primitive)
+        if d == 1:
+            for i in range(order):
+                exp[i] = val
+                log[val] = i
+                val = val * g % p
+        elif p == 2:
+            h = d // 2
+            mask = (1 << h) - 1
+            lo = [self._raw_mul(t, g) for t in range(1 << h)]
+            hi = [self._raw_mul(t << h, g) for t in range(1 << (d - h))]
+            for i in range(order):
+                exp[i] = val
+                log[val] = i
+                val = hi[val >> h] ^ lo[val & mask]
+        else:
+            # Halves at base P = p^h.  The two products are added digit-wise
+            # in three chunks of at most h digits (d <= 2h + 1) through
+            # add[x*P + y], the digit-wise sum of h-digit numbers x and y,
+            # built one low digit at a time.
+            h = d // 2
+            P = p**h
+            add = [0]
+            for w in (p**k for k in range(h)):
+                add = [
+                    (x % p + y % p) % p + p * add[x // p * w + y // p]
+                    for x in range(w * p) for y in range(w * p)
+                ]
+            lo = [self._raw_mul(t, g) for t in range(P)]
+            hi = [self._raw_mul(t * P, g) for t in range(self.q // P)]
+            lo0, lo1, lo2 = ([v // P**j % P * P for v in lo] for j in range(3))
+            hi0, hi1, hi2 = ([v // P**j % P for v in hi] for j in range(3))
+            for i in range(order):
+                exp[i] = val
+                log[val] = i
+                l, u = val % P, val // P
+                val = (add[lo0[l] + hi0[u]] + P * add[lo1[l] + hi1[u]]
+                       + P * P * add[lo2[l] + hi2[u]])
         if val != 1:
             raise AssertionError("primitive element does not have full order")
         self._exp = exp
         self._log = log
         self._zech = None
-        p = self.characteristic
-        if p != 2 and self.degree > 1:
+        if p != 2 and d > 1:
             # zech[t] = log(1 + g^t), or -1 where 1 + g^t = 0.  Adding 1 only
             # changes the lowest base-p digit, so each entry is O(1).
             self._zech = [
@@ -223,28 +282,26 @@ class Field:
             return (a + b) % p
         if p == 2:
             return a ^ b
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        # Odd extension field: a + b = g^(log a) * (1 + g^(log b - log a))
+        # via the Zech table.
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        order = self.q - 1
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % order]
+        return 0 if z < 0 else self._exp[(la + z) % order]
 
     def neg(self, a: int) -> int:
         p = self.characteristic
         if self.degree == 1:
             return (-a) % p
-        if p == 2:
+        if p == 2 or a == 0:
             return a
-        out = 0
-        mult = 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        # -1 = g^(order/2) in odd characteristic.
+        order = self.q - 1
+        return self._exp[(self._log[a] + order // 2) % order]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

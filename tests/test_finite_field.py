@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,9 @@ from ubcode.finite_field import (
     Field,
     FieldTooLargeError,
     NotPrimePowerError,
+    _int_to_digits,
+    _poly_is_irreducible,
+    _smallest_irreducible,
 )
 
 SMALL_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -157,6 +161,76 @@ def test_boundary_field_size():
     assert f.q == 1 << 16
 
 
+# Every q the tests and the benchmark build: (modulus, primitive, sha256 of the
+# comma-joined exp table).  Spec JSON carries the modulus and the primitive,
+# and codeword files hold elements in this encoding, so any change to how the
+# tables are built must leave all three exactly as they are.
+PINNED_TABLES = {
+    2: (None, 1,
+        "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    3: (None, 2,
+        "17f8af97ad4a7f7639a4c9171d5185cbafb85462877a4746c21bdb0a4f940ca0"),
+    4: ([1, 1, 1], 2,
+        "8a6ae15122001229edb8866f56e342af12ae8187203c3e3b33931743e7c0c48d"),
+    5: (None, 2,
+        "a476677e7e6c27f07dc7c49b28b270220e462768bda3e734886ccd1960ef342c"),
+    7: (None, 3,
+        "8857bfd80b1409724f74d1b3f0496d4bdc59534dfe6daef3cd4c0ddaa226506f"),
+    8: ([1, 1, 0, 1], 2,
+        "532e44873f84897631e3bdf4bc87f13b6efc56c613f250dc56d5291817826247"),
+    9: ([1, 0, 1], 4,
+        "b351095dd920918fc83d6ae9295547f7581dbfe436790376a190fd2c39c53e5a"),
+    11: (None, 2,
+        "03890a70ac8efa04bf6072ba12960c0f6b995cd7dbf4bd08909b3abba7ca0686"),
+    13: (None, 2,
+        "404819ee67c6776a23fc29bd50796a9599747f1fcc1ebc0bdc394ad8a09587ac"),
+    16: ([1, 1, 0, 0, 1], 2,
+        "2118825d6501751151897ace59a145fb8eb96b687bbef51fd02806658e21cf8f"),
+    25: ([2, 0, 1], 6,
+        "dc195559d55f793a6a8b043f4fca14fec4794ae39e12ae81b02cebd4ff2b04c8"),
+    27: ([1, 2, 0, 1], 3,
+        "62f2ccfa842b73c3cec2619c24647ea47f8c96fe4d36f11e954cd0b0ef80b4ad"),
+    32: ([1, 0, 1, 0, 0, 1], 2,
+        "1aae48154ea2150d32405e80955df6cf977db73110fb90742bb6c3b591fc78c3"),
+    64: ([1, 1, 0, 0, 0, 0, 1], 2,
+        "add391b6e7520c4fe4dbd27482de6f4191939141dbb95ab6a759eb6b7804722b"),
+    128: ([1, 1, 0, 0, 0, 0, 0, 1], 2,
+        "cd62bd15b3fdd5adaf777a99ce0ab327f4e489bfc596f509e7ed01dffc049941"),
+    243: ([1, 2, 0, 0, 0, 1], 3,
+        "3972215707772f603b5c8821179ab01865e4d2de1136550a4568b8f92c3cc96e"),
+    251: (None, 6,
+        "8431f981bcdc938c38c51b313fcb923b24987efd3438eaf4f0842f3bca801375"),
+    256: ([1, 1, 0, 1, 1, 0, 0, 0, 1], 3,
+        "c35609d7d6dbc90eeeeba529ec2e61d02974772b1dd274ec31fcdaf8696ce955"),
+    625: ([2, 0, 0, 0, 1], 6,
+        "cf1f28a003349c28e23f741eb83b49f7948105a3b27f05bcc7cee43d9879cb3e"),
+    65536: ([1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], 3,
+        "5860a63f932f7cb6e61602bbccbf26be3a41faf0918df94233efd27758e12e5b"),
+    3**10: ([1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1], 34,
+        "9cc6265c9b4aa255d640d277c51664ec4226bc6292cfd2e949cfc9b490a8b247"),
+}
+
+
+@pytest.mark.parametrize("q", PINNED_TABLES)
+def test_tables_are_pinned(q):
+    modulus, primitive, digest = PINNED_TABLES[q]
+    f = GF(q)
+    assert f.to_json() == {"q": q, "modulus": modulus, "primitive": primitive}
+    assert hashlib.sha256(",".join(map(str, f._exp)).encode()).hexdigest() == digest
+
+
+def test_gf2_modulus_search_matches_generic_search():
+    # The bit-mask trial division must pick the polynomial the generic
+    # digit-list search picks.
+    for d in range(1, 17):
+        generic = next(
+            poly
+            for poly in (_int_to_digits(low, 2, d) + [1] for low in range(2**d))
+            if _poly_is_irreducible(poly, 2)
+        )
+        assert _smallest_irreducible(2, d) == generic
+
+
 @settings(max_examples=200)
 @given(
     a=st.integers(min_value=0, max_value=255),
@@ -170,11 +244,66 @@ def test_gf256_add_mul_consistent_with_polynomials(a, b):
         assert f.div(f.mul(a, b), b) == a
 
 
+# -- scalar reference ----------------------------------------------------------------
+
+# Digit-wise polynomial addition over GF(p), independent of the field's log,
+# exp and Zech tables: the reference for scalar add/neg/sub and the row kernel.
+
+
+def ref_add(f, a, b):
+    p, out, mult = f.characteristic, 0, 1
+    for _ in range(f.degree):
+        out += (a % p + b % p) % p * mult
+        a, b, mult = a // p, b // p, mult * p
+    return out
+
+
+def ref_neg(f, a):
+    p, out, mult = f.characteristic, 0, 1
+    for _ in range(f.degree):
+        out += -(a % p) % p * mult
+        a, mult = a // p, mult * p
+    return out
+
+
+def ref_sub(f, a, b):
+    return ref_add(f, a, ref_neg(f, b))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_scalar_add_neg_sub_match_digit_reference_exhaustive(q):
+    f = GF(q)
+    for a in range(q):
+        assert f.neg(a) == ref_neg(f, a)
+        for b in range(q):
+            assert f.add(a, b) == ref_add(f, a, b)
+            assert f.sub(a, b) == ref_sub(f, a, b)
+
+
+@st.composite
+def odd_extension_pairs(draw):
+    f = GF(draw(st.sampled_from([243, 3**10])))
+    element = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    a = draw(element)
+    # b = -a hits the 1 + g^t = 0 slot of the Zech table.
+    b = draw(st.one_of(element, st.just(ref_neg(f, a))))
+    return f, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(odd_extension_pairs())
+def test_scalar_add_neg_sub_match_digit_reference(case):
+    f, a, b = case
+    assert f.add(a, b) == ref_add(f, a, b)
+    assert f.neg(a) == ref_neg(f, a)
+    assert f.sub(a, b) == ref_sub(f, a, b)
+
+
 # -- row kernel --------------------------------------------------------------------
 
 # Every field kind the kernel branches on: characteristic 2 (including the
 # prime GF(2)), odd primes, and odd extension fields through the Zech table.
-KERNEL_FIELDS = [2, 4, 8, 32, 256, 1 << 16, 3, 7, 9, 25, 27, 243]
+KERNEL_FIELDS = [2, 4, 8, 32, 256, 1 << 16, 3, 7, 9, 25, 27, 243, 3**10]
 
 
 @st.composite
@@ -197,7 +326,9 @@ def kernel_rows(draw):
 def test_row_kernel_matches_scalar_arithmetic(case):
     f, dst, c, src = case
     before = (dst[:], src[:])
-    assert f.sub_scaled_row(dst, c, src) == [f.sub(d, f.mul(c, s)) for d, s in zip(dst, src)]
+    assert f.sub_scaled_row(dst, c, src) == [
+        ref_sub(f, d, f.mul(c, s)) for d, s in zip(dst, src)
+    ]
     assert f.scale_row(c, src) == [f.mul(c, v) for v in src]
     assert (dst, src) == before  # operands are never mutated
 
@@ -209,5 +340,5 @@ def test_row_kernel_exhaustive_small_fields(q):
     dst = [d for d, _ in pairs]
     src = [s for _, s in pairs]
     for c in range(q):
-        assert f.sub_scaled_row(dst, c, src) == [f.sub(d, f.mul(c, s)) for d, s in pairs]
+        assert f.sub_scaled_row(dst, c, src) == [ref_sub(f, d, f.mul(c, s)) for d, s in pairs]
         assert f.scale_row(c, src) == [f.mul(c, s) for s in src]
