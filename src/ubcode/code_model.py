@@ -76,15 +76,16 @@ def validate_dimensions(n: int, k: int, m) -> None:
 class ArrayCode:
     """Column-oriented interface shared by every code object.
 
-    Subclasses set ``field`` and ``params`` and provide ``encode``,
-    ``column_maps`` and ``as_irregular_code`` (the flat construction-matrix
-    view); this base derives the shape, the default data-then-parity row
-    layout, erasure decoding and naive repair.  A subclass that stores its
+    Subclasses set ``field`` and ``params`` and provide ``encode`` and
+    ``as_irregular_code`` (the flat construction-matrix view); this base
+    derives the shape, the default data-then-parity row layout, the column
+    maps, erasure decoding and naive repair.  A subclass that stores its
     rows in another layout overrides the row maps as well.
     """
 
     field: Field
     params: CodeParams
+    _column_maps = None
 
     @property
     def n(self) -> int:
@@ -111,6 +112,29 @@ class ArrayCode:
 
     def parity_rows(self, j: int) -> list[int]:
         return list(range(self.m[j], self.col_lens[j]))
+
+    def column_maps(self) -> list[Matrix]:
+        """Per-column matrices mapping the global data vector to the stored symbols.
+
+        Column j holds its own data verbatim at ``data_rows(j)`` and row t of
+        its flat parity (every node's construction matrix into j, side by
+        side) at ``parity_rows(j)[t]``.
+        """
+        if self._column_maps is None:
+            view = self.as_irregular_code()
+            offs = view.data_offsets()
+            maps = []
+            for j in range(self.n):
+                s = Matrix(self.field, self.col_lens[j], offs[-1])
+                for t, r in enumerate(self.data_rows(j)):
+                    s.data[r][offs[j] + t] = 1
+                for t, r in enumerate(self.parity_rows(j)):
+                    s.data[r] = [
+                        v for i in range(self.n) for v in view.construction[i][j].data[t]
+                    ]
+                maps.append(s)
+            self._column_maps = maps
+        return self._column_maps
 
     def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
         """Recover the full codeword from the surviving columns."""
@@ -164,7 +188,6 @@ class IrregularArrayCode(ArrayCode):
         self.A = A
         self.B = B
         self._own_terms = [not construction[i][i].is_zero() for i in range(n)]
-        self._column_maps = None
 
     @classmethod
     def from_factors(cls, field: Field, params: CodeParams, A, B) -> "IrregularArrayCode":
@@ -219,26 +242,6 @@ class IrregularArrayCode(ArrayCode):
             for j, _, addend in self.parity_terms(i, data[i]):
                 parity[j] = [f.add(a, b) for a, b in zip(parity[j], addend)]
         return [list(x) + pj for x, pj in zip(data, parity)]
-
-    def column_maps(self) -> list[Matrix]:
-        """Per-column matrices mapping the global data vector to the stored symbols."""
-        if self._column_maps is None:
-            offs = self.data_offsets()
-            total = offs[-1]
-            maps = []
-            for j in range(self.n):
-                s = Matrix(self.field, self.params.col_lens[j], total)
-                for r in range(self.params.m[j]):
-                    s.data[r][offs[j] + r] = 1
-                for i in range(self.n):
-                    mm = self.construction[i][j]
-                    for r in range(mm.rows):
-                        row = s.data[self.params.m[j] + r]
-                        for c in range(mm.cols):
-                            row[offs[i] + c] = mm.data[r][c]
-                maps.append(s)
-            self._column_maps = maps
-        return self._column_maps
 
 
 def erased_block(view: IrregularArrayCode, kept) -> Matrix:

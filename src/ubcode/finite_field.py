@@ -272,7 +272,7 @@ class Field:
     # -- arithmetic ------------------------------------------------------------
 
     def validate(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element of GF({self.q})")
         return a
 

@@ -90,9 +90,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}, {self.data})"
 
-    def row(self, i: int) -> list[int]:
-        return self.data[i][:]
-
     def col(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -117,24 +114,6 @@ class Matrix:
         return all(v == 0 for row in self.data for v in row)
 
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        add = self.field.add
-        out = Matrix(self.field, self.rows, self.cols)
-        out.data = [
-            [add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return out
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        sub = self.field.sub
-        out = Matrix(self.field, self.rows, self.cols)
-        out.data = [
-            [sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -170,12 +149,6 @@ class Matrix:
                     acc = f.add(acc, f.mul(a, x))
             out[i] = acc
         return out
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatchError(
-                f"shape {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
 
 def hstack(field: Field, blocks: list[Matrix]) -> Matrix:

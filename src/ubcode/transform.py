@@ -100,15 +100,9 @@ class TransformedCode(ArrayCode):
             invert(Matrix.from_rows(field, [halves[j][h][1] for j, h in places])).data
             for places in self.homes
         ]
-        self._column_maps = None
         self._flat = None
 
     # -- shape -------------------------------------------------------------
-
-    @property
-    def rounds(self) -> int:
-        inner = self.base.rounds if isinstance(self.base, TransformedCode) else 0
-        return inner + 1
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -154,68 +148,44 @@ class TransformedCode(ArrayCode):
         x0, x1 = self.base_data(data)
         return self.joined_data(self.base.encode(x0), self.base.encode(x1))
 
-    def column_maps(self) -> list[Matrix]:
-        """Scatter the base maps through the pairing table.
-
-        Transformed data slot (j, h), the data part of half h of node j, is
-        home i of exactly one base column y, and instance s of y's data is
-        unmix[y][s] applied to y's two homes.  Half (x, w) of a column thus
-        maps slot (j, h) through block y of the base map of x, scaled by
-        w[0] * unmix[y][0][i] + w[1] * unmix[y][1][i].
-        """
-        if self._column_maps is None:
-            f = self.field
-            half = self.base_data_len
-            slots = sorted(
-                (j, h, y, i)
-                for y, places in enumerate(self.homes)
-                for i, (j, h) in enumerate(places)
-            )
-            base_maps = self.base.column_maps()
-            maps = []
-            for node in self.halves:
-                rows = []
-                for x, w in node:
-                    scale = [
-                        (y * half, f.add(f.mul(w[0], self.unmix[y][0][i]),
-                                         f.mul(w[1], self.unmix[y][1][i])))
-                        for _, _, y, i in slots
-                    ]
-                    rows += [
-                        [v for at, c in scale for v in f.scale_row(c, row[at : at + half])]
-                        for row in base_maps[x].data
-                    ]
-                out = Matrix(f, len(rows), len(slots) * half)
-                out.data = rows
-                maps.append(out)
-            self._column_maps = maps
-        return self._column_maps
-
     def as_irregular_code(self) -> IrregularArrayCode:
         """Flatten to construction-matrix form (data/parity row order).
 
-        The diagonal blocks may be nonzero: a paired node's parity depends on
-        its own stored data through the mixing, which the zero-diagonal
-        normalization removes if needed.
+        Data half t of node i is home e of base column y = halves[i][t][0],
+        and instance s of y's data is unmix[y][s] applied to y's two homes.
+        Half h = (x, w) of node j stores w[0] * instance 0 + w[1] * instance
+        1 of column x, so ``construction[i][j]`` is the 2x2 block matrix
+        whose block (h, t) is the base's flat ``construction[y][x]`` scaled by
+        w[0] * unmix[y][0][e] + w[1] * unmix[y][1][e].  The base block
+        includes the base's diagonal, and the diagonal blocks here may be
+        nonzero: a paired node's parity depends on its own stored data
+        through the mixing, which the zero-diagonal normalization removes if
+        needed.
         """
         if self._flat is None:
-            n = self.n
-            maps = self.column_maps()
-            offs = [2 * self.base_data_len * i for i in range(n + 1)]
-            parity = [maps[j].take_rows(self.parity_rows(j)) for j in range(n)]
-            grid = [
-                [parity[j].take_cols(range(offs[i], offs[i + 1])) for j in range(n)]
-                for i in range(n)
-            ]
-            # The view stores data rows as the identity, so it spans the same
-            # symbols per node only if every stored data row is the unit
-            # vector at its own offset and zero on all foreign columns.
-            for j in range(n):
-                for t, r in enumerate(self.data_rows(j)):
-                    unit = [0] * offs[n]
-                    unit[offs[j] + t] = 1
-                    if maps[j].data[r] != unit:
-                        raise AssertionError("transformed data rows are not systematic")
+            f = self.field
+            base = self.base.as_irregular_code().construction
+
+            def block(i: int, j: int) -> Matrix:
+                data_homes = [
+                    (y, self.homes[y].index((i, t))) for t, (y, _) in enumerate(self.halves[i])
+                ]
+                rows = []
+                for x, w in self.halves[j]:
+                    scales = [
+                        f.add(f.mul(w[0], self.unmix[y][0][e]),
+                              f.mul(w[1], self.unmix[y][1][e]))
+                        for y, e in data_homes
+                    ]
+                    rows += [
+                        [v for c, row in zip(scales, parts) for v in f.scale_row(c, row)]
+                        for parts in zip(*(base[y][x].data for y, _ in data_homes))
+                    ]
+                out = Matrix(f, self.p[j], self.m[i])
+                out.data = rows
+                return out
+
+            grid = [[block(i, j) for j in range(self.n)] for i in range(self.n)]
             self._flat = IrregularArrayCode(self.field, self.params, grid)
         return self._flat
 

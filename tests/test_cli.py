@@ -119,6 +119,8 @@ def drop_key(path):
         (set_key(["transform", "pairs"], [2, 3]), "spec key transform.pairs[0] must be a list of int"),
         (set_key(["matrices", "A", 0, 1, "entries", 0, 0], 99),
          "spec key matrices.A[0][1].entries: 99 is not an element of GF(4)"),
+        (set_key(["matrices", "A", 0, 1, "entries", 0, 0], True),
+         "spec key matrices.A[0][1].entries: True is not an element of GF(4)"),
         (set_key(["matrices", "B", 1, 0, "rows"], 7),
          "spec key matrices.B[1][0].entries: data does not match shape 7x1"),
         (set_key(["transform", "g"], 99999), "99999 is not an element of GF(4)"),
@@ -131,8 +133,8 @@ def drop_key(path):
     ],
     ids=["missing-k", "missing-entries", "short-grid", "m-type", "q-type",
          "transform-no-g", "transform-g-type", "transform-short-pair", "transform-flat-pairs",
-         "entry-out-of-field", "entries-shape", "transform-g-too-large", "transform-g-negative",
-         "transform-pairs-bool", "transform-g-bool", "params-k-bool", "diagonal-not-empty"],
+         "entry-out-of-field", "entry-bool", "entries-shape", "transform-g-too-large",
+         "transform-g-negative", "transform-pairs-bool", "transform-g-bool", "params-k-bool", "diagonal-not-empty"],
 )
 def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     spec = tmp_path / "spec.json"

@@ -229,28 +229,39 @@ def alternative_primitive(f):
     )
 
 
+# Rotation pairs for 1-3 rounds, plus descending pairs off the rotation, whose
+# halves sit in other base columns than the rotation's.
 MAP_CASES = [
-    (rounds, q, shape, mixer)
+    (rotation_pairs(shape[0], rounds), q, shape, mixer)
     for shape in [(5, 3, 3), (6, 4, 4)]
     for mixer in ["primitive", "alternative"]
     for rounds in [1, 2, 3]
     for q in [8, 25]
+] + [
+    (pairs, q, shape, mixer)
+    for pairs, q, shape in [
+        ([(4, 1), (0, 5), (3, 2)], 9, (6, 4, 4)),
+        ([(4, 0), (2, 1)], 27, (5, 3, 3)),
+    ]
+    for mixer in ["primitive", "alternative"]
 ]
 
 
 @pytest.mark.parametrize(
-    "rounds, q, shape, mixer",
+    "pairs, q, shape, mixer",
     MAP_CASES,
     ids=[
-        f"{rounds}-{q}" + ("" if shape == (5, 3, 3) else f"-n{shape[0]}")
+        f"{len(pairs)}-{q}" + ("" if shape == (5, 3, 3) else f"-n{shape[0]}")
         + ("" if mixer == "primitive" else "-alt")
-        for rounds, q, shape, mixer in MAP_CASES
+        + ("" if pairs == rotation_pairs(shape[0], len(pairs))
+           else "-pairs" + "-".join(f"{a}{b}" for a, b in pairs))
+        for pairs, q, shape, mixer in MAP_CASES
     ],
 )
-def test_composed_column_maps_match_unit_encodes(rounds, q, shape, mixer):
+def test_composed_column_maps_match_unit_encodes(pairs, q, shape, mixer):
     code = build_mrmub(*shape, field=GF(q))
     g = alternative_primitive(code.field) if mixer == "alternative" else None
-    for pair in rotation_pairs(code.n, rounds):
+    for pair in pairs:
         code = TransformedCode(code, pair, g)
     assert [m.data for m in code.column_maps()] == unit_encode_maps(code)
 
@@ -275,17 +286,6 @@ def test_flattened_diagonal_normalizes(single_round):
     normalized = zero_diagonal(flat)
     assert all(normalized.construction[i][i].is_zero() for i in range(4))
     assert update_bandwidth(flat)[1] == update_bandwidth(normalized)[1]
-
-
-@pytest.mark.parametrize("node", [0, 3])
-def test_flattening_rejects_foreign_entry_in_data_row(base42, node):
-    # Node 3 is paired, node 0 is not; the own-node block stays the identity.
-    t = pair_transform(base42, (2, 3))
-    row = t.column_maps()[node].data[t.data_rows(node)[0]]
-    foreign = 2 * t.base_data_len * ((node + 1) % t.n)
-    row[foreign] = 1
-    with pytest.raises(AssertionError, match="not systematic"):
-        t.as_irregular_code()
 
 
 # -- repair ------------------------------------------------------------------------
