@@ -30,7 +30,7 @@ from .code_model import (
     validate_dimensions,
     verify_mds,
 )
-from .construct import InternalRankFailureError, build_mrmub, build_mub, fig1b, fig3
+from .construct import build_mrmub, build_mub, fig1b, fig3
 from .transform import TransformedCode, iterate_transform
 from .cluster import Cluster, ClusterStateError, RepairMismatchError
 from .linalg import InconsistentSystemError, rank
@@ -298,7 +298,7 @@ def cmd_verify(args) -> int:
         cluster = Cluster(code, seed=default_seed())
         cluster.run_workload(updates=2 * view.n, repairs=1, seed=default_seed())
         checks.append(("workload-audit", cluster.audit().ok, ""))
-    except (RepairMismatchError, ClusterStateError, InternalRankFailureError) as exc:
+    except (RepairMismatchError, ClusterStateError) as exc:
         checks.append(("workload-audit", False, str(exc)))
 
     payload = {
@@ -508,9 +508,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (
-        CodewordMismatchError, RepairMismatchError, ClusterStateError, InternalRankFailureError
-    ) as exc:
+    except (CodewordMismatchError, RepairMismatchError, ClusterStateError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -79,13 +79,14 @@ class ArrayCode:
     Subclasses set ``field`` and ``params`` and provide ``encode`` and
     ``as_irregular_code`` (the flat construction-matrix view); this base
     derives the shape, the default data-then-parity row layout, the column
-    maps, erasure decoding and naive repair.  A subclass that stores its
-    rows in another layout overrides the row maps as well.
+    maps, erasure decoding and repair.  A subclass that stores its rows in
+    another layout overrides the row maps as well.
     """
 
     field: Field
     params: CodeParams
     _column_maps = None
+    repair_schedule = None  # optional download plans: node -> [(source, row), ...]
 
     @property
     def n(self) -> int:
@@ -141,11 +142,34 @@ class ArrayCode:
         return self.encode(solve_data_from_columns(self, known))
 
     def repair(self, failed: int, fetch, helpers=None) -> list[int]:
-        """Rebuild one column by downloading k full surviving columns."""
-        order = [j for j in (helpers or range(self.n)) if j != failed]
-        chosen = order[: self.k]
-        known = {j: fetch(j, list(range(self.col_lens[j]))) for j in chosen}
-        return self.decode_columns(known)[failed]
+        """Rebuild one column from a registered plan or k full columns.
+
+        With no helpers given and a plan in ``repair_schedule`` for the
+        failed node, download the plan's (source, row) symbols.  They and
+        the lost symbols are linear in the global data, so the weights W
+        solving ``reads^T W = lost_map^T`` rebuild the column as ``W^T``
+        times the downloads.  The reads must be independent and span the
+        lost column; otherwise ``solve`` raises.  Without a plan, download
+        k full surviving columns and decode.
+        """
+        plan = None
+        if helpers is None and self.repair_schedule is not None:
+            plan = self.repair_schedule.get(failed)
+        if plan is None:
+            order = [j for j in (helpers or range(self.n)) if j != failed]
+            known = {j: fetch(j, list(range(self.col_lens[j]))) for j in order[: self.k]}
+            return self.decode_columns(known)[failed]
+        maps = self.column_maps()
+        by_src: dict[int, list[int]] = {}
+        for src, row in plan:
+            by_src.setdefault(src, []).append(row)
+        reads, values = [], []
+        for src in sorted(by_src):
+            reads += [maps[src].data[r] for r in by_src[src]]
+            values += fetch(src, by_src[src])
+        reads = Matrix(self.field, len(reads), maps[failed].cols, reads)
+        weights = solve(reads.transpose(), maps[failed].transpose())
+        return weights.transpose().apply(values)
 
 
 class IrregularArrayCode(ArrayCode):

@@ -12,7 +12,7 @@ symbols, redundancy is the global minimum); ``build_mub`` handles arbitrary
 per-node data counts divisible by k (redundancy is the minimum attainable at
 optimal update bandwidth).  The builders assemble the per-edge factor grids
 and return the ``IrregularArrayCode`` they define, as a ``BuiltCode`` that
-also records its bases and assembly matrices.
+also records its generators and assembly matrices.
 """
 
 from __future__ import annotations
@@ -21,16 +21,7 @@ from math import comb
 from itertools import combinations
 
 from .finite_field import Field, GF
-from .linalg import (
-    InconsistentSystemError,
-    Matrix,
-    SingularMatrixError,
-    UnderdeterminedSystemError,
-    invert,
-    rref,
-    solve,
-    vandermonde_columns,
-)
+from .linalg import Matrix, SingularMatrixError, invert, vandermonde_columns
 from .code_model import (
     CodeParams,
     InvalidParamsError,
@@ -38,6 +29,7 @@ from .code_model import (
     TooManyErasuresError,
     bandwidth_optimal_profile,
     validate_dimensions,
+    verify_mds,
 )
 
 SELECTION_CHECK_LIMIT = 10**4
@@ -47,16 +39,16 @@ class DivisibilityError(ValueError):
     """Node data counts must be divisible by the reconstruction threshold."""
 
 
-class InternalRankFailureError(RuntimeError):
-    """A solve that the construction guarantees solvable failed: builder bug."""
+def assert_column_selections_invertible(m: Matrix, r: int) -> bool:
+    """Check every r-column selection of m is invertible.
 
-
-def assert_column_selections_invertible(m: Matrix, r: int) -> None:
-    """Check every r-column selection of m is invertible (exhaustive when cheap)."""
+    Returns False, having checked nothing, when there are more than
+    ``SELECTION_CHECK_LIMIT`` selections; True once all of them passed.
+    """
     if r > m.cols:
         raise InvalidParamsError(f"{r} columns requested from a {m.cols}-column matrix")
     if comb(m.cols, r) > SELECTION_CHECK_LIMIT:
-        return
+        return False
     for sel in combinations(range(m.cols), r):
         try:
             invert(m.take_cols(sel))
@@ -64,34 +56,48 @@ def assert_column_selections_invertible(m: Matrix, r: int) -> None:
             raise InvalidParamsError(
                 f"columns {sel} of the assembly matrix are dependent"
             ) from exc
+    return True
+
+
+def checked_matrix(field: Field, given, rows: int, cols: int, default, what: str):
+    """The caller's matrix, or ``default(field, rows, cols)`` when None.
+
+    It must be rows x cols, and every rows-column selection is checked
+    invertible.  Returns the matrix and whether that property is known.
+    """
+    if given is None:
+        m = default(field, rows, cols)
+    else:
+        m = given if isinstance(given, Matrix) else Matrix.from_rows(field, given)
+        if (m.rows, m.cols) != (rows, cols):
+            raise InvalidParamsError(f"{what} is {m.rows}x{m.cols}, expected {rows}x{cols}")
+    # Past SELECTION_CHECK_LIMIT the check is skipped.  A default needs none:
+    # a Vandermonde matrix on distinct points, and its systematic form, is
+    # MDS by theorem.  A caller's matrix is then not known good.
+    return m, assert_column_selections_invertible(m, rows) or given is None
 
 
 class RowWiseMdsBase:
-    """Row-wise systematic MDS encoding of a node's data vector.
+    """Reference row-wise systematic MDS encoder of a node's data vector.
 
-    A data vector of length rows*k is reshaped column-major into rows of k
-    symbols; each row is encoded by a k x n_out systematic generator whose
-    every k-column selection is invertible, so any k output columns recover
-    the vector.  The row count follows from the vector, so one base serves
-    every node that uses the same generator.
+    The builders place a generator's columns as sender maps directly; this
+    class encodes one row at a time instead.  A data vector of length
+    rows*k is reshaped column-major into rows of k symbols; each row is
+    encoded by a k x n_out systematic generator whose every k-column
+    selection is invertible, so any k output columns recover the vector.
+    The row count follows from the vector, so one base serves every node
+    that uses the same generator.
     """
 
     def __init__(self, field: Field, n_out: int, k: int, generator=None):
         if n_out < k:
             raise InvalidParamsError(f"need n_out >= k, got {n_out} < {k}")
-        if generator is None:
-            generator = systematic_mds_generator(field, k, n_out)
-        elif not isinstance(generator, Matrix):
-            generator = Matrix.from_rows(field, generator)
-        if (generator.rows, generator.cols) != (k, n_out):
-            raise InvalidParamsError(
-                f"generator is {generator.rows}x{generator.cols}, expected {k}x{n_out}"
-            )
-        assert_column_selections_invertible(generator, k)
         self.field = field
         self.n_out = n_out
         self.k = k
-        self.generator = generator
+        self.generator = checked_matrix(
+            field, generator, k, n_out, systematic_mds_generator, "generator"
+        )[0]
 
     def _reshape(self, x: list[int]) -> Matrix:
         rows, rest = divmod(len(x), self.k)
@@ -147,13 +153,11 @@ class BuiltCode(IrregularArrayCode):
     """A constructed code: the ``IrregularArrayCode`` its factor grids define.
 
     The builders attach the construction record, ``kind``, the per-node
-    ``bases`` and ``assemblies``, and may register a repair schedule; this
-    class adds the per-edge intermediate vectors (``intermediates``) and the
-    scheduled repair.  Immutable after construction, so one instance can back
-    any number of concurrent encodes/decodes.
+    ``generators`` and ``assemblies``, and may register a repair schedule;
+    this class adds the per-edge intermediate vectors (``intermediates``).
+    Immutable after construction, so one instance can back any number of
+    concurrent encodes/decodes.
     """
-
-    repair_schedule = None  # optional: node -> [(source, row), ...]
 
     @property
     def code(self) -> "BuiltCode":
@@ -164,61 +168,6 @@ class BuiltCode(IrregularArrayCode):
         """The n-1 per-destination vectors node i ships, cyclic placement order."""
         dests = [(i + d) % self.n for d in range(1, self.n)]
         return [(j, self.A[i][j].apply(x_i)) for j in dests]
-
-    def repair(self, failed: int, fetch, helpers=None) -> list[int]:
-        """Rebuild one column; uses the registered download schedule if any,
-        otherwise downloads k full surviving columns and decodes."""
-        if self.repair_schedule is not None and helpers is None:
-            plan = self.repair_schedule.get(failed)
-            if plan is not None:
-                return scheduled_repair(self, failed, plan, fetch)
-        return super().repair(failed, fetch, helpers)
-
-
-def scheduled_repair(code, failed: int, plan, fetch) -> list[int]:
-    """Rebuild a column from a fixed list of (source, row) downloads.
-
-    The downloaded symbols and the lost column are all linear in the global
-    data vector, so the lost symbols are recovered by expressing their
-    coefficient rows in the span of the downloaded ones.
-    """
-    field = code.field
-    maps = code.column_maps()
-    by_src: dict[int, list[int]] = {}
-    for src, row in plan:
-        by_src.setdefault(src, []).append(row)
-    coeff_rows = []
-    values = []
-    for src in sorted(by_src):
-        rows = by_src[src]
-        vals = fetch(src, rows)
-        for r, v in zip(rows, vals):
-            coeff_rows.append(maps[src].data[r][:])
-            values.append(v)
-    total = maps[failed].cols
-    downloads = Matrix(field, len(coeff_rows), total, coeff_rows)
-
-    # Keep only an independent subset of download rows (the pivot columns of
-    # the transpose: each row not in the span of the rows before it), then
-    # express every lost row in their span.
-    basis_idx = rref(downloads.transpose())[1]
-    current = downloads.take_rows(basis_idx)
-    target = maps[failed]
-    try:
-        weights = solve(current.transpose(), target.transpose())
-    except (UnderdeterminedSystemError, InconsistentSystemError) as exc:
-        raise InternalRankFailureError(
-            f"registered schedule cannot span column {failed}: {exc}"
-        ) from exc
-    out = []
-    for r in range(target.rows):
-        acc = 0
-        for t, idx in enumerate(basis_idx):
-            w = weights.data[t][r]
-            if w:
-                acc = field.add(acc, field.mul(w, values[idx]))
-        out.append(acc)
-    return out
 
 
 # -- builders ------------------------------------------------------------------
@@ -254,25 +203,11 @@ def _matrix_key(v):
     return tuple(map(tuple, v.data if isinstance(v, Matrix) else v))
 
 
-def _assembly_matrix(field: Field, given, j: int, rows: int, cols: int) -> Matrix:
-    """Node j's assembly matrix, the caller's or the default Vandermonde one,
-    with every rows-column selection checked invertible."""
-    if given is None:
-        v = vandermonde_columns(field, rows, cols)
-    else:
-        v = given if isinstance(given, Matrix) else Matrix.from_rows(field, given)
-        if (v.rows, v.cols) != (rows, cols):
-            raise InvalidParamsError(
-                f"assembly {j} is {v.rows}x{v.cols}, expected {rows}x{cols}"
-            )
-    assert_column_selections_invertible(v, rows)
-    return v
-
-
 def _assemble(kind, n, k, m_vec, field, gens, assemblies):
     """Build the code from per-node generators and assembly matrices, where
     None selects the default.  Each distinct matrix is built and checked
-    once and then shared by every node that uses it."""
+    once and then shared by every node that uses it.  A caller's matrix too
+    large for the selection check is checked on the assembled code."""
     p_vec = bandwidth_optimal_profile(n, k, m_vec)
     if field is None:
         field = default_field(n, k, m_vec)
@@ -281,28 +216,28 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies):
 
     built = {}
 
-    def shared(key, make):
+    def shared(key, given, rows, cols, default, what):
         if key not in built:
-            built[key] = make()
-        return built[key]
+            built[key] = checked_matrix(field, given, rows, cols, default, what)
+        return built[key][0]
 
-    bases = [
+    generators = [
         None if m_vec[i] == 0 else shared(
-            ("base", _matrix_key(gens[i])),
-            lambda: RowWiseMdsBase(field, n - 1, k, generator=gens[i]),
+            ("generator", _matrix_key(gens[i])), gens[i], k, n - 1,
+            systematic_mds_generator, f"generator {i}",
         )
         for i in range(n)
     ]
     assemblies = [
         shared(
-            ("assembly", p_vec[j], widths[j], _matrix_key(assemblies[j])),
-            lambda: _assembly_matrix(field, assemblies[j], j, p_vec[j], widths[j]),
+            ("assembly", p_vec[j], widths[j], _matrix_key(assemblies[j])), assemblies[j],
+            p_vec[j], widths[j], vandermonde_columns, f"assembly {j}",
         )
         for j in range(n)
     ]
 
-    # Sender-side maps: node i's row-wise base reads its data column-major
-    # as m_i/k rows of k symbols and multiplies them by G_i; destination
+    # Sender-side maps: node i reads its data column-major as m_i/k rows of
+    # k symbols and multiplies them by its generator G_i; destination
     # (i+d) mod n hosts column d-1, so row r of that map picks G_i[c][d-1]
     # at data symbol c*(m_i/k) + r.
     grid_a = [[None] * n for _ in range(n)]
@@ -312,7 +247,7 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies):
             block = Matrix(field, rows, m_vec[i])
             for r in range(rows):
                 for c in range(k):
-                    block.data[r][c * rows + r] = bases[i].generator.data[c][d - 1]
+                    block.data[r][c * rows + r] = generators[i].data[c][d - 1]
             grid_a[i][(i + d) % n] = block
 
     # Receiver-side maps: consecutive column blocks of node j's assembly
@@ -327,8 +262,12 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies):
             off += width
 
     code = BuiltCode.from_factors(field, params, grid_a, grid_b)
+    if not all(known for _, known in built.values()):
+        report = verify_mds(code)  # raises EnumerationTooLargeError past its limit
+        if not report.is_mds:
+            raise InvalidParamsError(f"the given matrices build no MDS code: {report.detail}")
     code.kind = kind
-    code.bases = bases            # per node; None where the node holds no data
+    code.generators = generators  # per node: k x (n-1); None where the node holds no data
     code.assemblies = assemblies  # per node j: p_j x sum(m_i/k) matrix
     return code
 

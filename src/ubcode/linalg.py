@@ -72,10 +72,6 @@ class Matrix:
         out.data = [row[:] for row in self.data]
         return out
 
-    def __getitem__(self, key) -> int:
-        i, j = key
-        return self.data[i][j]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ubcode.cli import dump_columns, parse_columns, run
+from ubcode.code_model import code_to_json
+from ubcode.construct import build_mrmub
 from ubcode.finite_field import GF
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,6 +87,23 @@ def test_verify_corrupted_spec_fails(tmp_path, capsys):
     code, out, err = run_capture(capsys, ["verify", str(spec)])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_reports_non_minimal_factor_pair(tmp_path, capsys):
+    doc = code_to_json(build_mrmub(4, 2, 2))
+    # A zero row on A[0][1] and a zero column on B[0][1] keep B @ A, but the
+    # pair is no longer of full rank.
+    a, b = doc["matrices"]["A"][0][1], doc["matrices"]["B"][0][1]
+    a["entries"].append([0] * a["cols"])
+    a["rows"] += 1
+    for row in b["entries"]:
+        row.append(0)
+    b["cols"] += 1
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_capture(capsys, ["verify", str(spec)])
+    assert "factor-grids     FAIL  factor pair at [0][1] is not a minimal full-rank pair" in out
+    assert code == 1, out + err
 
 
 def set_key(path, value):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubcode.code_model import bounds
-from ubcode.construct import build_mrmub, build_mub
+from ubcode.construct import build_mrmub, build_mub, fig1b
 from ubcode.finite_field import GF
+from ubcode.linalg import InconsistentSystemError, UnderdeterminedSystemError
 from ubcode.cluster import (
     Cluster,
     NodeOutOfRangeError,
@@ -176,6 +177,24 @@ def test_scheduled_repair_counts(fig1b_code):
         log = cluster.fail_and_repair(node)
         assert log.total() == 6
         assert all(r.dst == node and r.op == "repair" for r in log.records)
+    assert cluster.audit().ok
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda plan: plan[1:], InconsistentSystemError),  # no longer spans the column
+        (lambda plan: plan + plan[:1], UnderdeterminedSystemError),  # dependent reads
+    ],
+    ids=["dropped-read", "duplicated-read"],
+)
+def test_bad_repair_plan_fails_loudly(edit, error):
+    code = fig1b()
+    code.repair_schedule = {node: edit(plan) for node, plan in code.repair_schedule.items()}
+    cluster = Cluster(code, seed=10)
+    for node in range(4):
+        with pytest.raises(error):
+            cluster.fail_and_repair(node)
     assert cluster.audit().ok
 
 

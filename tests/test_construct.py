@@ -7,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubcode.finite_field import GF
-from ubcode.linalg import FieldTooSmallError, Matrix, column_weights, rank, hstack
+from ubcode.linalg import (
+    FieldTooSmallError,
+    Matrix,
+    column_weights,
+    rank,
+    hstack,
+    vandermonde_columns,
+)
 from ubcode.code_model import (
+    EnumerationTooLargeError,
     InvalidParamsError,
     IrregularArrayCode,
     bounds,
@@ -252,6 +260,23 @@ def test_build_rejects_dependent_assembly(gf2):
         )
 
 
+def test_build_rejects_dependent_assembly_beyond_selection_limit():
+    # C(18, 8) selections exceed the exhaustive check, so the assembled code is verified.
+    f = GF(32)
+    v = vandermonde_columns(f, 8, 18)
+    for row in v.data:
+        row[17] = row[16]
+    with pytest.raises(InvalidParamsError, match=r"column rank 119 < 120 unknowns"):
+        build_mrmub(10, 6, 12, field=f, assembly=v)
+
+
+def test_build_refuses_unverifiable_caller_generator():
+    # C(16, 8) generator selections and C(17, 8) column subsets exceed both limits.
+    f = GF(32)
+    with pytest.raises(EnumerationTooLargeError):
+        build_mrmub(17, 8, 8, field=f, base_generator=systematic_mds_generator(f, 8, 16))
+
+
 # -- builders: parameters and optimality ---------------------------------------------------
 
 
@@ -336,13 +361,17 @@ def reference_pipeline_encode(built, data):
     (i+d) mod n, and node j folds the vectors it hosts, in cyclic arrival
     order j+1, ..., j+n-1, through the columns of its assembly matrix."""
     n = built.n
+    hosted = [
+        RowWiseMdsBase(built.field, n - 1, built.k, g).encode(x) if g is not None else None
+        for g, x in zip(built.generators, data)
+    ]
     columns = []
     for j in range(n):
         incoming = []
         for d in range(1, n):
             i = (j + d) % n
             if built.m[i]:
-                incoming += built.bases[i].encode(data[i]).col((j - i) % n - 1)
+                incoming += hosted[i].col((j - i) % n - 1)
         columns.append(list(data[j]) + built.assemblies[j].apply(incoming))
     return columns
 
