@@ -10,6 +10,7 @@ variable supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -33,7 +34,7 @@ from .code_model import (
 from .construct import build_mrmub, build_mub, fig1b, fig3
 from .transform import TransformedCode, iterate_transform
 from .cluster import Cluster, ClusterStateError, RepairMismatchError
-from .linalg import InconsistentSystemError, rank
+from .linalg import InconsistentSystemError
 
 SYMBOL_WIDTH = 4  # hex digits, enough for any element of a q <= 2^16 field
 
@@ -90,14 +91,12 @@ def read_columns(path: str, col_lens, field) -> list[list[int]]:
 
 
 def save_spec(code, path: str) -> None:
-    if isinstance(code, TransformedCode):
-        base = code.base
-        while isinstance(base, TransformedCode):
-            base = base.base
-        doc = code_to_json(base.as_irregular_code())
+    root = code
+    while isinstance(root, TransformedCode):
+        root = root.base
+    doc = code_to_json(root)
+    if root is not code:
         doc["transform"] = {"pairs": [list(p) for p in code.pairs], "g": code.g}
-    else:
-        doc = code_to_json(code.as_irregular_code())
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -132,23 +131,8 @@ def parse_int_list(text: str) -> list[int]:
 
 def cmd_bounds(args) -> int:
     rep = bounds(args.n, args.k, parse_int_list(args.m))
-    payload = {
-        "n": rep.n,
-        "k": rep.k,
-        "m": list(rep.m),
-        "water_level": rep.water_level,
-        "min_redundancy": rep.min_redundancy,
-        "min_update_bandwidth": str(rep.min_update_bandwidth),
-        "min_redundancy_at_min_bandwidth": rep.min_redundancy_at_min_bandwidth,
-        "update_complexity_bound": str(rep.update_complexity_bound),
-        "redundancy_profile": list(rep.redundancy_profile),
-        "bandwidth_profile": (
-            None if rep.bandwidth_profile is None else list(rep.bandwidth_profile)
-        ),
-        "bandwidth_assignment": [list(r) for r in rep.bandwidth_assignment],
-    }
     if args.json:
-        print(json.dumps(payload, indent=1))
+        print(json.dumps(dataclasses.asdict(rep), indent=1, default=str))
         return 0
     print(f"water level          mu      = {rep.water_level}")
     print(f"min redundancy       R_min   = {rep.min_redundancy}")
@@ -261,26 +245,19 @@ def cmd_repair(args) -> int:
 
 def cmd_verify(args) -> int:
     code = load_spec(args.spec)
-    view = code.as_irregular_code()
     checks: list[tuple[str, bool, str]] = []
 
-    grid, average = update_bandwidth(view)
-    factor_ok = True
+    # A loaded code's construction is B @ A: from_factors (which fails when
+    # cols(B) != rows(A)) or the full-rank decomposition.  rank(BA) == rows(A)
+    # exactly when A has full row rank and B full column rank.
+    grid, average = update_bandwidth(code)
+    factors = code.as_irregular_code().A
     detail = ""
-    for i in range(view.n):
-        for j in range(view.n):
-            if i == j:
-                continue
-            a_m, b_m = view.A[i][j], view.B[i][j]
-            if (
-                a_m.rows != grid[i][j]
-                or rank(a_m) != a_m.rows
-                or rank(b_m) != b_m.cols
-                or b_m.cols != a_m.rows
-            ):
-                factor_ok = False
+    for i in range(code.n):
+        for j in range(code.n):
+            if i != j and factors[i][j].rows != grid[i][j]:
                 detail = f"factor pair at [{i}][{j}] is not a minimal full-rank pair"
-    checks.append(("factor-grids", factor_ok, detail))
+    checks.append(("factor-grids", not detail, detail))
 
     mds = verify_mds(code)
     checks.append(
@@ -291,19 +268,19 @@ def cmd_verify(args) -> int:
         )
     )
 
-    feas = feasible(view.n, view.k, view.m, view.p, grid)
+    feas = feasible(code.n, code.k, code.m, code.p, grid)
     checks.append(("feasibility", feas.feasible, feas.detail))
 
     try:
         cluster = Cluster(code, seed=default_seed())
-        cluster.run_workload(updates=2 * view.n, repairs=1, seed=default_seed())
+        cluster.run_workload(updates=2 * code.n, repairs=1, seed=default_seed())
         checks.append(("workload-audit", cluster.audit().ok, ""))
     except (RepairMismatchError, ClusterStateError) as exc:
         checks.append(("workload-audit", False, str(exc)))
 
     payload = {
         "update_bandwidth": str(average),
-        "redundancy": redundancy(view),
+        "redundancy": redundancy(code),
         "checks": [
             {"name": name, "ok": ok, "detail": det} for name, ok, det in checks
         ],
@@ -324,14 +301,13 @@ def cmd_simulate(args) -> int:
         code = fig1b()
     cluster = Cluster(code, seed=args.seed)
     result = cluster.run_workload(args.updates, args.repairs, seed=args.seed)
-    view = code.as_irregular_code()
-    theory = bounds(view.n, view.k, view.m)
+    theory = bounds(code.n, code.k, code.m)
     payload = {
         "updates": result["updates"],
         "repairs": result["repairs"],
         "mean_update_symbols": str(result["mean_update_symbols"]),
         "min_update_bandwidth": str(theory.min_update_bandwidth),
-        "update_complexity": str(update_complexity(view)),
+        "update_complexity": str(update_complexity(code)),
         "per_node_update_symbols": result["per_node_update_symbols"],
         "repair_downloads": result["repair_downloads"],
         "audit_ok": result["audit_ok"],
@@ -359,22 +335,15 @@ def symbol_names(code) -> list[str]:
     return names
 
 
+def linear_form(names: list[str], row: list[int]) -> str:
+    """``row`` as a sum of the named symbols it weighs, "0" when it weighs none."""
+    terms = [name if v == 1 else f"{v}*{name}" for name, v in zip(names, row) if v]
+    return "+".join(terms) or "0"
+
+
 def render_cells(code) -> list[list[str]]:
     names = symbol_names(code)
-    maps = code.column_maps()
-    grid = []
-    for j in range(code.n):
-        col = []
-        for r in range(code.col_lens[j]):
-            row = maps[j].data[r]
-            terms = []
-            for c, v in enumerate(row):
-                if v == 0:
-                    continue
-                terms.append(names[c] if v == 1 else f"{v}*{names[c]}")
-            col.append("+".join(terms) if terms else "0")
-        grid.append(col)
-    return grid
+    return [[linear_form(names, row) for row in s.data] for s in code.column_maps()]
 
 
 def render_intermediates(built) -> list[str]:
@@ -382,17 +351,10 @@ def render_intermediates(built) -> list[str]:
     offs = built.data_offsets()
     lines = []
     for i in range(built.n):
+        own = names[offs[i] : offs[i + 1]]
         for d in range(1, built.n):
             j = (i + d) % built.n
-            a_map = built.A[i][j]
-            comps = []
-            for r in range(a_map.rows):
-                terms = [
-                    (names[offs[i] + c] if v == 1 else f"{v}*{names[offs[i] + c]}")
-                    for c, v in enumerate(a_map.data[r])
-                    if v
-                ]
-                comps.append("+".join(terms) if terms else "0")
+            comps = [linear_form(own, row) for row in built.A[i][j].data]
             lines.append(f"p[{i}->{j}] = (" + "; ".join(comps) + ")")
     return lines
 

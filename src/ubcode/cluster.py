@@ -72,7 +72,6 @@ class Cluster:
 
     def __init__(self, code, data=None, seed: int | None = None):
         self.code = code
-        self.view = code.as_irregular_code()
         self.field = code.field
         if data is None:
             rng = random.Random(0 if seed is None else seed)
@@ -117,7 +116,7 @@ class Cluster:
         delta = [f.sub(a, b) for a, b in zip(new_data, old)]
         oplog = TransferLog()
 
-        for j, payload, addend in self.view.parity_terms(node, delta):
+        for j, payload, addend in self.code.as_irregular_code().parity_terms(node, delta):
             if payload is not None:
                 oplog.add("update", node, j, len(payload))
             col = self.columns[j]

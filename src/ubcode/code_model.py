@@ -76,15 +76,18 @@ def validate_dimensions(n: int, k: int, m) -> None:
 class ArrayCode:
     """Column-oriented interface shared by every code object.
 
-    Subclasses set ``field`` and ``params`` and provide ``encode`` and
-    ``as_irregular_code`` (the flat construction-matrix view); this base
-    derives the shape, the default data-then-parity row layout, the column
-    maps, erasure decoding and repair.  A subclass that stores its rows in
-    another layout overrides the row maps as well.
+    Subclasses set ``field``, ``params`` and the flat ``construction`` grid
+    (entry [i][j] maps node i's data into node j's parity rows), and provide
+    ``encode`` and ``as_irregular_code``, the code with the factor grids
+    that only the update protocol, the decoder residue and spec output
+    read.  This base derives the shape, the default data-then-parity row
+    layout, the column maps, erasure decoding and repair.  A subclass that
+    stores its rows in another layout overrides the row maps as well.
     """
 
     field: Field
     params: CodeParams
+    construction: list[list[Matrix]]
     _column_maps = None
     repair_schedule = None  # optional download plans: node -> [(source, row), ...]
 
@@ -114,6 +117,12 @@ class ArrayCode:
     def parity_rows(self, j: int) -> list[int]:
         return list(range(self.m[j], self.col_lens[j]))
 
+    def data_offsets(self) -> list[int]:
+        offs = [0]
+        for mi in self.m:
+            offs.append(offs[-1] + mi)
+        return offs
+
     def column_maps(self) -> list[Matrix]:
         """Per-column matrices mapping the global data vector to the stored symbols.
 
@@ -122,8 +131,7 @@ class ArrayCode:
         side) at ``parity_rows(j)[t]``.
         """
         if self._column_maps is None:
-            view = self.as_irregular_code()
-            offs = view.data_offsets()
+            offs = self.data_offsets()
             maps = []
             for j in range(self.n):
                 s = Matrix(self.field, self.col_lens[j], offs[-1])
@@ -131,7 +139,7 @@ class ArrayCode:
                     s.data[r][offs[j] + t] = 1
                 for t, r in enumerate(self.parity_rows(j)):
                     s.data[r] = [
-                        v for i in range(self.n) for v in view.construction[i][j].data[t]
+                        v for i in range(self.n) for v in self.construction[i][j].data[t]
                     ]
                 maps.append(s)
             self._column_maps = maps
@@ -226,12 +234,6 @@ class IrregularArrayCode(ArrayCode):
         ]
         return cls(field, params, construction, A, B)
 
-    def data_offsets(self) -> list[int]:
-        offs = [0]
-        for mi in self.params.m:
-            offs.append(offs[-1] + mi)
-        return offs
-
     def as_irregular_code(self) -> "IrregularArrayCode":
         return self
 
@@ -268,15 +270,18 @@ class IrregularArrayCode(ArrayCode):
         return [list(x) + pj for x, pj in zip(data, parity)]
 
 
-def erased_block(view: IrregularArrayCode, kept) -> Matrix:
+def erased_block(code: ArrayCode, kept) -> Matrix:
     """``P_{S,E}``: the parity rows of the kept columns S, in order, on the
-    data columns of the erased nodes E, the complement of S."""
-    erased = [i for i in range(view.n) if i not in kept]
-    block = Matrix(view.field, sum(view.p[j] for j in kept), sum(view.m[i] for i in erased))
+    data columns of the erased nodes E, the complement of S.
+
+    Read from any code's flat ``construction`` grid; no factor grid is needed.
+    """
+    erased = [i for i in range(code.n) if i not in kept]
+    block = Matrix(code.field, sum(code.p[j] for j in kept), sum(code.m[i] for i in erased))
     block.data = [
-        [v for i in erased for v in view.construction[i][j].data[r]]
+        [v for i in erased for v in code.construction[i][j].data[r]]
         for j in kept
-        for r in range(view.p[j])
+        for r in range(code.p[j])
     ]
     return block
 
@@ -311,7 +316,7 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
             if j in residue:
                 residue[j] = [f.sub(a, b) for a, b in zip(residue[j], addend)]
     rhs = [[v] for j in kept for v in residue[j]]
-    x = solve(erased_block(view, kept), Matrix(f, len(rhs), 1, rhs)).data
+    x = solve(erased_block(code, kept), Matrix(f, len(rhs), 1, rhs)).data
     pos = 0
     for i in erased:
         data[i] = [row[0] for row in x[pos : pos + code.m[i]]]
@@ -322,7 +327,7 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
 # -- metrics -----------------------------------------------------------------
 
 
-def update_bandwidth(code: IrregularArrayCode):
+def update_bandwidth(code: ArrayCode):
     """Per-edge minimum symbol counts and their node average, exact.
 
     Entry [i][j] is the rank of the construction matrix from i into j, the
@@ -342,7 +347,7 @@ def update_bandwidth(code: IrregularArrayCode):
     return grid, Fraction(total, n)
 
 
-def redundancy(code: IrregularArrayCode) -> int:
+def redundancy(code: ArrayCode) -> int:
     return sum(code.p)
 
 
@@ -358,7 +363,7 @@ def zero_diagonal(code: IrregularArrayCode) -> IrregularArrayCode:
     return IrregularArrayCode.from_factors(code.field, code.params, code.A, code.B)
 
 
-def update_complexity(code: IrregularArrayCode) -> Fraction:
+def update_complexity(code: ArrayCode) -> Fraction:
     """Average number of parity symbols rewritten per single-symbol change.
 
     Counts nonzero entries of the off-diagonal construction matrices (the
@@ -642,11 +647,10 @@ def verify_mds(code) -> MdsReport:
     n, k = code.n, code.k
     if comb(n, k) > MDS_SUBSET_LIMIT:
         raise EnumerationTooLargeError(f"C({n},{k}) exceeds {MDS_SUBSET_LIMIT}")
-    view = code.as_irregular_code()
-    total = sum(view.m)
+    total = sum(code.m)
 
     for subset in combinations(range(n), k):
-        block = erased_block(view, subset)
+        block = erased_block(code, subset)
         got = rank(block)
         if got < block.cols:
             return MdsReport(
@@ -655,10 +659,10 @@ def verify_mds(code) -> MdsReport:
             )
 
     for subset in combinations(range(n), k - 1):
-        symbols = sum(view.col_lens[j] for j in subset)
+        symbols = sum(code.col_lens[j] for j in subset)
         if symbols < total:
             return MdsReport(True, None, subset, "symbol count below data size")
-        block = erased_block(view, subset)
+        block = erased_block(code, subset)
         if rank(block) < block.cols:
             return MdsReport(True, None, subset, "rank deficient")
     return MdsReport(

@@ -53,9 +53,7 @@ def assert_column_selections_invertible(m: Matrix, r: int) -> bool:
         try:
             invert(m.take_cols(sel))
         except SingularMatrixError as exc:
-            raise InvalidParamsError(
-                f"columns {sel} of the assembly matrix are dependent"
-            ) from exc
+            raise InvalidParamsError(f"columns {sel} are dependent") from exc
     return True
 
 
@@ -74,7 +72,11 @@ def checked_matrix(field: Field, given, rows: int, cols: int, default, what: str
     # Past SELECTION_CHECK_LIMIT the check is skipped.  A default needs none:
     # a Vandermonde matrix on distinct points, and its systematic form, is
     # MDS by theorem.  A caller's matrix is then not known good.
-    return m, assert_column_selections_invertible(m, rows) or given is None
+    try:
+        known = assert_column_selections_invertible(m, rows)
+    except InvalidParamsError as exc:
+        raise InvalidParamsError(f"{what}: {exc}") from exc
+    return m, known or given is None
 
 
 class RowWiseMdsBase:

@@ -17,6 +17,8 @@ parameters.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .finite_field import Field
 from .linalg import FieldTooSmallError, Matrix, invert
 from .code_model import ArrayCode, CodeParams, InvalidParamsError, IrregularArrayCode
@@ -58,6 +60,10 @@ class TransformedCode(ArrayCode):
     - ``homes[x]``: the two (node, half) slots that store base column x;
     - ``unmix[x]``: the inverse of their 2x2 weight matrix, so instance s of
       column x is unmix[x][s][0] * home 0 + unmix[x][s][1] * home 1.
+
+    The flat ``construction`` grid comes from the base's grid and this
+    table; ``as_irregular_code`` factors it only when the update protocol
+    or the decoder asks for the per-edge factor grids.
     """
 
     def __init__(self, base, pair: tuple[int, int], g: int | None = None):
@@ -148,8 +154,9 @@ class TransformedCode(ArrayCode):
         x0, x1 = self.base_data(data)
         return self.joined_data(self.base.encode(x0), self.base.encode(x1))
 
-    def as_irregular_code(self) -> IrregularArrayCode:
-        """Flatten to construction-matrix form (data/parity row order).
+    @cached_property
+    def construction(self) -> list[list[Matrix]]:
+        """The flat construction grid (data/parity row order), built once.
 
         Data half t of node i is home e of base column y = halves[i][t][0],
         and instance s of y's data is unmix[y][s] applied to y's two homes.
@@ -160,33 +167,37 @@ class TransformedCode(ArrayCode):
         includes the base's diagonal, and the diagonal blocks here may be
         nonzero: a paired node's parity depends on its own stored data
         through the mixing, which the zero-diagonal normalization removes if
-        needed.
+        needed.  Only the base's grid is read, so no round is factored.
         """
-        if self._flat is None:
-            f = self.field
-            base = self.base.as_irregular_code().construction
+        f = self.field
+        base = self.base.construction
 
-            def block(i: int, j: int) -> Matrix:
-                data_homes = [
-                    (y, self.homes[y].index((i, t))) for t, (y, _) in enumerate(self.halves[i])
+        def block(i: int, j: int) -> Matrix:
+            data_homes = [
+                (y, self.homes[y].index((i, t))) for t, (y, _) in enumerate(self.halves[i])
+            ]
+            rows = []
+            for x, w in self.halves[j]:
+                scales = [
+                    f.add(f.mul(w[0], self.unmix[y][0][e]),
+                          f.mul(w[1], self.unmix[y][1][e]))
+                    for y, e in data_homes
                 ]
-                rows = []
-                for x, w in self.halves[j]:
-                    scales = [
-                        f.add(f.mul(w[0], self.unmix[y][0][e]),
-                              f.mul(w[1], self.unmix[y][1][e]))
-                        for y, e in data_homes
-                    ]
-                    rows += [
-                        [v for c, row in zip(scales, parts) for v in f.scale_row(c, row)]
-                        for parts in zip(*(base[y][x].data for y, _ in data_homes))
-                    ]
-                out = Matrix(f, self.p[j], self.m[i])
-                out.data = rows
-                return out
+                rows += [
+                    [v for c, row in zip(scales, parts) for v in f.scale_row(c, row)]
+                    for parts in zip(*(base[y][x].data for y, _ in data_homes))
+                ]
+            out = Matrix(f, self.p[j], self.m[i])
+            out.data = rows
+            return out
 
-            grid = [[block(i, j) for j in range(self.n)] for i in range(self.n)]
-            self._flat = IrregularArrayCode(self.field, self.params, grid)
+        return [[block(i, j) for j in range(self.n)] for i in range(self.n)]
+
+    def as_irregular_code(self) -> IrregularArrayCode:
+        """The flat grid as an ``IrregularArrayCode``, built once: the one step
+        that factors each edge, for the update protocol and the decoder."""
+        if self._flat is None:
+            self._flat = IrregularArrayCode(self.field, self.params, self.construction)
         return self._flat
 
     # -- repair -------------------------------------------------------------------

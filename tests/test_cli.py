@@ -44,6 +44,14 @@ def test_bounds_json(capsys):
     assert doc["min_redundancy_at_min_bandwidth"] == 8
 
 
+@pytest.mark.parametrize("m, golden", [("3,2,2,0", "bounds_4_2_3220.json"),
+                                       ("4,2,2,0", "bounds_4_2_4220.json")])
+def test_bounds_json_matches_golden(capsys, m, golden):
+    code, out, _ = run_capture(capsys, ["bounds", "--n", "4", "--k", "2", "--m", m, "--json"])
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_bounds_open_case(capsys):
     code, out, _ = run_capture(capsys, ["bounds", "--n", "4", "--k", "2", "--m", "3,2,2,0"])
     assert code == 0
@@ -104,6 +112,60 @@ def test_verify_reports_non_minimal_factor_pair(tmp_path, capsys):
     code, out, err = run_capture(capsys, ["verify", str(spec)])
     assert "factor-grids     FAIL  factor pair at [0][1] is not a minimal full-rank pair" in out
     assert code == 1, out + err
+
+
+CHECK_NAMES = ["factor-grids", "mds", "feasibility", "workload-audit"]
+
+
+def test_verify_json_reports_every_check(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    assert run(["construct", "--kind", "mrmub", "--n", "4", "--k", "2", "--m", "2,2,2,2",
+                "--out", str(spec)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_capture(capsys, ["verify", str(spec), "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["update_bandwidth", "redundancy", "checks"]
+    assert (doc["update_bandwidth"], doc["redundancy"]) == ("3", 8)
+    assert [c["name"] for c in doc["checks"]] == CHECK_NAMES
+    assert all(list(c) == ["name", "ok", "detail"] and c["ok"] for c in doc["checks"])
+
+
+def test_verify_json_reports_non_minimal_factor_pair(tmp_path, capsys):
+    doc = code_to_json(build_mrmub(4, 2, 2))
+    a, b = doc["matrices"]["A"][0][1], doc["matrices"]["B"][0][1]
+    a["entries"].append([0] * a["cols"])
+    a["rows"] += 1
+    for row in b["entries"]:
+        row.append(0)
+    b["cols"] += 1
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, _ = run_capture(capsys, ["verify", str(spec), "--json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == CHECK_NAMES
+    assert checks[0] == {"name": "factor-grids", "ok": False,
+                         "detail": "factor pair at [0][1] is not a minimal full-rank pair"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "mrmub", "--n", "4", "--k", "2", "--m", "2,4,2,2"],
+         "mrmub construction needs a uniform data profile"),
+        (["--kind", "mub", "--n", "4", "--k", "2", "--m", "4,2,2,0", "--q", "8",
+          "--transform-rounds", "1"],
+         "error: transformation needs a regular (uniform) base code"),
+    ],
+    ids=["non-uniform-mrmub", "irregular-base-transform"],
+)
+def test_construct_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    spec = tmp_path / "spec.json"
+    code, out, err = run_capture(capsys, ["construct", *argv, "--out", str(spec)])
+    assert code == 2
+    assert (out, err) == ("", message + "\n")
+    assert not spec.exists()
 
 
 def set_key(path, value):

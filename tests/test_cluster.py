@@ -12,7 +12,9 @@ from ubcode.finite_field import GF
 from ubcode.linalg import InconsistentSystemError, UnderdeterminedSystemError
 from ubcode.cluster import (
     Cluster,
+    ClusterStateError,
     NodeOutOfRangeError,
+    RepairMismatchError,
     TransferLog,
 )
 
@@ -234,6 +236,32 @@ def test_audit_detects_corruption(fig1b_code):
     result = cluster.audit()
     assert not result.ok
     assert result.location == (2, 3)
+
+
+def test_update_after_tampered_parity_raises():
+    code = build_mrmub(4, 2, 2)
+    cluster = Cluster(code, seed=15)
+    cluster.columns[2][code.parity_rows(2)[0]] ^= 1
+    with pytest.raises(ClusterStateError, match=r"^after update: node 2 row 2: "):
+        cluster.apply_update(0, [1, 1])
+
+
+def test_repair_that_alters_the_column_is_refused():
+    code = build_mrmub(4, 2, 2)
+    cluster = Cluster(code, seed=15)
+    before = [list(col) for col in cluster.columns]
+    code.repair = lambda failed, fetch, helpers=None: [v ^ 1 for v in before[failed]]
+    with pytest.raises(RepairMismatchError, match="repair of node 1 altered the column"):
+        cluster.fail_and_repair(1)
+    assert cluster.columns == before
+
+
+def test_repair_that_reads_the_failed_node_is_refused():
+    code = build_mrmub(4, 2, 2)
+    cluster = Cluster(code, seed=15)
+    code.repair = lambda failed, fetch, helpers=None: fetch(failed, [0])
+    with pytest.raises(NodeOutOfRangeError, match="cannot download from failed node 3"):
+        cluster.fail_and_repair(3)
 
 
 def test_workload_hundred_updates_three_repairs(fig3_code):

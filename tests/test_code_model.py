@@ -453,6 +453,17 @@ def test_code_json_rejects_nonzero_diagonal():
     code_to_json(zero_diagonal(code))
 
 
+def test_verify_mds_flags_a_threshold_below_k():
+    """Every column of this (3, 2) code holds node 0's one data symbol, so
+    one column already determines the data."""
+    f = GF(2)
+    params = CodeParams(3, 2, (1, 0, 0), (0, 1, 1), 2)
+    grid = [[Matrix.zeros(f, params.p[j], params.m[i]) for j in range(3)] for i in range(3)]
+    grid[0][1] = grid[0][2] = Matrix.identity(f, 1)
+    rep = verify_mds(IrregularArrayCode(f, params, grid))
+    assert rep == MdsReport(False, None, None, "every 1-subset already determines the data")
+
+
 def test_verify_mds_detects_insufficient_threshold(fig1b_code):
     rep = verify_mds(fig1b_code)
     assert rep.is_mds

@@ -260,6 +260,16 @@ def test_build_rejects_dependent_assembly(gf2):
         )
 
 
+def test_selection_failure_names_the_checked_matrix(gf2):
+    bad_generator = r"^generator 0: columns \(0, 1\) are dependent$"
+    with pytest.raises(InvalidParamsError, match=bad_generator):
+        build_mrmub(4, 2, 2, field=gf2, base_generator=[[1, 0, 1], [0, 0, 1]])
+    bad_assembly = r"^assembly 0: columns \(1, 2\) are dependent$"
+    with pytest.raises(InvalidParamsError, match=bad_assembly):
+        build_mrmub(4, 2, 2, field=gf2, base_generator=PARITY_CHECK_3_2,
+                    assembly=[[1, 0, 0], [0, 1, 1]])
+
+
 def test_build_rejects_dependent_assembly_beyond_selection_limit():
     # C(18, 8) selections exceed the exhaustive check, so the assembled code is verified.
     f = GF(32)

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from ubcode import code_model
 from ubcode.finite_field import GF
 from ubcode.linalg import FieldTooSmallError
 from ubcode.code_model import (
@@ -276,6 +277,26 @@ def test_transformed_decode_all_patterns(single_round):
             for erased in combinations(range(n), size):
                 known = {j: cols[j] for j in range(n) if j not in erased}
                 assert single_round.decode_columns(known) == cols
+
+
+def test_only_the_update_protocol_factors_edges(monkeypatch):
+    """The flat grid of every round comes from its base's grid; only the
+    outer round's factor grids are built, and only when an update asks."""
+    factored = []
+    real = code_model.full_rank_decompose
+
+    def counted(m):
+        factored.append(m)
+        return real(m)
+
+    monkeypatch.setattr(code_model, "full_rank_decompose", counted)
+    code = iterate_transform(build_mrmub(6, 4, 4), 3)
+    assert verify_mds(code).is_mds
+    cluster = Cluster(code, seed=1)
+    assert factored == []
+    cluster.apply_update(0, [1] * code.m[0])
+    assert code.as_irregular_code() is code.as_irregular_code()
+    assert len(factored) == 30  # one factorization per edge of the outer round
 
 
 def test_flattened_diagonal_normalizes(single_round):
