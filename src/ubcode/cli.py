@@ -33,7 +33,7 @@ from .code_model import (
 )
 from .construct import build_mrmub, build_mub, fig1b, fig3
 from .transform import TransformedCode, iterate_transform
-from .cluster import Cluster, ClusterStateError, RepairMismatchError
+from .cluster import Cluster, ClusterStateError, RepairMismatchError, random_data
 from .linalg import InconsistentSystemError
 
 SYMBOL_WIDTH = 4  # hex digits, enough for any element of a q <= 2^16 field
@@ -115,11 +115,6 @@ def load_spec(path: str):
                 raise SpecSchemaError(f"spec key transform.pairs[{t}] must hold two nodes")
             code = TransformedCode(code, tuple(pair), g)
     return code
-
-
-def random_data(code, seed: int) -> list[list[int]]:
-    rng = random.Random(seed)
-    return [[rng.randrange(code.field.q) for _ in range(mi)] for mi in code.m]
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -214,7 +209,7 @@ def _cluster_from_files(args):
 
 def cmd_update(args) -> int:
     cluster = _cluster_from_files(args)
-    cluster.check_node(args.node)
+    cluster.code.check_node(args.node)
     if args.data:
         new_data = parse_int_list(args.data)
     else:

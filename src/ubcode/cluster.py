@@ -18,11 +18,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .code_model import InvalidParamsError
-
-
-class NodeOutOfRangeError(ValueError):
-    """A node index outside 0..n-1 was addressed."""
+from .code_model import InvalidParamsError, NodeOutOfRangeError
 
 
 class ClusterStateError(RuntimeError):
@@ -67,6 +63,12 @@ class AuditResult:
     detail: str = ""
 
 
+def random_data(code, seed: int) -> list[list[int]]:
+    """Seeded data fill: ``randrange(q)`` per symbol, node by node."""
+    rng = random.Random(seed)
+    return [[rng.randrange(code.field.q) for _ in range(mi)] for mi in code.m]
+
+
 class Cluster:
     """Single-owner mutable state machine around an immutable code object."""
 
@@ -74,10 +76,7 @@ class Cluster:
         self.code = code
         self.field = code.field
         if data is None:
-            rng = random.Random(0 if seed is None else seed)
-            data = [
-                [rng.randrange(self.field.q) for _ in range(mi)] for mi in code.m
-            ]
+            data = random_data(code, 0 if seed is None else seed)
         else:
             if len(data) != code.n or any(
                 len(x) != mi for x, mi in zip(data, code.m)
@@ -92,11 +91,6 @@ class Cluster:
     def n(self) -> int:
         return self.code.n
 
-    def check_node(self, node: int) -> None:
-        """Reject a node index outside 0..n-1."""
-        if not 0 <= node < self.n:
-            raise NodeOutOfRangeError(f"node {node} outside 0..{self.n - 1}")
-
     # -- update ---------------------------------------------------------------
 
     def apply_update(self, node: int, new_data: list[int]) -> TransferLog:
@@ -105,7 +99,7 @@ class Cluster:
         The edge i -> j carries exactly rank(construction[i][j]) symbols
         regardless of the delta's value: the protocol is data-oblivious.
         """
-        self.check_node(node)
+        self.code.check_node(node)
         f = self.field
         if len(new_data) != self.code.m[node]:
             raise InvalidParamsError(
@@ -138,14 +132,14 @@ class Cluster:
         A physical symbol is charged once even when several recovery steps
         read it; the rebuilt column must match the lost one bitwise.
         """
-        self.check_node(node)
+        self.code.check_node(node)
         lost = self.columns[node]
         fetched: dict[tuple[int, int], int] = {}
 
         def fetch(src: int, rows) -> list[int]:
             if src == node:
                 raise NodeOutOfRangeError(f"cannot download from failed node {src}")
-            self.check_node(src)
+            self.code.check_node(src)
             out = []
             for r in rows:
                 key = (src, r)

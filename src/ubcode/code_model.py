@@ -40,6 +40,10 @@ class TooManyErasuresError(ValueError):
     """More columns erased than the code can tolerate."""
 
 
+class NodeOutOfRangeError(ValueError):
+    """A node index outside 0..n-1 was addressed."""
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Shape of an irregular array code: node count, threshold, symbol counts."""
@@ -79,8 +83,8 @@ class ArrayCode:
     Subclasses set ``field``, ``params`` and the flat ``construction`` grid
     (entry [i][j] maps node i's data into node j's parity rows), and provide
     ``encode`` and ``as_irregular_code``, the code with the factor grids
-    that only the update protocol, the decoder residue and spec output
-    read.  This base derives the shape, the default data-then-parity row
+    that only the update protocol and spec output read.  This base derives
+    the shape, the node-index check, the default data-then-parity row
     layout, the column maps, erasure decoding and repair.  A subclass that
     stores its rows in another layout overrides the row maps as well.
     """
@@ -110,6 +114,11 @@ class ArrayCode:
     @property
     def col_lens(self) -> tuple[int, ...]:
         return self.params.col_lens
+
+    def check_node(self, node: int) -> None:
+        """Reject a node index outside 0..n-1."""
+        if not 0 <= node < self.n:
+            raise NodeOutOfRangeError(f"node {node} outside 0..{self.n - 1}")
 
     def data_rows(self, j: int) -> list[int]:
         return list(range(self.m[j]))
@@ -160,6 +169,7 @@ class ArrayCode:
         lost column; otherwise ``solve`` raises.  Without a plan, download
         k full surviving columns and decode.
         """
+        self.check_node(failed)
         plan = None
         if helpers is None and self.repair_schedule is not None:
             plan = self.repair_schedule.get(failed)
@@ -289,33 +299,35 @@ def erased_block(code: ArrayCode, kept) -> Matrix:
 def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]]:
     """Solve for every data vector given a subset of intact columns.
 
-    The one erasure decoder for every code class.  Survivors hold their own
-    data verbatim (``code.data_rows``); taking the survivors' contributions
-    off each kept parity row leaves exactly ``P_{S,E} x_E`` (see
-    ``erased_block``), so one solve of that block yields the erased data.
-    Raises TooManyErasuresError beyond n-k erased columns, and
-    Underdetermined/Inconsistent errors when the surviving columns do not
-    pin the data down or contradict each other.
+    The one erasure decoder for every code class; it reads only the flat
+    ``construction`` grid.  Survivors hold their data verbatim; taking
+    ``construction[i][j] x_i`` off kept parity j for every kept i (i = j
+    too: transformed codes have a nonzero diagonal) leaves ``P_{S,E} x_E``
+    (see ``erased_block``), and one solve of that block gives the erased
+    data.  Raises NodeOutOfRangeError for a key outside 0..n-1, ValueError
+    for a symbol outside the field, TooManyErasuresError beyond n-k
+    erasures, and Underdetermined/Inconsistent errors when the survivors
+    do not pin the data down or contradict each other.
     """
     n, f = code.n, code.field
     for j in known:
+        code.check_node(j)
         if len(known[j]) != code.col_lens[j]:
             raise InvalidParamsError(f"column {j} has wrong length")
     kept = sorted(known)
     erased = [i for i in range(n) if i not in known]
     if len(erased) > n - code.k:
         raise TooManyErasuresError(f"{len(erased)} erasures exceed tolerance {n - code.k}")
-    view = code.as_irregular_code()
     data = [
-        [known[j][r] for r in code.data_rows(j)] if j in known else [0] * code.m[j]
+        [f.validate(known[j][r]) for r in code.data_rows(j)] if j in known else [0] * code.m[j]
         for j in range(n)
     ]
-    residue = {j: [known[j][r] for r in code.parity_rows(j)] for j in kept}
-    for i in kept:
-        for j, _, addend in view.parity_terms(i, data[i]):
-            if j in residue:
-                residue[j] = [f.sub(a, b) for a, b in zip(residue[j], addend)]
-    rhs = [[v] for j in kept for v in residue[j]]
+    rhs = []
+    for j in kept:
+        residue = [f.validate(known[j][r]) for r in code.parity_rows(j)]
+        for i in kept:
+            residue = f.sub_scaled_row(residue, 1, code.construction[i][j].apply(data[i]))
+        rhs += [[v] for v in residue]
     x = solve(erased_block(code, kept), Matrix(f, len(rhs), 1, rhs)).data
     pos = 0
     for i in erased:

@@ -63,7 +63,7 @@ class TransformedCode(ArrayCode):
 
     The flat ``construction`` grid comes from the base's grid and this
     table; ``as_irregular_code`` factors it only when the update protocol
-    or the decoder asks for the per-edge factor grids.
+    asks for the per-edge factor grids.
     """
 
     def __init__(self, base, pair: tuple[int, int], g: int | None = None):
@@ -195,7 +195,7 @@ class TransformedCode(ArrayCode):
 
     def as_irregular_code(self) -> IrregularArrayCode:
         """The flat grid as an ``IrregularArrayCode``, built once: the one step
-        that factors each edge, for the update protocol and the decoder."""
+        that factors each edge, for the update protocol."""
         if self._flat is None:
             self._flat = IrregularArrayCode(self.field, self.params, self.construction)
         return self._flat
@@ -229,8 +229,7 @@ class TransformedCode(ArrayCode):
         reads are deduplicated by the caller's fetch."""
         f = self.field
         alpha = self.base_col_len
-        if not 0 <= failed < self.n:
-            raise InvalidPairError(f"node {failed} out of range")
+        self.check_node(failed)
         unpaired = [j for j in range(self.n) if j not in self.pair]
         if failed not in self.pair:
             order = [j for j in unpaired if j != failed] + list(self.pair)

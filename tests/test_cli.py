@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ubcode.cli import dump_columns, parse_columns, run
+from ubcode.cli import dump_columns, load_spec, parse_columns, run
+from ubcode.cluster import Cluster
 from ubcode.code_model import code_to_json
 from ubcode.construct import build_mrmub
 from ubcode.finite_field import GF
@@ -298,6 +299,8 @@ def test_encode_decode_flow(tmp_path, capsys, spec_file):
         "encode", "--spec", str(spec_file), "--seed", "5", "--out", str(cw)
     ])
     assert code == 0
+    # encode and a seeded Cluster draw the same data fill
+    assert cw.read_text() == dump_columns(Cluster(load_spec(str(spec_file)), seed=5).columns)
     recovered = tmp_path / "recovered.txt"
     code, out, err = run_capture(capsys, [
         "decode", "--spec", str(spec_file), "--in", str(cw),

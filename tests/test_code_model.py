@@ -25,6 +25,7 @@ from ubcode.code_model import (
     InvalidParamsError,
     IrregularArrayCode,
     MdsReport,
+    NodeOutOfRangeError,
     TooManyErasuresError,
     bandwidth_optimal_profile,
     bounds,
@@ -409,6 +410,38 @@ def test_decoder_rejects_too_many_erasures_for_every_class(fig1b_code):
         known = {j: cols[j] for j in range(code.k - 1)}
         with pytest.raises(TooManyErasuresError, match="3 erasures exceed tolerance 2"):
             code.decode_columns(known)
+
+
+def range_check_codes():
+    """A built code, fig1b (repaired through its registered plans) and a
+    transformed code (structured repair)."""
+    return [build_mrmub(4, 2, 2), fig1b(), iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 1)]
+
+
+@pytest.mark.parametrize("code", range_check_codes(), ids=["built", "fig1b", "transformed"])
+def test_repair_and_decoder_reject_out_of_range_nodes(code):
+    cols = code.encode([[1] * mi for mi in code.m])
+
+    def fetch(j, rows):
+        return [cols[j][r] for r in rows]
+
+    for bad in (-1, code.n):
+        with pytest.raises(NodeOutOfRangeError, match=f"node {bad} outside 0..{code.n - 1}"):
+            code.repair(bad, fetch)
+        known = {bad: cols[-1], 0: cols[0], 1: cols[1]}
+        with pytest.raises(NodeOutOfRangeError):
+            code.decode_columns(known)
+
+
+@pytest.mark.parametrize("code", range_check_codes(), ids=["built", "fig1b", "transformed"])
+@pytest.mark.parametrize("rows", ["data_rows", "parity_rows"])
+@pytest.mark.parametrize("bad", [99, -3])
+def test_decoder_rejects_symbols_outside_the_field(code, rows, bad):
+    cols = code.encode([[1] * mi for mi in code.m])
+    known = {j: list(cols[j]) for j in range(code.k)}
+    known[0][getattr(code, rows)(0)[0]] = bad
+    with pytest.raises(ValueError, match=rf"{bad} is not an element of GF\({code.field.q}\)"):
+        solve_data_from_columns(code, known)
 
 
 def test_decoder_rejects_a_corrupted_survivor(decoder_codes, rng):

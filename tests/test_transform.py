@@ -281,7 +281,8 @@ def test_transformed_decode_all_patterns(single_round):
 
 def test_only_the_update_protocol_factors_edges(monkeypatch):
     """The flat grid of every round comes from its base's grid; only the
-    outer round's factor grids are built, and only when an update asks."""
+    outer round's factor grids are built, and only when an update asks.
+    Repairs and decodes read the flat grid alone."""
     factored = []
     real = code_model.full_rank_decompose
 
@@ -293,6 +294,10 @@ def test_only_the_update_protocol_factors_edges(monkeypatch):
     code = iterate_transform(build_mrmub(6, 4, 4), 3)
     assert verify_mds(code).is_mds
     cluster = Cluster(code, seed=1)
+    for node in range(code.n):
+        cluster.fail_and_repair(node)
+    known = {j: cluster.columns[j] for j in range(code.n) if j not in (1, 4)}
+    assert code.decode_columns(known) == cluster.columns
     assert factored == []
     cluster.apply_update(0, [1] * code.m[0])
     assert code.as_irregular_code() is code.as_irregular_code()
