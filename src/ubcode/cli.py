@@ -19,6 +19,7 @@ import sys
 
 from .finite_field import GF
 from .code_model import (
+    InvalidParamsError,
     SpecSchemaError,
     bounds,
     code_from_json,
@@ -45,7 +46,10 @@ class CodewordMismatchError(Exception):
 
 def default_seed() -> int:
     env = os.environ.get("UBCODE_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"UBCODE_SEED must be an integer, got {env!r}") from None
 
 
 # -- codeword files ------------------------------------------------------------
@@ -91,9 +95,11 @@ def read_columns(path: str, col_lens, field) -> list[list[int]]:
 
 
 def save_spec(code, path: str) -> None:
-    root = code
+    root, mixers = code, set()
     while isinstance(root, TransformedCode):
-        root = root.base
+        root, mixers = root.base, mixers | {root.g}
+    if len(mixers) > 1:
+        raise InvalidParamsError(f"a spec holds one mixer g, the rounds use {sorted(mixers)}")
     doc = code_to_json(root)
     if root is not code:
         doc["transform"] = {"pairs": [list(p) for p in code.pairs], "g": code.g}
@@ -458,13 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # build_parser reads UBCODE_SEED for the --seed defaults, so it runs here.
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
     except (CodewordMismatchError, RepairMismatchError, ClusterStateError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

@@ -184,7 +184,7 @@ class ArrayCode:
         reads, values = [], []
         for src in sorted(by_src):
             reads += [maps[src].data[r] for r in by_src[src]]
-            values += fetch(src, by_src[src])
+            values += [self.field.validate(v) for v in fetch(src, by_src[src])]
         reads = Matrix(self.field, len(reads), maps[failed].cols, reads)
         weights = solve(reads.transpose(), maps[failed].transpose())
         return weights.transpose().apply(values)

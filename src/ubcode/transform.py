@@ -28,15 +28,6 @@ class InvalidPairError(ValueError):
     """The requested node pair is out of range or degenerate."""
 
 
-def _require_regular(base) -> tuple[int, int]:
-    """Return (per-node data length, per-node column length) of a regular base."""
-    m = base.m
-    lens = base.col_lens
-    if any(v != m[0] for v in m) or any(v != lens[0] for v in lens):
-        raise InvalidParamsError("transformation needs a regular (uniform) base code")
-    return m[0], lens[0]
-
-
 def _mix(f: Field, w: tuple[int, int], u, v) -> list[int]:
     """The row w[0]*u + w[1]*v.  An operand of weight 0 is not read (it may be
     None), and a lone operand of weight 1 is returned as it is."""
@@ -49,8 +40,9 @@ def _mix(f: Field, w: tuple[int, int], u, v) -> list[int]:
 
 class TransformedCode(ArrayCode):
     """A base code plus one pairing round; rounds nest by using another
-    TransformedCode as the base.  Physical columns hold the two instance
-    halves contiguously, so instance reads are contiguous row ranges.
+    TransformedCode as the base.  A node stores two contiguous halves, each
+    a base column in the base's row layout; the base is regular, so one
+    layout, read off the base once, serves every node of the round.
     Immutable; repair/update state lives in the owning cluster.
 
     Every method derives from one pairing table, built here:
@@ -83,25 +75,25 @@ class TransformedCode(ArrayCode):
         field.validate(g)
         if g in (0, 1) or field.multiplicative_order(g) != field.q - 1:
             raise InvalidPairError(f"g={g} is not a primitive element of GF({field.q})")
-        base_m, base_len = _require_regular(base)
+        if len(set(base.m)) != 1 or len(set(base.col_lens)) != 1:
+            raise InvalidParamsError("transformation needs a regular (uniform) base code")
 
         self.base = base
         self.pair = (a, b)
+        self.pairs = getattr(base, "pairs", []) + [self.pair]
         self.g = g
         self.field = field
-        self.params = CodeParams(
-            n, k, (2 * base_m,) * n, (2 * (base_len - base_m),) * n, field.q
-        )
-        self.base_data_len = base_m
-        self.base_col_len = base_len
-        halves = [[(j, (1, 0)), (j, (0, 1))] for j in range(n)]
+        self.params = CodeParams(n, k, tuple(2 * v for v in base.m),
+                                 tuple(2 * v for v in base.p), field.q)
+        alpha = self.base_col_len = base.col_lens[0]
+        # A regular base lays out every node alike; each half holds one of its columns.
+        self._data = tuple(h * alpha + r for h in (0, 1) for r in base.data_rows(0))
+        self._parity = tuple(h * alpha + r for h in (0, 1) for r in base.parity_rows(0))
+        halves = self.halves = [[(j, (1, 0)), (j, (0, 1))] for j in range(n)]
         halves[a] = [(a, (1, 0)), (b, (1, g))]
         halves[b] = [(b, (1, 1)), (a, (0, 1))]
-        self.halves = halves
-        self.homes = [
-            [(j, h) for j in range(n) for h in (0, 1) if halves[j][h][0] == x]
-            for x in range(n)
-        ]
+        self.homes = [[(j, h) for j in range(n) for h in (0, 1) if halves[j][h][0] == x]
+                      for x in range(n)]
         self.unmix = [
             invert(Matrix.from_rows(field, [halves[j][h][1] for j, h in places])).data
             for places in self.homes
@@ -110,26 +102,18 @@ class TransformedCode(ArrayCode):
 
     # -- shape -------------------------------------------------------------
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        inner = self.base.pairs if isinstance(self.base, TransformedCode) else []
-        return inner + [self.pair]
+    def data_rows(self, j: int) -> tuple[int, ...]:
+        return self._data
 
-    def data_rows(self, j: int) -> list[int]:
-        (top, _), (bottom, _) = self.halves[j]
-        alpha = self.base_col_len
-        return self.base.data_rows(top) + [alpha + r for r in self.base.data_rows(bottom)]
-
-    def parity_rows(self, j: int) -> list[int]:
-        data = set(self.data_rows(j))
-        return [r for r in range(2 * self.base_col_len) if r not in data]
+    def parity_rows(self, j: int) -> tuple[int, ...]:
+        return self._parity
 
     # -- correspondence -------------------------------------------------------
 
     def base_data(self, data: list[list[int]]) -> tuple[list, list]:
         """Split transformed per-node data into the two base-instance fills."""
         f = self.field
-        half = self.base_data_len
+        half = self.m[0] // 2
         if any(len(v) != 2 * half for v in data) or len(data) != self.n:
             raise InvalidParamsError("data vectors do not match the doubled profile")
         x0, x1 = [], []
@@ -202,21 +186,24 @@ class TransformedCode(ArrayCode):
 
     # -- repair -------------------------------------------------------------------
 
+    def _read(self, fetch, j: int, h: int, rows) -> list[int]:
+        """Fetch rows of half h of node j, each checked to be a field element."""
+        alpha = self.base_col_len
+        return [self.field.validate(v) for v in fetch(j, [h * alpha + r for r in rows])]
+
     def _instance_fetch(self, fetch, instance: int):
         """View one base instance through the physical transformed columns.
 
         Base column x is read from the homes its unmix row weighs: the one
         home that stores the instance alone, or both homes of a mixed column,
         which are then unmixed."""
-        f = self.field
-        alpha = self.base_col_len
 
         def inner(x, rows):
             w = self.unmix[x][instance]
             (j0, h0), (j1, h1) = self.homes[x]
-            u = fetch(j0, [h0 * alpha + r for r in rows]) if w[0] else None
-            v = fetch(j1, [h1 * alpha + r for r in rows]) if w[1] else None
-            return _mix(f, w, u, v)
+            u = self._read(fetch, j0, h0, rows) if w[0] else None
+            v = self._read(fetch, j1, h1, rows) if w[1] else None
+            return _mix(self.field, w, u, v)
 
         return inner
 
@@ -226,7 +213,9 @@ class TransformedCode(ArrayCode):
         A paired node costs (n-1) * alpha' / 2 symbols: one full instance
         from the unpaired nodes plus the partner's mixed half.  An unpaired
         node repairs each instance through the base code; duplicate physical
-        reads are deduplicated by the caller's fetch."""
+        reads are deduplicated by the caller's fetch.  ``helpers`` is ignored:
+        the round's schedule fixes the reads, so a one-round (4, 2) code
+        reads node 3 to repair node 0 even given helpers=[1, 2]."""
         f = self.field
         alpha = self.base_col_len
         self.check_node(failed)
@@ -251,7 +240,7 @@ class TransformedCode(ArrayCode):
             c = f.inv(w[i])
             d = f.neg(f.mul(c, w[1 - i]))
             j, hh = self.homes[x][1 - i]
-            survivor = fetch(j, [hh * alpha + r for r in range(alpha)]) if d else None
+            survivor = self._read(fetch, j, hh, range(alpha)) if d else None
             out += _mix(f, (c, d), cols[x], survivor)
         return out
 

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ubcode.cli import dump_columns, load_spec, parse_columns, run
+from ubcode.cli import dump_columns, load_spec, parse_columns, run, save_spec
 from ubcode.cluster import Cluster
-from ubcode.code_model import code_to_json
+from ubcode.code_model import InvalidParamsError, code_to_json
 from ubcode.construct import build_mrmub
 from ubcode.finite_field import GF
+from ubcode.transform import pair_transform
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -328,6 +329,17 @@ def test_update_then_repair_flow(tmp_path, capsys, spec_file):
     assert "total," in out
 
 
+def test_save_spec_refuses_rounds_with_different_mixers(tmp_path):
+    # A spec holds one g for every round; saving the outer one alone would
+    # reload as a code with other codewords.
+    base = build_mrmub(4, 2, 2, field=GF(8))
+    code = pair_transform(pair_transform(base, (2, 3), 3), (0, 1), 2)
+    spec = tmp_path / "spec.json"
+    with pytest.raises(InvalidParamsError, match=r"one mixer g, the rounds use \[2, 3\]"):
+        save_spec(code, str(spec))
+    assert not spec.exists()
+
+
 def test_transformed_spec_update_and_repair_flow(tmp_path, capsys):
     spec = tmp_path / "tspec.json"
     assert run([
@@ -522,6 +534,16 @@ def test_simulate_env_seed(monkeypatch, capsys, spec_file):
         ["simulate", "--spec", str(spec_file), "--updates", "4", "--seed", "77", "--json"],
     )
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["bounds", "encode"])
+def test_malformed_env_seed_is_a_usage_error(monkeypatch, tmp_path, capsys, spec_file, command):
+    argv = {
+        "bounds": ["bounds", "--n", "4", "--k", "2", "--m", "2,2,2,2"],
+        "encode": ["encode", "--spec", str(spec_file), "--out", str(tmp_path / "cw.txt")],
+    }[command]
+    monkeypatch.setenv("UBCODE_SEED", "abc")
+    assert_usage_error(capsys, argv, "error: UBCODE_SEED must be an integer, got 'abc'")
 
 
 def test_simulate_default_fixture(capsys):

@@ -444,6 +444,37 @@ def test_decoder_rejects_symbols_outside_the_field(code, rows, bad):
         solve_data_from_columns(code, known)
 
 
+REPAIR_CHECK_CODES = range_check_codes() + [
+    iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 2)
+]
+
+
+@pytest.mark.parametrize(
+    "code", REPAIR_CHECK_CODES, ids=["built", "fig1b", "transformed", "two-rounds"]
+)
+@pytest.mark.parametrize("bad", [99, -3])
+def test_repair_rejects_fetched_symbols_outside_the_field(code, bad):
+    # One source returns a non-element as the first symbol of every read.
+    # Repair must refuse it, or not have read that source at all.
+    cols = code.encode(random_fill(code, random.Random(5)))
+    for source in range(code.n):
+        def fetch(j, rows):
+            values = [cols[j][r] for r in rows]
+            if j == source and values:
+                values[0] = bad
+            return values
+
+        for failed in range(code.n):
+            if failed == source:
+                continue
+            try:
+                got = code.repair(failed, fetch)
+            except ValueError as exc:
+                assert f"{bad} is not an element of GF({code.field.q})" in str(exc)
+            else:
+                assert got == cols[failed], (source, failed)
+
+
 def test_decoder_rejects_a_corrupted_survivor(decoder_codes, rng):
     # Below n-k erasures the survivors hold more than k columns, so a single
     # changed symbol contradicts the rest.

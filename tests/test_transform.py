@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from ubcode import code_model
+from ubcode.cli import load_spec, save_spec
 from ubcode.finite_field import GF
 from ubcode.linalg import FieldTooSmallError
 from ubcode.code_model import (
@@ -265,6 +266,51 @@ def test_composed_column_maps_match_unit_encodes(pairs, q, shape, mixer):
     for pair in pairs:
         code = TransformedCode(code, pair, g)
     assert [m.data for m in code.column_maps()] == unit_encode_maps(code)
+
+
+def per_node_rows(code, j):
+    """Node j's (data rows, parity rows), worked out per node: the base rows
+    of the base columns its two halves hold, and the sorted complement."""
+    if not isinstance(code, TransformedCode):
+        return list(code.data_rows(j)), list(code.parity_rows(j))
+    alpha = code.base_col_len
+    data = [
+        h * alpha + r for h, (x, _) in enumerate(code.halves[j])
+        for r in per_node_rows(code.base, x)[0]
+    ]
+    return data, [r for r in range(2 * alpha) if r not in data]
+
+
+LAYOUT_CASES = [
+    (rotation_pairs(shape[0], rounds), q, shape)
+    for shape in [(5, 3, 3), (6, 4, 4)]
+    for rounds in [1, 2, 3]
+    for q in [8, 25]
+] + [
+    (pairs, 9, shape) for pairs, _, shape, mixer in MAP_CASES
+    if mixer == "primitive" and pairs != rotation_pairs(shape[0], len(pairs))
+]
+
+
+@pytest.mark.parametrize(
+    "pairs, q, shape", LAYOUT_CASES,
+    ids=[f"n{shape[0]}-q{q}-" + "-".join(f"{a}{b}" for a, b in pairs)
+         for pairs, q, shape in LAYOUT_CASES],
+)
+def test_every_node_shares_the_round_layout(tmp_path, pairs, q, shape):
+    code = build_mrmub(*shape, field=GF(q))
+    for pair in pairs:
+        code = TransformedCode(code, pair)
+    for j in range(code.n):
+        rows = list(code.data_rows(j)), list(code.parity_rows(j))
+        assert rows == (list(code.data_rows(0)), list(code.parity_rows(0)))
+        assert rows == per_node_rows(code, j)
+    spec = tmp_path / "spec.json"
+    save_spec(code, str(spec))
+    loaded = load_spec(str(spec))
+    assert (loaded.pairs, loaded.g) == (code.pairs, code.g) == (pairs, code.field.primitive)
+    data = random_fill(code, random.Random(q))
+    assert loaded.encode(data) == code.encode(data)
 
 
 def test_transformed_decode_all_patterns(single_round):
