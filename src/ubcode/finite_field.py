@@ -136,7 +136,10 @@ class Field:
     read from split tables of about sqrt(q) products and added (XOR in
     characteristic 2, a digit-wise add table in odd extension fields).  In
     odd extension fields a Zech table (log(1 + g^t)) also serves scalar
-    add/neg/sub and the row kernel.
+    add/neg/sub and the row kernel.  In characteristic 2 with q <= 256,
+    ``mul_tables[c]`` is the 256-byte table of c*v (zero at v >= q), so
+    ``row.translate(mul_tables[c])`` scales a row of byte entries; every
+    other field has ``mul_tables = None``.
 
     Immutable after construction; safe to share between threads.  Use the
     cached factory :func:`GF` rather than constructing directly.
@@ -144,7 +147,7 @@ class Field:
 
     __slots__ = (
         "q", "characteristic", "degree", "modulus", "primitive",
-        "_mod_int", "_exp", "_log", "_zech",
+        "mul_tables", "_mod_int", "_exp", "_log", "_zech",
     )
 
     def __init__(self, q: int):
@@ -268,6 +271,18 @@ class Field:
                 -1 if v == p - 1 else log[v - v % p + (v + 1) % p]
                 for v in exp
             ]
+        self.mul_tables = None
+        if p == 2 and self.q <= 256:
+            # T[g^(i+1)] = T[g^i] translated through T[g]: one C-level pass
+            # per table.  Bytes at or above q stay 0, as 0 maps to 0.
+            pad = bytes(256 - self.q)
+            tg = bytes(exp[(log[v] + 1) % order] if v else 0 for v in range(self.q)) + pad
+            tables = [bytes(256)] * self.q
+            t = bytes(range(self.q)) + pad
+            for v in exp:
+                tables[v] = t
+                t = t.translate(tg)
+            self.mul_tables = tuple(tables)
 
     # -- arithmetic ------------------------------------------------------------
 

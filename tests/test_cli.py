@@ -54,6 +54,17 @@ def test_bounds_json_matches_golden(capsys, m, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_transformed_spec_matches_golden(tmp_path, capsys):
+    # A two-round construct over GF(8), whose build checks eliminate on packed
+    # byte rows.
+    spec = tmp_path / "spec.json"
+    code, _, _ = run_capture(capsys, ["construct", "--kind", "mrmub", "--n", "4", "--k", "2",
+                                      "--m", "2,2,2,2", "--q", "8", "--transform-rounds", "2",
+                                      "--out", str(spec)])
+    assert code == 0
+    assert spec.read_bytes() == (GOLDEN / "spec_4_2_q8_r2.json").read_bytes()
+
+
 def test_bounds_open_case(capsys):
     code, out, _ = run_capture(capsys, ["bounds", "--n", "4", "--k", "2", "--m", "3,2,2,0"])
     assert code == 0

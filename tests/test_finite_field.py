@@ -342,3 +342,22 @@ def test_row_kernel_exhaustive_small_fields(q):
     for c in range(q):
         assert f.sub_scaled_row(dst, c, src) == [ref_sub(f, d, f.mul(c, s)) for d, s in pairs]
         assert f.scale_row(c, src) == [f.mul(c, s) for s in src]
+
+
+# -- byte multiply tables ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_byte_tables_match_mul_exhaustive(q):
+    f = GF(q)
+    tables = f.mul_tables
+    assert len(tables) == q
+    for c, table in enumerate(tables):
+        assert type(table) is bytes and len(table) == 256
+        assert list(table[:q]) == [f.mul(c, v) for v in range(q)]
+        assert not any(table[q:])  # bytes at or above q are not elements
+
+
+@pytest.mark.parametrize("q", [512, 1 << 16, 3, 5, 251, 9, 25, 27, 243])
+def test_only_characteristic_2_up_to_256_has_byte_tables(q):
+    assert GF(q).mul_tables is None

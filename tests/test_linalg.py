@@ -24,8 +24,10 @@ from ubcode.linalg import (
 )
 
 FIELDS = [GF(2), GF(3), GF(4), GF(5), GF(8)]
-# One or more fields of each kind the row kernel branches on.
-KERNEL_FIELDS = [GF(q) for q in (2, 4, 8, 256, 3, 7, 9, 25, 27)]
+# One or more fields of each kind the row kernel branches on: GF(2)-GF(256)
+# eliminate on packed byte rows, GF(2^16) is the first characteristic-2 field
+# on entry lists, then prime and odd extension fields.
+KERNEL_FIELDS = [GF(q) for q in (2, 4, 8, 16, 32, 256, 1 << 16, 3, 7, 9, 25, 27)]
 
 
 def random_matrix(field, rows, cols, rng):
@@ -282,9 +284,9 @@ def rank_deficient_matrix(field, rows, cols, rng):
     m = random_matrix(field, rows, cols, rng)
     for i in range(1, rows):
         if rng.random() < 0.3:
-            j = rng.randrange(i)
+            j, k = rng.randrange(i), rng.randrange(i)
             c = rng.randrange(field.q)
-            m.data[i] = [field.add(v, field.mul(c, w)) for v, w in zip(m.data[i], m.data[j])]
+            m.data[i] = [field.add(v, field.mul(c, w)) for v, w in zip(m.data[k], m.data[j])]
     for j in range(cols):
         if rng.random() < 0.15:
             for row in m.data:
@@ -295,24 +297,32 @@ def rank_deficient_matrix(field, rows, cols, rng):
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_rref_matches_scalar_reference(field):
     rng = random.Random(field.q)
-    for _ in range(40):
-        rows, cols = rng.randint(0, 7), rng.randint(0, 9)
+    for trial in range(48):
+        # The last 8 are wide: packed rows of hundreds of bits.
+        if trial < 40:
+            rows, cols = rng.randint(0, 7), rng.randint(0, 9)
+        else:
+            rows, cols = rng.randint(3, 12), rng.randint(60, 140)
         make = random_matrix if rng.random() < 0.5 else rank_deficient_matrix
         m = make(field, rows, cols, rng)
         before = m.copy()
         red, pivots = rref(m)
-        assert (red.data, pivots) == reference_rref(m)
+        expected = reference_rref(m)
+        assert (red.data, pivots) == expected
+        assert rank(m) == len(expected[1])
         assert m == before
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_solve_and_invert_match_scalar_reference(field):
     rng = random.Random(1000 + field.q)
-    for _ in range(40):
-        n = rng.randint(1, 6)
+    for trial in range(48):
+        # The last 8 solve for 60-140 right-hand sides at once.
+        wide = trial >= 40
+        n = rng.randint(3, 12) if wide else rng.randint(1, 6)
         make = random_matrix if rng.random() < 0.6 else rank_deficient_matrix
         a = make(field, n, n, rng)
-        b = random_matrix(field, n, rng.randint(1, 3), rng)
+        b = random_matrix(field, n, rng.randint(60, 140) if wide else rng.randint(1, 3), rng)
         red, pivots = reference_rref(hstack(field, [a, Matrix.identity(field, n)]))
         if pivots[:n] == list(range(n)):
             assert invert(a).data == [row[n:] for row in red]
