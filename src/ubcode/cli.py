@@ -110,7 +110,10 @@ def save_spec(code, path: str) -> None:
 
 def load_spec(path: str):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise SpecSchemaError("spec nests too deeply to parse") from None
     code = code_from_json(doc)
     if "transform" in doc:
         g = spec_value(doc, ("transform", "g"), int)

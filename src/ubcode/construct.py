@@ -21,7 +21,7 @@ from math import comb
 from itertools import combinations
 
 from .finite_field import Field, GF
-from .linalg import Matrix, SingularMatrixError, invert, vandermonde_columns
+from .linalg import Matrix, ShapeMismatchError, invert, rank, rref, vandermonde_columns
 from .code_model import (
     CodeParams,
     InvalidParamsError,
@@ -42,6 +42,12 @@ class DivisibilityError(ValueError):
 def assert_column_selections_invertible(m: Matrix, r: int) -> bool:
     """Check every r-column selection of m is invertible.
 
+    One elimination brings m to [I_r | P]; left multiplication by an
+    invertible matrix keeps the rank of every selection.  A selection S is
+    then invertible exactly when P's minor on rows {0..r-1} - S and columns
+    S - {0..r-1} is nonsingular (MacWilliams and Sloane, ch. 11, Thm. 8).
+    The first dependent selection in ``combinations`` order is reported.
+
     Returns False, having checked nothing, when there are more than
     ``SELECTION_CHECK_LIMIT`` selections; True once all of them passed.
     """
@@ -49,11 +55,22 @@ def assert_column_selections_invertible(m: Matrix, r: int) -> bool:
         raise InvalidParamsError(f"{r} columns requested from a {m.cols}-column matrix")
     if comb(m.cols, r) > SELECTION_CHECK_LIMIT:
         return False
+    if r != m.rows:
+        raise ShapeMismatchError(f"cannot invert {m.rows}x{r} matrix")
+    red, pivots = rref(m)
+    if pivots != list(range(r)):
+        raise InvalidParamsError(f"columns {tuple(range(r))} are dependent")
     for sel in combinations(range(m.cols), r):
-        try:
-            invert(m.take_cols(sel))
-        except SingularMatrixError as exc:
-            raise InvalidParamsError(f"columns {sel} are dependent") from exc
+        cols = [j for j in sel if j >= r]
+        if not cols:
+            continue
+        rows = [i for i in range(r) if i not in sel]
+        if len(cols) == 1:
+            ok = red.data[rows[0]][cols[0]] != 0
+        else:
+            ok = rank(red.take_rows(rows).take_cols(cols)) == len(cols)
+        if not ok:
+            raise InvalidParamsError(f"columns {sel} are dependent")
     return True
 
 

@@ -65,6 +65,42 @@ def test_transformed_spec_matches_golden(tmp_path, capsys):
     assert spec.read_bytes() == (GOLDEN / "spec_4_2_q8_r2.json").read_bytes()
 
 
+# A seeded codeword per field path of the elimination kernel: GF(8) on packed
+# byte rows, GF(25) and GF(2^16) on entry lists.  Decode and repair solve over
+# the field, so a wrong product anywhere changes the files they write.
+CODEWORD_CASES = [
+    (["--n", "4", "--k", "2", "--m", "2,2,2,2", "--q", "8", "--transform-rounds", "2"],
+     "codeword_4_2_q8_r2_seed16.txt", "0,3", 24),
+    (["--n", "6", "--k", "4", "--m", "4,4,4,4,4,4", "--q", "25", "--transform-rounds", "3"],
+     "codeword_6_4_q25_r3_seed16.txt", "1,4", 120),
+    (["--n", "6", "--k", "3", "--m", "6,6,6,6,6,6", "--q", "65536"],
+     "codeword_6_3_q65536_seed16.txt", "0,2,5", 36),
+]
+
+
+@pytest.mark.parametrize("construct_args, golden, erased, repair_total", CODEWORD_CASES,
+                         ids=["q8-r2", "q25-r3", "q65536"])
+def test_seeded_codeword_matches_golden(tmp_path, capsys, construct_args, golden, erased,
+                                        repair_total):
+    expected = (GOLDEN / golden).read_bytes()
+    spec, cw, out = tmp_path / "spec.json", tmp_path / "cw.txt", tmp_path / "out.txt"
+    assert run(["construct", "--kind", "mrmub", *construct_args, "--out", str(spec)]) == 0
+    assert run(["encode", "--spec", str(spec), "--seed", "16", "--out", str(cw)]) == 0
+    assert cw.read_bytes() == expected
+    code, _, err = run_capture(capsys, ["decode", "--spec", str(spec), "--in", str(cw),
+                                        "--erased", erased, "--out", str(out)])
+    assert code == 0, err
+    assert out.read_bytes() == expected
+    n = int(construct_args[construct_args.index("--n") + 1])
+    for node in range(n):
+        out.unlink()
+        code, stdout, err = run_capture(capsys, ["repair", "--spec", str(spec), "--in", str(cw),
+                                                 "--node", str(node), "--out", str(out)])
+        assert code == 0, err
+        assert f"total,{repair_total}" in stdout.splitlines()
+        assert out.read_bytes() == expected
+
+
 def test_bounds_open_case(capsys):
     code, out, _ = run_capture(capsys, ["bounds", "--n", "4", "--k", "2", "--m", "3,2,2,0"])
     assert code == 0
@@ -241,6 +277,12 @@ def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     edit(doc)
     spec.write_text(json.dumps(doc))
     assert_usage_error(capsys, ["verify", str(spec)], message)
+
+
+def test_deeply_nested_spec_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 200_000 + "]" * 200_000)
+    assert_usage_error(capsys, ["verify", str(spec)], "spec nests too deeply to parse")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,10 @@ from ubcode.finite_field import GF
 from ubcode.linalg import (
     FieldTooSmallError,
     Matrix,
+    ShapeMismatchError,
+    SingularMatrixError,
     column_weights,
+    invert,
     rank,
     hstack,
     vandermonde_columns,
@@ -221,6 +225,112 @@ def test_systematic_generator_shape_and_property():
 def test_base_rejects_bad_generator(gf2):
     with pytest.raises(InvalidParamsError):
         RowWiseMdsBase(gf2, 3, 2, generator=[[1, 0, 1], [0, 0, 1]])
+
+
+# -- the selection check against one inversion per selection -------------------------------
+
+
+def reference_selection_check(m, r):
+    """The selection check as one ``invert`` per r-column selection."""
+    if r > m.cols:
+        raise InvalidParamsError(f"{r} columns requested from a {m.cols}-column matrix")
+    if comb(m.cols, r) > construct.SELECTION_CHECK_LIMIT:
+        return False
+    for sel in combinations(range(m.cols), r):
+        try:
+            invert(m.take_cols(sel))
+        except SingularMatrixError as exc:
+            raise InvalidParamsError(f"columns {sel} are dependent") from exc
+    return True
+
+
+def selection_outcome(check, m, r):
+    """The check's return value, or the text of the ``InvalidParamsError`` it raised."""
+    try:
+        return check(m, r)
+    except InvalidParamsError as exc:
+        return f"InvalidParamsError: {exc}"
+
+
+def assert_selection_check_matches_reference(m, r):
+    assert selection_outcome(construct.assert_column_selections_invertible, m, r) == \
+        selection_outcome(reference_selection_check, m, r), m
+
+
+SELECTION_FIELDS = [2, 4, 8, 25, 32, 2**16]
+
+
+def selection_matrices(f, r, c, rng):
+    """Matrices of every kind the reduced-form argument must handle, r x c over f."""
+    def rand(density):
+        return Matrix(f, r, c, [[rng.randrange(1, f.q) if rng.random() < density else 0
+                                 for _ in range(c)] for _ in range(r)])
+
+    out = [rand(1.0), rand(0.35)]
+    if c <= f.q:
+        mds = vandermonde_columns(f, r, c)
+        out += [mds, systematic_mds_generator(f, r, c)]
+    else:
+        mds = out[0]
+    if c >= 2:
+        # a scaled copy of a middle column in the last place: the first dependent
+        # selection sits in the middle of the combinations order
+        dup = mds.copy()
+        s = rng.randrange(1, f.q)
+        for row in dup.data:
+            row[c - 1] = f.mul(s, row[(c - 1) // 2])
+        out.append(dup)
+    if r >= 1:
+        # dependent first r columns: column r-1 a combination of the columns before it
+        lead = rand(1.0)
+        coef = [rng.randrange(f.q) for _ in range(r - 1)]
+        for row in lead.data:
+            row[r - 1] = 0
+            for j, a in enumerate(coef):
+                row[r - 1] = f.add(row[r - 1], f.mul(a, row[j]))
+        out.append(lead)
+    return out
+
+
+@pytest.mark.parametrize("q", SELECTION_FIELDS)
+def test_selection_check_matches_inverting_each_selection(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for r in range(6):
+        for c in range(r, r + 5):
+            for m in selection_matrices(f, r, c, rng):
+                assert_selection_check_matches_reference(m, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_selection_check_matches_reference_property(data):
+    f = GF(data.draw(st.sampled_from(SELECTION_FIELDS), label="q"))
+    r = data.draw(st.integers(0, 5), label="r")
+    c = data.draw(st.integers(r, r + 4), label="c")
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    m = Matrix(f, r, c, data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                           min_size=r, max_size=r), label="rows"))
+    if c >= 2 and data.draw(st.booleans(), label="duplicate"):
+        src, dst = data.draw(st.lists(st.integers(0, c - 1), min_size=2, max_size=2,
+                                      unique=True), label="columns")
+        for row in m.data:
+            row[dst] = row[src]
+    assert_selection_check_matches_reference(m, r)
+
+
+def test_selection_check_shape_errors_are_pinned():
+    f = GF(8)
+    m = vandermonde_columns(f, 3, 5)
+    for r in (2, 4):
+        for check in (construct.assert_column_selections_invertible, reference_selection_check):
+            with pytest.raises(ShapeMismatchError, match=rf"^cannot invert 3x{r} matrix$"):
+                check(m, r)
+    for check in (construct.assert_column_selections_invertible, reference_selection_check):
+        with pytest.raises(InvalidParamsError, match=r"^6 columns requested from a 5-column matrix$"):
+            check(m, 6)
+    wide = vandermonde_columns(GF(32), 8, 18)  # C(18, 8) selections: past the limit
+    assert construct.assert_column_selections_invertible(wide, 8) is False
 
 
 # -- builders: one selection check per distinct matrix ------------------------------------
