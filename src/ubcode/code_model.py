@@ -141,16 +141,15 @@ class ArrayCode:
         """
         if self._column_maps is None:
             offs = self.data_offsets()
+            unit = Matrix.identity(self.field, offs[-1]).data
             maps = []
             for j in range(self.n):
-                s = Matrix(self.field, self.col_lens[j], offs[-1])
+                rows = [None] * self.col_lens[j]
                 for t, r in enumerate(self.data_rows(j)):
-                    s.data[r][offs[j] + t] = 1
+                    rows[r] = unit[offs[j] + t]
                 for t, r in enumerate(self.parity_rows(j)):
-                    s.data[r] = [
-                        v for i in range(self.n) for v in self.construction[i][j].data[t]
-                    ]
-                maps.append(s)
+                    rows[r] = [v for i in range(self.n) for v in self.construction[i][j].data[t]]
+                maps.append(Matrix.of(self.field, self.col_lens[j], offs[-1], rows))
             self._column_maps = maps
         return self._column_maps
 
@@ -185,7 +184,7 @@ class ArrayCode:
         for src in sorted(by_src):
             reads += [maps[src].data[r] for r in by_src[src]]
             values += [self.field.validate(v) for v in fetch(src, by_src[src])]
-        reads = Matrix(self.field, len(reads), maps[failed].cols, reads)
+        reads = Matrix.of(self.field, len(reads), maps[failed].cols, reads)
         weights = solve(reads.transpose(), maps[failed].transpose())
         return weights.transpose().apply(values)
 
@@ -287,13 +286,14 @@ def erased_block(code: ArrayCode, kept) -> Matrix:
     Read from any code's flat ``construction`` grid; no factor grid is needed.
     """
     erased = [i for i in range(code.n) if i not in kept]
-    block = Matrix(code.field, sum(code.p[j] for j in kept), sum(code.m[i] for i in erased))
-    block.data = [
-        [v for i in erased for v in code.construction[i][j].data[r]]
-        for j in kept
-        for r in range(code.p[j])
-    ]
-    return block
+    return Matrix.of(
+        code.field, sum(code.p[j] for j in kept), sum(code.m[i] for i in erased),
+        [
+            [v for i in erased for v in code.construction[i][j].data[r]]
+            for j in kept
+            for r in range(code.p[j])
+        ],
+    )
 
 
 def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]]:
@@ -328,7 +328,7 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
         for i in kept:
             residue = f.sub_scaled_row(residue, 1, code.construction[i][j].apply(data[i]))
         rhs += [[v] for v in residue]
-    x = solve(erased_block(code, kept), Matrix(f, len(rhs), 1, rhs)).data
+    x = solve(erased_block(code, kept), Matrix.of(f, len(rhs), 1, rhs)).data
     pos = 0
     for i in erased:
         data[i] = [row[0] for row in x[pos : pos + code.m[i]]]
@@ -686,7 +686,7 @@ def verify_mds(code) -> MdsReport:
 
 
 def matrix_to_json(m: Matrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "entries": [row[:] for row in m.data]}
+    return {"rows": m.rows, "cols": m.cols, "entries": [list(row) for row in m.data]}
 
 
 class SpecSchemaError(ValueError):

@@ -77,13 +77,15 @@ def assert_column_selections_invertible(m: Matrix, r: int) -> bool:
 def checked_matrix(field: Field, given, rows: int, cols: int, default, what: str):
     """The caller's matrix, or ``default(field, rows, cols)`` when None.
 
-    It must be rows x cols, and every rows-column selection is checked
-    invertible.  Returns the matrix and whether that property is known.
+    It must be rows x cols over ``field``, and every rows-column selection
+    is checked invertible.  Returns the matrix and whether that is known.
     """
     if given is None:
         m = default(field, rows, cols)
     else:
         m = given if isinstance(given, Matrix) else Matrix.from_rows(field, given)
+        if m.field != field:
+            raise InvalidParamsError(f"{what} is over {m.field}, expected {field}")
         if (m.rows, m.cols) != (rows, cols):
             raise InvalidParamsError(f"{what} is {m.rows}x{m.cols}, expected {rows}x{cols}")
     # Past SELECTION_CHECK_LIMIT the check is skipped.  A default needs none:
@@ -215,13 +217,6 @@ def build_mub(n: int, k: int, m_vec, field: Field | None = None,
     )
 
 
-def _matrix_key(v):
-    """Hashable entries of a caller-supplied matrix; None (the default) stays None."""
-    if v is None:
-        return None
-    return tuple(map(tuple, v.data if isinstance(v, Matrix) else v))
-
-
 def _assemble(kind, n, k, m_vec, field, gens, assemblies):
     """Build the code from per-node generators and assembly matrices, where
     None selects the default.  Each distinct matrix is built and checked
@@ -235,23 +230,22 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies):
 
     built = {}
 
-    def shared(key, given, rows, cols, default, what):
+    def shared(given, rows, cols, default, what):
+        if given is not None and not isinstance(given, Matrix):
+            given = Matrix.from_rows(field, given)
+        key = (default, rows, cols, given)
         if key not in built:
             built[key] = checked_matrix(field, given, rows, cols, default, what)
         return built[key][0]
 
     generators = [
         None if m_vec[i] == 0 else shared(
-            ("generator", _matrix_key(gens[i])), gens[i], k, n - 1,
-            systematic_mds_generator, f"generator {i}",
+            gens[i], k, n - 1, systematic_mds_generator, f"generator {i}"
         )
         for i in range(n)
     ]
     assemblies = [
-        shared(
-            ("assembly", p_vec[j], widths[j], _matrix_key(assemblies[j])), assemblies[j],
-            p_vec[j], widths[j], vandermonde_columns, f"assembly {j}",
-        )
+        shared(assemblies[j], p_vec[j], widths[j], vandermonde_columns, f"assembly {j}")
         for j in range(n)
     ]
 
@@ -263,11 +257,11 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies):
     for i in range(n):
         rows = m_vec[i] // k
         for d in range(1, n):
-            block = Matrix(field, rows, m_vec[i])
-            for r in range(rows):
-                for c in range(k):
-                    block.data[r][c * rows + r] = generators[i].data[c][d - 1]
-            grid_a[i][(i + d) % n] = block
+            grid_a[i][(i + d) % n] = Matrix.of(field, rows, m_vec[i], [
+                [generators[i].data[c][d - 1] if s == r else 0
+                 for c in range(k) for s in range(rows)]
+                for r in range(rows)
+            ])
 
     # Receiver-side maps: consecutive column blocks of node j's assembly
     # matrix, one per source in cyclic arrival order j+1, ..., j+n-1.

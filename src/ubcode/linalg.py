@@ -1,12 +1,12 @@
 """Dense matrix algebra over GF(q).
 
-Matrices are immutable-by-convention row-major lists of canonical field
-integers; every operation here is a pure function that never mutates its
-operands, so matrices can be shared across threads freely.  Zero-row and
-zero-column matrices are first-class values: nodes holding no data produce
-genuinely empty factor matrices.  Elimination always pivots on the first
-nonzero entry in column order, so every decomposition here is deterministic
-and reproducible.
+A ``Matrix`` is an immutable value: its rows are tuples of canonical field
+integers, fixed at construction, so matrices hash, compare by value and can
+be shared across threads freely.  Every operation builds its rows and wraps
+them in a new matrix.  Zero-row and zero-column matrices are first-class
+values: nodes holding no data produce genuinely empty factor matrices.
+Elimination always pivots on the first nonzero entry in column order, so
+every decomposition here is deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -35,18 +35,28 @@ class ShapeMismatchError(ValueError):
 
 
 class Matrix:
+    """A rows x cols matrix over ``field``; ``data`` is a tuple of row tuples.
+    The constructor checks the shape and every entry; no data gives zeros."""
+
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, rows: int, cols: int, data=None):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
         if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
+            data = ((0,) * cols,) * rows
+        elif len(data) != rows or any(len(r) != cols for r in data):
+            raise ShapeMismatchError(f"data does not match shape {rows}x{cols}")
         else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ShapeMismatchError(f"data does not match shape {rows}x{cols}")
-            self.data = [[field.validate(v) for v in row] for row in data]
+            data = tuple(tuple(map(field.validate, row)) for row in data)
+        self.field, self.rows, self.cols, self.data = field, rows, cols, data
+
+    @classmethod
+    def of(cls, field: Field, rows: int, cols: int, data) -> "Matrix":
+        """Wrap rows already known to be canonical entries of ``field`` and of
+        shape rows x cols, without checking them: the constructor for every
+        matrix computed inside the package."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.data = field, rows, cols, tuple(map(tuple, data))
+        return m
 
     @classmethod
     def from_rows(cls, field: Field, data: list[list[int]]) -> "Matrix":
@@ -56,21 +66,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls(field, n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return cls.of(field, n, n, ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, rows, cols)
 
     # -- structure ---------------------------------------------------------
-
-    def copy(self) -> "Matrix":
-        out = Matrix(self.field, self.rows, self.cols)
-        out.data = [row[:] for row in self.data]
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -81,7 +83,8 @@ class Matrix:
             and other.data == self.data
         )
 
-    __hash__ = None  # mutable container
+    def __hash__(self) -> int:
+        return hash((self.field, self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}, {self.data})"
@@ -90,21 +93,17 @@ class Matrix:
         return [self.data[i][j] for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        out = Matrix(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j][i] = self.data[i][j]
-        return out
+        return Matrix.of(
+            self.field, self.cols, self.rows, zip(*self.data) if self.rows else [()] * self.cols
+        )
 
     def take_rows(self, idxs) -> "Matrix":
-        out = Matrix(self.field, len(idxs), self.cols)
-        out.data = [self.data[i][:] for i in idxs]
-        return out
+        return Matrix.of(self.field, len(idxs), self.cols, [self.data[i] for i in idxs])
 
     def take_cols(self, idxs) -> "Matrix":
-        out = Matrix(self.field, self.rows, len(idxs))
-        out.data = [[self.data[i][j] for j in idxs] for i in range(self.rows)]
-        return out
+        return Matrix.of(
+            self.field, self.rows, len(idxs), [[row[j] for j in idxs] for row in self.data]
+        )
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.data for v in row)
@@ -117,20 +116,18 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         f = self.field
-        out = Matrix(f, self.rows, other.cols)
-        for i, srow in enumerate(self.data):
-            orow = out.data[i]
+        rows = []
+        for srow in self.data:
+            orow = [0] * other.cols
             for a, brow in zip(srow, other.data):
                 if a:  # orow += a * brow
                     orow = f.sub_scaled_row(orow, f.neg(a), brow)
-            out.data[i] = orow
-        return out
+            rows.append(orow)
+        return Matrix.of(f, self.rows, other.cols, rows)
 
     def scale(self, c: int) -> "Matrix":
         f = self.field
-        out = Matrix(f, self.rows, self.cols)
-        out.data = [f.scale_row(c, row) for row in self.data]
-        return out
+        return Matrix.of(f, self.rows, self.cols, [f.scale_row(c, row) for row in self.data])
 
     def apply(self, vec: list[int]) -> list[int]:
         """Matrix-vector product on a plain symbol list."""
@@ -153,13 +150,10 @@ def hstack(field: Field, blocks: list[Matrix]) -> Matrix:
     rows = eff[0].rows if eff else (blocks[0].rows if blocks else 0)
     if any(b.rows != rows for b in eff):
         raise ShapeMismatchError("hstack blocks disagree on row count")
-    out = Matrix(field, rows, sum(b.cols for b in eff))
-    for i in range(rows):
-        merged = []
-        for b in eff:
-            merged.extend(b.data[i])
-        out.data[i] = merged
-    return out
+    return Matrix.of(
+        field, rows, sum(b.cols for b in eff),
+        [[v for b in eff for v in b.data[i]] for i in range(rows)],
+    )
 
 
 def vstack(field: Field, blocks: list[Matrix]) -> Matrix:
@@ -168,9 +162,7 @@ def vstack(field: Field, blocks: list[Matrix]) -> Matrix:
     cols = eff[0].cols if eff else (blocks[0].cols if blocks else 0)
     if any(b.cols != cols for b in eff):
         raise ShapeMismatchError("vstack blocks disagree on column count")
-    out = Matrix(field, sum(b.rows for b in eff), cols)
-    out.data = [row[:] for b in eff for row in b.data]
-    return out
+    return Matrix.of(field, sum(b.rows for b in eff), cols, [row for b in eff for row in b.data])
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -184,32 +176,31 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     if m.field.mul_tables is not None:
         return _rref_packed(m)
     f = m.field
-    r = m.copy()
+    r = [list(row) for row in m.data]
     pivots: list[int] = []
     prow = 0
-    for col in range(r.cols):
-        if prow >= r.rows:
+    for col in range(m.cols):
+        if prow >= m.rows:
             break
-        src = next((i for i in range(prow, r.rows) if r.data[i][col] != 0), None)
+        src = next((i for i in range(prow, m.rows) if r[i][col] != 0), None)
         if src is None:
             continue
         if src != prow:
-            r.data[prow], r.data[src] = r.data[src], r.data[prow]
+            r[prow], r[src] = r[src], r[prow]
         # The pivot row is zero left of col, so only the tail from col changes.
-        tail = r.data[prow][col:]
+        tail = r[prow][col:]
         if tail[0] != 1:
             tail = f.scale_row(f.inv(tail[0]), tail)
-            r.data[prow][col:] = tail
-        for i in range(r.rows):
+            r[prow][col:] = tail
+        for i, row in enumerate(r):
             if i == prow:
                 continue
-            row = r.data[i]
             c = row[col]
             if c:
                 row[col:] = f.sub_scaled_row(row[col:], c, tail)
         pivots.append(col)
         prow += 1
-    return r, pivots
+    return Matrix.of(f, m.rows, m.cols, r), pivots
 
 
 def _rref_packed(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -247,9 +238,7 @@ def _rref_packed(m: Matrix) -> tuple[Matrix, list[int]]:
                 rows[i] = row ^ from_bytes(translate(tables[c]), "little")
         pivots.append(col)
         prow += 1
-    out = Matrix(f, m.rows, width)
-    out.data = [list(row.to_bytes(width, "little")) for row in rows]
-    return out, pivots
+    return Matrix.of(f, m.rows, width, [row.to_bytes(width, "little") for row in rows]), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -297,9 +286,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         raise UnderdeterminedSystemError(
             f"column rank {len(lhs_pivots)} < {a.cols} unknowns"
         )
-    x = Matrix(a.field, a.cols, b.cols)
-    x.data = [red.data[i][a.cols :] for i in range(a.cols)]
-    return x
+    return Matrix.of(a.field, a.cols, b.cols, [red.data[i][a.cols :] for i in range(a.cols)])
 
 
 def vandermonde_columns(field: Field, r: int, c: int) -> Matrix:
@@ -318,13 +305,7 @@ def vandermonde_columns(field: Field, r: int, c: int) -> Matrix:
         if len(points) == c:
             break
         points.append(el)
-    out = Matrix(field, r, c)
-    for j, a in enumerate(points):
-        v = 1
-        for i in range(r):
-            out.data[i][j] = v
-            v = field.mul(v, a)
-    return out
+    return Matrix.of(field, r, c, [[field.pow(a, i) for a in points] for i in range(r)])
 
 
 def column_weights(m: Matrix) -> list[int]:

@@ -171,9 +171,7 @@ class TransformedCode(ArrayCode):
                     [v for c, row in zip(scales, parts) for v in f.scale_row(c, row)]
                     for parts in zip(*(base[y][x].data for y, _ in data_homes))
                 ]
-            out = Matrix(f, self.p[j], self.m[i])
-            out.data = rows
-            return out
+            return Matrix.of(f, self.p[j], self.m[i], rows)
 
         return [[block(i, j) for j in range(self.n)] for i in range(self.n)]
 

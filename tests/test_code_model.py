@@ -261,6 +261,18 @@ def test_feasible_enumeration_guard():
         feasible(50, 25, [1] * 50, [1] * 50, [[1] * 50 for _ in range(50)])
 
 
+# -- code matrices are values -----------------------------------------------------------
+
+
+def test_code_matrices_cannot_be_written():
+    code = fig1b()
+    for m in (code.construction[0][1], code.column_maps()[1]):
+        with pytest.raises(TypeError):
+            m.data[0][0] ^= 1
+        with pytest.raises(TypeError):
+            m.data[0] = [1] * m.cols
+
+
 # -- metrics on concrete codes ---------------------------------------------------------
 
 
@@ -541,6 +553,13 @@ def test_verify_mds_detects_insufficient_threshold(fig1b_code):
     assert got < total or rank(stacked) < total
 
 
+def with_row(m, r, row):
+    """A copy of matrix ``m`` with row ``r`` replaced by ``row``."""
+    data = list(m.data)
+    data[r] = row
+    return Matrix(m.field, m.rows, m.cols, data)
+
+
 @pytest.mark.parametrize("q", [25, 256])
 def test_verify_mds_rejects_dependent_parity_rows(q):
     # Row 1 of node 0's parity becomes g times row 0 for every source node.
@@ -549,10 +568,10 @@ def test_verify_mds_rejects_dependent_parity_rows(q):
     f = GF(q)
     view = build_mrmub(4, 2, 2, field=f).as_irregular_code()
     assert verify_mds(view).is_mds
-    grid = [[blk.copy() for blk in row] for row in view.construction]
+    grid = [list(row) for row in view.construction]
     for i in range(view.n):
         blk = grid[i][0]
-        blk.data[1] = [f.mul(f.primitive, v) for v in blk.data[0]]
+        grid[i][0] = with_row(blk, 1, [f.mul(f.primitive, v) for v in blk.data[0]])
     broken = IrregularArrayCode(f, view.params, grid)
     rep = verify_mds(broken)
     assert not rep.is_mds
@@ -611,8 +630,8 @@ def broken_copies(view, rng, count):
         i, j = rng.choice(blocks)
         dst, src = rng.sample(range(view.construction[i][j].rows), 2)
         c = rng.randrange(f.q)
-        grid = [[blk.copy() for blk in row] for row in view.construction]
-        grid[i][j].data[dst] = f.scale_row(c, grid[i][j].data[src])
+        grid = [list(row) for row in view.construction]
+        grid[i][j] = with_row(grid[i][j], dst, f.scale_row(c, grid[i][j].data[src]))
         out.append(IrregularArrayCode(f, view.params, grid))
     return out
 

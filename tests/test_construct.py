@@ -191,16 +191,16 @@ def test_fig3_decode_erase_first_two(fig3_code, rng):
 def test_parity_check_base_matches_worked_example(gf2):
     base = RowWiseMdsBase(gf2, 3, 2, generator=[[1, 0, 1], [0, 1, 1]])
     enc = base.encode([1, 0])
-    assert enc.data == [[1, 0, 1]]
+    assert [list(row) for row in enc.data] == [[1, 0, 1]]
     enc = base.encode([0, 1])
-    assert enc.data == [[0, 1, 1]]
+    assert [list(row) for row in enc.data] == [[0, 1, 1]]
 
 
 def test_two_row_base_column_major_split(gf2):
     base = RowWiseMdsBase(gf2, 3, 2, generator=[[1, 0, 1], [0, 1, 1]])
     enc = base.encode([1, 0, 1, 0])
     # rows pair (x1, x3) and (x2, x4)
-    assert enc.data == [[1, 1, 0], [0, 0, 0]]
+    assert [list(row) for row in enc.data] == [[1, 1, 0], [0, 0, 0]]
 
 
 def test_base_decode_from_any_k_columns(rng):
@@ -275,20 +275,18 @@ def selection_matrices(f, r, c, rng):
     if c >= 2:
         # a scaled copy of a middle column in the last place: the first dependent
         # selection sits in the middle of the combinations order
-        dup = mds.copy()
         s = rng.randrange(1, f.q)
-        for row in dup.data:
-            row[c - 1] = f.mul(s, row[(c - 1) // 2])
-        out.append(dup)
+        dup = [[*row[: c - 1], f.mul(s, row[(c - 1) // 2])] for row in mds.data]
+        out.append(Matrix(f, r, c, dup))
     if r >= 1:
         # dependent first r columns: column r-1 a combination of the columns before it
-        lead = rand(1.0)
+        lead = [list(row) for row in rand(1.0).data]
         coef = [rng.randrange(f.q) for _ in range(r - 1)]
-        for row in lead.data:
+        for row in lead:
             row[r - 1] = 0
             for j, a in enumerate(coef):
                 row[r - 1] = f.add(row[r - 1], f.mul(a, row[j]))
-        out.append(lead)
+        out.append(Matrix(f, r, c, lead))
     return out
 
 
@@ -309,14 +307,14 @@ def test_selection_check_matches_reference_property(data):
     r = data.draw(st.integers(0, 5), label="r")
     c = data.draw(st.integers(r, r + 4), label="c")
     entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
-    m = Matrix(f, r, c, data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
-                                           min_size=r, max_size=r), label="rows"))
+    rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                              min_size=r, max_size=r), label="rows")
     if c >= 2 and data.draw(st.booleans(), label="duplicate"):
         src, dst = data.draw(st.lists(st.integers(0, c - 1), min_size=2, max_size=2,
                                       unique=True), label="columns")
-        for row in m.data:
+        for row in rows:
             row[dst] = row[src]
-    assert_selection_check_matches_reference(m, r)
+    assert_selection_check_matches_reference(Matrix(f, r, c, rows), r)
 
 
 def test_selection_check_shape_errors_are_pinned():
@@ -342,8 +340,11 @@ def test_selection_check_shape_errors_are_pinned():
         (lambda: build_mrmub(10, 6, 12), 2),  # one shared generator, one shared assembly
         (fig1b, 2),
         (lambda: build_mub(8, 4, [8, 8, 4, 4, 0, 12, 4, 8]), 5),  # 4 distinct assembly shapes
+        # one generator, given as lists to two nodes and as an equal Matrix to two
+        (lambda: build_mub(4, 2, [2] * 4, field=GF(4), base_generators=[
+            PARITY_CHECK_3_2, Matrix.from_rows(GF(4), PARITY_CHECK_3_2)] * 2), 2),
     ],
-    ids=["mrmub-10-6-12", "fig1b", "mub-8-4"],
+    ids=["mrmub-10-6-12", "fig1b", "mub-8-4", "lists-and-matrix"],
 )
 def test_each_distinct_matrix_checked_once(monkeypatch, build, checks):
     real = construct.assert_column_selections_invertible
@@ -380,12 +381,29 @@ def test_selection_failure_names_the_checked_matrix(gf2):
                     assembly=[[1, 0, 0], [0, 1, 1]])
 
 
+def test_build_rejects_a_generator_over_another_field():
+    # Checked in GF(4) this generator passes; its integers read in GF(8) build
+    # a code that is not MDS, and as lists over GF(8) it is rejected.
+    entries = [[3, 1, 3, 2], [1, 1, 2, 3], [1, 1, 0, 2]]
+    with pytest.raises(InvalidParamsError, match=r"^generator 0: columns \(0, 2, 3\) are dependent$"):
+        build_mrmub(5, 3, 3, field=GF(8), base_generator=entries)
+    with pytest.raises(InvalidParamsError, match=r"^generator 0 is over GF\(4\), expected GF\(8\)$"):
+        build_mrmub(5, 3, 3, field=GF(8), base_generator=Matrix.from_rows(GF(4), entries))
+
+
+def test_build_rejects_an_assembly_over_another_field():
+    foreign = vandermonde_columns(GF(16), 2, 3)
+    with pytest.raises(InvalidParamsError, match=r"^assembly 0 is over GF\(16\), expected GF\(8\)$"):
+        build_mrmub(4, 2, 2, field=GF(8), assembly=foreign)
+    with pytest.raises(InvalidParamsError, match=r"^assembly 3 is over GF\(16\), expected GF\(8\)$"):
+        build_mub(4, 2, [2] * 4, field=GF(8), assemblies=[None, None, None, foreign])
+
+
 def test_build_rejects_dependent_assembly_beyond_selection_limit():
     # C(18, 8) selections exceed the exhaustive check, so the assembled code is verified.
     f = GF(32)
     v = vandermonde_columns(f, 8, 18)
-    for row in v.data:
-        row[17] = row[16]
+    v = Matrix(f, 8, 18, [[*row[:17], row[16]] for row in v.data])
     with pytest.raises(InvalidParamsError, match=r"column rank 119 < 120 unknowns"):
         build_mrmub(10, 6, 12, field=f, assembly=v)
 

@@ -37,6 +37,39 @@ def random_matrix(field, rows, cols, rng):
     )
 
 
+def as_lists(m):
+    """A matrix's rows as lists, to compare with a reference grid of lists."""
+    return [list(row) for row in m.data]
+
+
+# -- values -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [GF(4), GF(25)], ids=repr)  # packed and list rref
+def test_every_operation_returns_tuple_rows(field):
+    a = Matrix.from_rows(field, [[1, 1], [0, 1]])
+    results = [
+        Matrix(field, 2, 2, [[1, 0], [0, 1]]), a, Matrix.zeros(field, 2, 3),
+        Matrix.identity(field, 3), Matrix.of(field, 1, 2, [[1, 0]]), a.transpose(),
+        a.take_rows([1]), a.take_cols([0]), a @ a, a.scale(2), hstack(field, [a, a]),
+        vstack(field, [a, a]), rref(a)[0], solve(a, a), invert(a),
+        vandermonde_columns(field, 2, 3), *full_rank_decompose(a),
+    ]
+    for m in results:
+        assert type(m.data) is tuple and all(type(row) is tuple for row in m.data), m
+
+
+def test_equal_matrices_hash_equal_and_share_dict_keys(gf4):
+    a = Matrix.from_rows(gf4, [[1, 2], [3, 0]])
+    b = a.transpose().transpose()
+    assert a == b and a is not b and hash(a) == hash(b)
+    table = {a: "a"}
+    assert table[b] == "a"
+    assert Matrix.from_rows(GF(8), [[1, 2], [3, 0]]) not in table
+    assert Matrix.zeros(gf4, 2, 0) != Matrix.zeros(gf4, 0, 2)
+    assert len({Matrix.zeros(gf4, 2, 0), Matrix.zeros(gf4, 0, 2)}) == 2
+
+
 # -- rank -----------------------------------------------------------------
 
 
@@ -92,8 +125,8 @@ def test_full_rank_decompose_examples(gf2):
 
     m = Matrix.from_rows(gf2, [[1, 0, 1], [1, 0, 1]])
     tall, wide = full_rank_decompose(m)
-    assert tall.data == [[1], [1]]
-    assert wide.data == [[1, 0, 1]]
+    assert as_lists(tall) == [[1], [1]]
+    assert as_lists(wide) == [[1, 0, 1]]
     assert tall @ wide == m
 
 
@@ -141,7 +174,7 @@ def test_solve_examples(gf2):
     assert solve(eye, b) == b
 
     a = Matrix.from_rows(gf2, [[1, 1], [1, 0]])
-    assert solve(a, Matrix.from_rows(gf2, [[0], [1]])).data == [[1], [1]]
+    assert as_lists(solve(a, Matrix.from_rows(gf2, [[0], [1]]))) == [[1], [1]]
 
     with pytest.raises(InconsistentSystemError):
         solve(Matrix.from_rows(gf2, [[1], [0]]), Matrix.from_rows(gf2, [[0], [1]]))
@@ -167,8 +200,8 @@ def test_solve_round_trip_random():
 def test_stacking(gf2):
     a = Matrix.from_rows(gf2, [[1, 0], [0, 1]])
     b = Matrix.from_rows(gf2, [[1, 1], [0, 0]])
-    assert hstack(gf2, [a, b]).data == [[1, 0, 1, 1], [0, 1, 0, 0]]
-    assert vstack(gf2, [a, b]).data == [[1, 0], [0, 1], [1, 1], [0, 0]]
+    assert as_lists(hstack(gf2, [a, b])) == [[1, 0, 1, 1], [0, 1, 0, 0]]
+    assert as_lists(vstack(gf2, [a, b])) == [[1, 0], [0, 1], [1, 1], [0, 0]]
     empty = Matrix.zeros(gf2, 2, 0)
     assert hstack(gf2, [a, empty]) == a
     assert vstack(gf2, [Matrix.zeros(gf2, 0, 2), b]) == b
@@ -203,7 +236,7 @@ def test_vandermonde_does_not_self_check(monkeypatch, gf4):
 
 def test_vandermonde_single_row_all_ones(gf4):
     v = vandermonde_columns(gf4, 1, 4)
-    assert v.data == [[1, 1, 1, 1]]
+    assert as_lists(v) == [[1, 1, 1, 1]]
 
 
 def test_vandermonde_field_too_small(gf2):
@@ -247,7 +280,7 @@ def test_matmul_and_scale_match_scalar_reference(field):
         for j in range(x.cols):
             assert m.apply(x.col(j)) == prod.col(j)
         c = x.data[0][0]
-        assert m.scale(c).data == [[field.mul(c, v) for v in row] for row in m.data]
+        assert as_lists(m.scale(c)) == [[field.mul(c, v) for v in row] for row in m.data]
 
 
 # -- elimination against a scalar reference ---------------------------------------
@@ -257,7 +290,7 @@ def reference_rref(m):
     """Textbook Gauss-Jordan with one scalar field operation per entry and the
     same pivot rule as ``rref``: first nonzero entry, columns left to right."""
     f = m.field
-    r = [row[:] for row in m.data]
+    r = as_lists(m)
     pivots = []
     prow = 0
     for col in range(m.cols):
@@ -281,17 +314,17 @@ def reference_rref(m):
 def rank_deficient_matrix(field, rows, cols, rng):
     """Random matrix with some rows replaced by combinations of earlier ones
     and some columns zeroed, so elimination meets skipped pivot columns."""
-    m = random_matrix(field, rows, cols, rng)
+    data = as_lists(random_matrix(field, rows, cols, rng))
     for i in range(1, rows):
         if rng.random() < 0.3:
             j, k = rng.randrange(i), rng.randrange(i)
             c = rng.randrange(field.q)
-            m.data[i] = [field.add(v, field.mul(c, w)) for v, w in zip(m.data[k], m.data[j])]
+            data[i] = [field.add(v, field.mul(c, w)) for v, w in zip(data[k], data[j])]
     for j in range(cols):
         if rng.random() < 0.15:
-            for row in m.data:
+            for row in data:
                 row[j] = 0
-    return m
+    return Matrix(field, rows, cols, data)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
@@ -305,10 +338,10 @@ def test_rref_matches_scalar_reference(field):
             rows, cols = rng.randint(3, 12), rng.randint(60, 140)
         make = random_matrix if rng.random() < 0.5 else rank_deficient_matrix
         m = make(field, rows, cols, rng)
-        before = m.copy()
+        before = Matrix(field, m.rows, m.cols, m.data)
         red, pivots = rref(m)
         expected = reference_rref(m)
-        assert (red.data, pivots) == expected
+        assert (as_lists(red), pivots) == expected
         assert rank(m) == len(expected[1])
         assert m == before
 
@@ -325,7 +358,7 @@ def test_solve_and_invert_match_scalar_reference(field):
         b = random_matrix(field, n, rng.randint(60, 140) if wide else rng.randint(1, 3), rng)
         red, pivots = reference_rref(hstack(field, [a, Matrix.identity(field, n)]))
         if pivots[:n] == list(range(n)):
-            assert invert(a).data == [row[n:] for row in red]
+            assert as_lists(invert(a)) == [row[n:] for row in red]
         else:
             with pytest.raises(SingularMatrixError):
                 invert(a)
@@ -337,4 +370,4 @@ def test_solve_and_invert_match_scalar_reference(field):
             with pytest.raises(UnderdeterminedSystemError):
                 solve(a, b)
         else:
-            assert solve(a, b).data == [row[n:] for row in red]
+            assert as_lists(solve(a, b)) == [row[n:] for row in red]

@@ -265,7 +265,7 @@ def test_composed_column_maps_match_unit_encodes(pairs, q, shape, mixer):
     g = alternative_primitive(code.field) if mixer == "alternative" else None
     for pair in pairs:
         code = TransformedCode(code, pair, g)
-    assert [m.data for m in code.column_maps()] == unit_encode_maps(code)
+    assert [list(map(list, m.data)) for m in code.column_maps()] == unit_encode_maps(code)
 
 
 def per_node_rows(code, j):
