@@ -191,8 +191,7 @@ def cmd_decode(args) -> int:
     columns = read_columns(args.infile, code.col_lens, code.field)
     erased = set(parse_int_list(args.erased))
     for j in sorted(erased):
-        if not 0 <= j < code.n:
-            raise ValueError(f"erased node {j} outside 0..{code.n - 1}")
+        code.check_node(j)
     known = {j: columns[j] for j in range(code.n) if j not in erased}
     try:
         restored = code.decode_columns(known)

@@ -17,6 +17,7 @@ so subset checks may run concurrently over shared instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -196,13 +197,13 @@ class IrregularArrayCode(ArrayCode):
     j's parity.  For i != j it factors as ``B[i][j] @ A[i][j]`` with both
     factors of full rank equal to the per-edge update bandwidth: A computes
     the intermediate vector the sender ships, B folds it into the parity.
-    Diagonal entries carry no bandwidth and have no factor pair.  Given
-    factors must multiply to the construction; ``from_factors`` derives the
-    construction from them.
+    Diagonal entries carry no bandwidth and have no factor pair.  The factor
+    grids come from the construction alone: ``from_factors`` derives the
+    construction from given grids and keeps them, and otherwise each edge
+    is factored on first use.
     """
 
-    def __init__(self, field: Field, params: CodeParams, construction,
-                 A=None, B=None):
+    def __init__(self, field: Field, params: CodeParams, construction):
         if field.q != params.q:
             raise InvalidParamsError(f"field GF({field.q}) != params q={params.q}")
         self.field = field
@@ -217,17 +218,6 @@ class IrregularArrayCode(ArrayCode):
                         f"expected {params.p[j]}x{params.m[i]}"
                     )
         self.construction = construction
-        if A is None or B is None:
-            A = [[None] * n for _ in range(n)]
-            B = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    tall, wide = full_rank_decompose(construction[i][j])
-                    B[i][j], A[i][j] = tall, wide
-        self.A = A
-        self.B = B
         self._own_terms = [not construction[i][i].is_zero() for i in range(n)]
 
     @classmethod
@@ -241,7 +231,24 @@ class IrregularArrayCode(ArrayCode):
             ]
             for i in range(n)
         ]
-        return cls(field, params, construction, A, B)
+        code = cls(field, params, construction)
+        code.factors = A, B
+        return code
+
+    @cached_property
+    def factors(self) -> tuple[list[list[Matrix]], list[list[Matrix]]]:
+        """The grids (A, B), one ``full_rank_decompose`` per off-diagonal edge."""
+        n = self.n
+        A = [[None] * n for _ in range(n)]
+        B = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    B[i][j], A[i][j] = full_rank_decompose(self.construction[i][j])
+        return A, B
+
+    A = property(lambda self: self.factors[0], doc="Sender-side factor grid.")
+    B = property(lambda self: self.factors[1], doc="Receiver-side factor grid.")
 
     def as_irregular_code(self) -> "IrregularArrayCode":
         return self
@@ -258,10 +265,11 @@ class IrregularArrayCode(ArrayCode):
         (flat views of transformed codes) comes last as ``(i, None, addend)``.
         Encoding is this protocol run from the zero codeword.
         """
-        for j, a_map in enumerate(self.A[i]):
+        A, B = self.factors
+        for j, a_map in enumerate(A[i]):
             if j != i and a_map.rows:
                 payload = a_map.apply(x)
-                yield j, payload, self.B[i][j].apply(payload)
+                yield j, payload, B[i][j].apply(payload)
         if self._own_terms[i]:
             yield i, None, self.construction[i][i].apply(x)
 
@@ -372,7 +380,7 @@ def zero_diagonal(code: IrregularArrayCode) -> IrregularArrayCode:
     """
     if all(code.construction[i][i].is_zero() for i in range(code.n)):
         return code
-    return IrregularArrayCode.from_factors(code.field, code.params, code.A, code.B)
+    return IrregularArrayCode.from_factors(code.field, code.params, *code.factors)
 
 
 def update_complexity(code: ArrayCode) -> Fraction:
@@ -446,23 +454,15 @@ def bounds(n: int, k: int, m) -> BoundsReport:
         -(-mi // k) for mi in m
     )
 
-    # Bandwidth-optimal per-edge assignment, built in sorted rank order: the
-    # w_r cyclically-nearest successor ranks receive the floor share, all
-    # other destinations the ceiling share.
-    assign_sorted = [[0] * n for _ in range(n)]
-    for r in range(n):
+    # Bandwidth-optimal per-edge assignment, filled in input order from the
+    # sorted ranks: the w_r cyclically-nearest successor ranks receive the
+    # floor share, all other destinations the ceiling share.
+    assignment = [[0] * n for _ in range(n)]
+    for r, i in enumerate(order):
         lo, hi = ms[r] // k, -(-ms[r] // k)
         w = k * hi - ms[r]
-        floor_ranks = {(r + d) % n for d in range(1, w + 1)}
-        for c in range(n):
-            if c == r:
-                continue
-            assign_sorted[r][c] = lo if c in floor_ranks else hi
-    assignment = [[0] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            if r != c:
-                assignment[order[r]][order[c]] = assign_sorted[r][c]
+        for d in range(1, n):
+            assignment[i][order[(r + d) % n]] = lo if d <= w else hi
 
     if k == n - 1:
         r_sma = r_min
@@ -537,50 +537,25 @@ def mrmub_admissible(n: int, k: int, m) -> Admissibility:
     """Decide whether a code can reach minimum redundancy and minimum update
     bandwidth at once, returning the forced (m, p) shape when it can.
 
-    For 1 < k < n-1 the answer is only established when k divides every m_i:
-    the data profile must be all-equal or all-zero-but-one.  The edge orders
-    k = 1 and k = n-1 are always admissible.
+    Read off ``bounds``: the parameters are MR-MUB exactly when the minimum
+    redundancy at minimum bandwidth equals the minimum redundancy, and the
+    bandwidth-optimal profile is then the forced parity shape.  For
+    1 < k < n-1 the theory settles this only when k divides every m_i.
     """
-    validate_dimensions(n, k, m)
-    m = tuple(m)
-    big_b = sum(m)
-    if k == 1:
-        return Admissibility(
-            "admissible",
-            m,
-            tuple(big_b - mi for mi in m),
-            "threshold 1: every node mirrors all foreign data",
-        )
-    if k == n - 1:
-        rep = bounds(n, k, m)
-        return Admissibility(
-            "admissible",
-            m,
-            rep.redundancy_profile,
-            "threshold n-1: minimum redundancy is reachable at minimum bandwidth",
-        )
-    if any(mi % k for mi in m):
-        return Admissibility(
-            "undetermined",
-            detail=f"k={k} does not divide every node size in {m}",
-        )
-    if all(mi == m[0] for mi in m):
-        pj = (n - k) * big_b // (n * k)
-        return Admissibility("admissible", m, tuple([pj] * n), "balanced data profile")
-    nonzero = [i for i, mi in enumerate(m) if mi]
-    if len(nonzero) == 1:
-        p = [big_b // k] * n
-        p[nonzero[0]] = 0
-        return Admissibility(
-            "admissible", m, tuple(p), "single-node data profile"
-        )
     rep = bounds(n, k, m)
+    r_sma = rep.min_redundancy_at_min_bandwidth
+    if r_sma is None:
+        return Admissibility(
+            "undetermined", detail=f"k={k} does not divide every node size in {rep.m}"
+        )
+    if r_sma > rep.min_redundancy:
+        return Admissibility(
+            "not_admissible",
+            detail=f"minimum redundancy at minimum bandwidth is {r_sma} > {rep.min_redundancy}",
+        )
     return Admissibility(
-        "not_admissible",
-        detail=(
-            f"minimum redundancy at minimum bandwidth is "
-            f"{rep.min_redundancy_at_min_bandwidth} > {rep.min_redundancy}"
-        ),
+        "admissible", rep.m, rep.bandwidth_profile,
+        f"minimum redundancy {r_sma} is reachable at minimum bandwidth",
     )
 
 
@@ -761,14 +736,11 @@ def code_to_json(code: IrregularArrayCode) -> dict:
             "q": code.params.q,
         },
         "matrices": {
-            "A": [
-                [empty if i == j else matrix_to_json(code.A[i][j]) for j in range(n)]
+            name: [
+                [empty if i == j else matrix_to_json(grid[i][j]) for j in range(n)]
                 for i in range(n)
-            ],
-            "B": [
-                [empty if i == j else matrix_to_json(code.B[i][j]) for j in range(n)]
-                for i in range(n)
-            ],
+            ]
+            for name, grid in zip("AB", code.factors)
         },
     }
 

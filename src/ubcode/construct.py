@@ -186,9 +186,10 @@ class BuiltCode(IrregularArrayCode):
         return self
 
     def intermediates(self, i: int, x_i: list[int]) -> list[tuple[int, list[int]]]:
-        """The n-1 per-destination vectors node i ships, cyclic placement order."""
-        dests = [(i + d) % self.n for d in range(1, self.n)]
-        return [(j, self.A[i][j].apply(x_i)) for j in dests]
+        """The n-1 per-destination vectors node i ships, cyclic placement order:
+        ``parity_terms``' payloads, with [] on an edge that ships nothing."""
+        sent = {j: payload for j, payload, _ in self.parity_terms(i, x_i)}
+        return [(j, sent.get(j, [])) for j in ((i + d) % self.n for d in range(1, self.n))]
 
 
 # -- builders ------------------------------------------------------------------

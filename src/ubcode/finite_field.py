@@ -331,13 +331,6 @@ class Field:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.q})")
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError(f"division by 0 in GF({self.q})")
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] - self._log[b]) % (self.q - 1)]
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:

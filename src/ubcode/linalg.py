@@ -125,10 +125,6 @@ class Matrix:
             rows.append(orow)
         return Matrix.of(f, self.rows, other.cols, rows)
 
-    def scale(self, c: int) -> "Matrix":
-        f = self.field
-        return Matrix.of(f, self.rows, self.cols, [f.scale_row(c, row) for row in self.data])
-
     def apply(self, vec: list[int]) -> list[int]:
         """Matrix-vector product on a plain symbol list."""
         if len(vec) != self.cols:

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +206,35 @@ def test_admissible_undetermined_without_divisibility():
     assert res.verdict == "undetermined"
 
 
+def test_admissibility_follows_the_theorem_across_divisible_profiles():
+    # Every profile of multiples of k, m_i < 4k for n <= 5 and < 3k for n = 6.
+    # For 1 < k < n-1 the parameters are MR-MUB exactly when the profile is
+    # balanced or holds all its data on one node; k = 1 and k = n-1 always are.
+    for n in range(2, 7):
+        for k in range(1, n):
+            for m in product(range(0, (4 if n <= 5 else 3) * k, k), repeat=n):
+                if not any(m):
+                    continue
+                rep, res = bounds(n, k, m), mrmub_admissible(n, k, m)
+                assert sum(rep.redundancy_profile) == rep.min_redundancy
+                assert sum(rep.bandwidth_profile) == rep.min_redundancy_at_min_bandwidth
+                big_b = sum(m)
+                if k == 1:
+                    expect = tuple(big_b - mi for mi in m)
+                elif k == n - 1:
+                    expect = rep.redundancy_profile
+                elif len(set(m)) == 1:
+                    expect = ((n - k) * m[0] // k,) * n
+                elif sum(1 for mi in m if mi) == 1:
+                    expect = tuple(0 if mi else big_b // k for mi in m)
+                else:
+                    assert res.verdict == "not_admissible", (n, k, m)
+                    continue
+                assert (res.verdict, res.data_profile, res.parity_profile) == (
+                    "admissible", m, expect,
+                ), (n, k, m)
+
+
 # -- feasibility --------------------------------------------------------------------
 
 
@@ -320,6 +349,18 @@ def test_update_complexity_weight_one_identity_blocks():
     grid = [[zero if i == j else eye for j in range(n)] for i in range(n)]
     code = IrregularArrayCode(f, params, grid)
     assert update_complexity(code) == Fraction(n - 1)
+
+
+def test_factor_grids_come_only_from_the_construction(rng):
+    built = build_mrmub(4, 2, 2)
+    other = build_mrmub(4, 2, 2, assembly=[[1, 2, 3], [1, 3, 2]])
+    with pytest.raises(TypeError):  # factors that contradict the construction
+        IrregularArrayCode(built.field, built.params, built.construction, other.A, other.B)
+    code = IrregularArrayCode(built.field, built.params, built.construction)
+    for i, j in permutations(range(4), 2):
+        assert code.B[i][j] @ code.A[i][j] == built.construction[i][j]
+    data = random_fill(code, rng)
+    assert code.encode(data) == built.encode(data)
 
 
 def test_zero_diagonal():

@@ -77,7 +77,7 @@ def test_axioms_exhaustive(q):
         assert f.mul(a, b) == f.mul(b, a)
         assert f.sub(a, b) == f.add(a, f.neg(b))
         if b:
-            assert f.mul(f.div(a, b), b) == a
+            assert f.mul(f.mul(a, f.inv(b)), b) == a
     for a, b, c in itertools.product(els, els, els):
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
@@ -117,8 +117,6 @@ def test_division_by_zero():
     f = GF(8)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f.div(3, 0)
     with pytest.raises(ZeroDivisionError):
         f.pow(0, -1)
 
@@ -241,7 +239,7 @@ def test_gf256_add_mul_consistent_with_polynomials(a, b):
     # Addition in characteristic 2 is XOR of coefficient vectors.
     assert f.add(a, b) == a ^ b
     if a and b:
-        assert f.div(f.mul(a, b), b) == a
+        assert f.mul(f.mul(a, b), f.inv(b)) == a
 
 
 # -- scalar reference ----------------------------------------------------------------
