@@ -254,11 +254,10 @@ def cmd_verify(args) -> int:
     # cols(B) != rows(A)) or the full-rank decomposition.  rank(BA) == rows(A)
     # exactly when A has full row rank and B full column rank.
     grid, average = update_bandwidth(code)
-    factors = code.as_irregular_code().A
     detail = ""
     for i in range(code.n):
         for j in range(code.n):
-            if i != j and factors[i][j].rows != grid[i][j]:
+            if i != j and code.A[i][j].rows != grid[i][j]:
                 detail = f"factor pair at [{i}][{j}] is not a minimal full-rank pair"
     checks.append(("factor-grids", not detail, detail))
 
@@ -276,8 +275,8 @@ def cmd_verify(args) -> int:
 
     try:
         cluster = Cluster(code, seed=default_seed())
-        cluster.run_workload(updates=2 * code.n, repairs=1, seed=default_seed())
-        checks.append(("workload-audit", cluster.audit().ok, ""))
+        result = cluster.run_workload(updates=2 * code.n, repairs=1, seed=default_seed())
+        checks.append(("workload-audit", result["audit_ok"], ""))
     except (RepairMismatchError, ClusterStateError) as exc:
         checks.append(("workload-audit", False, str(exc)))
 

@@ -110,7 +110,7 @@ class Cluster:
         delta = [f.sub(a, b) for a, b in zip(new_data, old)]
         oplog = TransferLog()
 
-        for j, payload, addend in self.code.as_irregular_code().parity_terms(node, delta):
+        for j, payload, addend in self.code.parity_terms(node, delta):
             if payload is not None:
                 oplog.add("update", node, j, len(payload))
             col = self.columns[j]

@@ -83,17 +83,17 @@ class ArrayCode:
 
     Subclasses set ``field``, ``params`` and the flat ``construction`` grid
     (entry [i][j] maps node i's data into node j's parity rows), and provide
-    ``encode`` and ``as_irregular_code``, the code with the factor grids
-    that only the update protocol and spec output read.  This base derives
-    the shape, the node-index check, the default data-then-parity row
-    layout, the column maps, erasure decoding and repair.  A subclass that
-    stores its rows in another layout overrides the row maps as well.
+    ``encode``.  This base derives the shape, the node-index check, the
+    default data-then-parity row layout, the column maps, erasure decoding,
+    repair, and the update protocol: every code factors its own flat grid,
+    one edge at a time, only when an update asks.  ``as_irregular_code`` is
+    the flat view for outside callers.  A subclass that stores its rows in
+    another layout overrides the row maps as well.
     """
 
     field: Field
     params: CodeParams
     construction: list[list[Matrix]]
-    _column_maps = None
     repair_schedule = None  # optional download plans: node -> [(source, row), ...]
 
     @property
@@ -140,19 +140,64 @@ class ArrayCode:
         its flat parity (every node's construction matrix into j, side by
         side) at ``parity_rows(j)[t]``.
         """
-        if self._column_maps is None:
-            offs = self.data_offsets()
-            unit = Matrix.identity(self.field, offs[-1]).data
-            maps = []
-            for j in range(self.n):
-                rows = [None] * self.col_lens[j]
-                for t, r in enumerate(self.data_rows(j)):
-                    rows[r] = unit[offs[j] + t]
-                for t, r in enumerate(self.parity_rows(j)):
-                    rows[r] = [v for i in range(self.n) for v in self.construction[i][j].data[t]]
-                maps.append(Matrix.of(self.field, self.col_lens[j], offs[-1], rows))
-            self._column_maps = maps
-        return self._column_maps
+        offs = self.data_offsets()
+        unit = Matrix.identity(self.field, offs[-1]).data
+        maps = []
+        for j in range(self.n):
+            rows = [None] * self.col_lens[j]
+            for t, r in enumerate(self.data_rows(j)):
+                rows[r] = unit[offs[j] + t]
+            for t, r in enumerate(self.parity_rows(j)):
+                rows[r] = [v for i in range(self.n) for v in self.construction[i][j].data[t]]
+            maps.append(Matrix.of(self.field, self.col_lens[j], offs[-1], rows))
+        return maps
+
+    @cached_property
+    def factors(self) -> tuple[list[list[Matrix]], list[list[Matrix]]]:
+        """The grids (A, B): each off-diagonal ``construction[i][j]`` is
+        ``B[i][j] @ A[i][j]``, one ``full_rank_decompose``, both factors of
+        rank the edge's update bandwidth.  A computes the vector the sender
+        ships, B folds it into the parity; the diagonal has no pair."""
+        n = self.n
+        A = [[None] * n for _ in range(n)]
+        B = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    B[i][j], A[i][j] = full_rank_decompose(self.construction[i][j])
+        return A, B
+
+    A = property(lambda self: self.factors[0], doc="Sender-side factor grid.")
+    B = property(lambda self: self.factors[1], doc="Receiver-side factor grid.")
+
+    @cached_property
+    def _own_terms(self) -> list[bool]:
+        return [not self.construction[i][i].is_zero() for i in range(self.n)]
+
+    def parity_terms(self, i: int, x: list[int]):
+        """Node i's data x reaching parity, as the update protocol ships it.
+
+        Yields ``(j, payload, addend)`` for each peer j in ascending order:
+        ``payload = A[i][j] x`` is the intermediate vector sent over edge
+        i -> j (rank-0 edges send nothing and are skipped) and ``addend =
+        B[i][j] payload`` is what j adds to its flat parity, in
+        ``parity_rows(j)`` order.  A nonzero diagonal (a transformed code's
+        paired nodes) comes last as ``(i, None, addend)``.
+        """
+        A, B = self.factors
+        for j, a_map in enumerate(A[i]):
+            if j != i and a_map.rows:
+                payload = a_map.apply(x)
+                yield j, payload, B[i][j].apply(payload)
+        if self._own_terms[i]:
+            yield i, None, self.construction[i][i].apply(x)
+
+    def as_irregular_code(self) -> "IrregularArrayCode":
+        """The flat grid as a data-then-parity ``IrregularArrayCode`` that
+        shares this code's factor grids; for callers outside the package."""
+        flat = IrregularArrayCode(self.field, self.params, self.construction)
+        flat.factors = self.factors
+        return flat
 
     def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
         """Recover the full codeword from the surviving columns."""
@@ -162,8 +207,8 @@ class ArrayCode:
         """Rebuild one column from a registered plan or k full columns.
 
         With no helpers given and a plan in ``repair_schedule`` for the
-        failed node, download the plan's (source, row) symbols.  They and
-        the lost symbols are linear in the global data, so the weights W
+        failed node, download its (source, row) symbols in plan order.  They
+        and the lost symbols are linear in the global data, so the weights W
         solving ``reads^T W = lost_map^T`` rebuild the column as ``W^T``
         times the downloads.  The reads must be independent and span the
         lost column; otherwise ``solve`` raises.  Without a plan, download
@@ -178,29 +223,24 @@ class ArrayCode:
             known = {j: fetch(j, list(range(self.col_lens[j]))) for j in order[: self.k]}
             return self.decode_columns(known)[failed]
         maps = self.column_maps()
-        by_src: dict[int, list[int]] = {}
-        for src, row in plan:
-            by_src.setdefault(src, []).append(row)
         reads, values = [], []
-        for src in sorted(by_src):
-            reads += [maps[src].data[r] for r in by_src[src]]
-            values += [self.field.validate(v) for v in fetch(src, by_src[src])]
+        for src, row in plan:
+            reads.append(maps[src].data[row])
+            values += [self.field.validate(v) for v in fetch(src, [row])]
         reads = Matrix.of(self.field, len(reads), maps[failed].cols, reads)
         weights = solve(reads.transpose(), maps[failed].transpose())
         return weights.transpose().apply(values)
 
 
 class IrregularArrayCode(ArrayCode):
-    """A concrete code: construction matrices plus their factor pairs.
+    """A concrete code stored data-then-parity: its construction matrices.
 
     ``construction[i][j]`` is the p_j x m_i map from node i's data into node
-    j's parity.  For i != j it factors as ``B[i][j] @ A[i][j]`` with both
-    factors of full rank equal to the per-edge update bandwidth: A computes
-    the intermediate vector the sender ships, B folds it into the parity.
-    Diagonal entries carry no bandwidth and have no factor pair.  The factor
-    grids come from the construction alone: ``from_factors`` derives the
-    construction from given grids and keeps them, and otherwise each edge
-    is factored on first use.
+    j's parity.  The factor grids come from the construction alone:
+    ``from_factors`` derives the construction from given grids and keeps
+    them, and otherwise each edge is factored on first use.  It encodes by
+    running the update protocol from the zero codeword, and is its own
+    flat view.
     """
 
     def __init__(self, field: Field, params: CodeParams, construction):
@@ -218,7 +258,6 @@ class IrregularArrayCode(ArrayCode):
                         f"expected {params.p[j]}x{params.m[i]}"
                     )
         self.construction = construction
-        self._own_terms = [not construction[i][i].is_zero() for i in range(n)]
 
     @classmethod
     def from_factors(cls, field: Field, params: CodeParams, A, B) -> "IrregularArrayCode":
@@ -235,43 +274,8 @@ class IrregularArrayCode(ArrayCode):
         code.factors = A, B
         return code
 
-    @cached_property
-    def factors(self) -> tuple[list[list[Matrix]], list[list[Matrix]]]:
-        """The grids (A, B), one ``full_rank_decompose`` per off-diagonal edge."""
-        n = self.n
-        A = [[None] * n for _ in range(n)]
-        B = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    B[i][j], A[i][j] = full_rank_decompose(self.construction[i][j])
-        return A, B
-
-    A = property(lambda self: self.factors[0], doc="Sender-side factor grid.")
-    B = property(lambda self: self.factors[1], doc="Receiver-side factor grid.")
-
     def as_irregular_code(self) -> "IrregularArrayCode":
         return self
-
-    # -- codec -----------------------------------------------------------
-
-    def parity_terms(self, i: int, x: list[int]):
-        """Node i's data x reaching parity, as the update protocol ships it.
-
-        Yields ``(j, payload, addend)`` for each peer j in ascending order:
-        ``payload = A[i][j] x`` is the intermediate vector sent over edge
-        i -> j (rank-0 edges send nothing and are skipped) and ``addend =
-        B[i][j] payload`` is what j adds to its parity.  A nonzero diagonal
-        (flat views of transformed codes) comes last as ``(i, None, addend)``.
-        Encoding is this protocol run from the zero codeword.
-        """
-        A, B = self.factors
-        for j, a_map in enumerate(A[i]):
-            if j != i and a_map.rows:
-                payload = a_map.apply(x)
-                yield j, payload, B[i][j].apply(payload)
-        if self._own_terms[i]:
-            yield i, None, self.construction[i][i].apply(x)
 
     def encode(self, data: list[list[int]]) -> list[list[int]]:
         """Columns [x_j ; p_j] with p_j the sum of the addends j receives."""

@@ -67,24 +67,21 @@ def _digits_to_int(digits: list[int], p: int) -> int:
     return value
 
 
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of polynomial division over GF(p), digits low-first."""
+def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
+    """Remainder of polynomial division over GF(p), digits low-first."""
     num = list(num)
     dlead = len(den) - 1
     while den[dlead] == 0:
         dlead -= 1
     inv_lead = pow(den[dlead], p - 2, p) if p > 2 else 1
-    quot = [0] * max(1, len(num) - dlead)
     for shift in range(len(num) - 1 - dlead, -1, -1):
         coef = (num[shift + dlead] * inv_lead) % p
-        if coef == 0:
-            continue
-        quot[shift] = coef
-        for i in range(dlead + 1):
-            num[shift + i] = (num[shift + i] - coef * den[i]) % p
+        if coef:
+            for i in range(dlead + 1):
+                num[shift + i] = (num[shift + i] - coef * den[i]) % p
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return quot, num
+    return num
 
 
 def _poly_is_irreducible(poly: list[int], p: int) -> bool:
@@ -97,8 +94,7 @@ def _poly_is_irreducible(poly: list[int], p: int) -> bool:
         # through p**ddeg combinations.
         for low in range(p**ddeg):
             den = _int_to_digits(low, p, ddeg) + [1]
-            _, rem = _poly_divmod(poly, den, p)
-            if rem == [0]:
+            if _poly_rem(poly, den, p) == [0]:
                 return False
     return True
 
@@ -189,7 +185,7 @@ class Field:
                 continue
             for j, cb in enumerate(db):
                 prod[i + j] = (prod[i + j] + ca * cb) % p
-        _, rem = _poly_divmod(prod, self.modulus, p)
+        rem = _poly_rem(prod, self.modulus, p)
         rem += [0] * (self.degree - len(rem))
         return _digits_to_int(rem, p)
 

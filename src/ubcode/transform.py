@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .finite_field import Field
 from .linalg import FieldTooSmallError, Matrix, invert
-from .code_model import ArrayCode, CodeParams, InvalidParamsError, IrregularArrayCode
+from .code_model import ArrayCode, CodeParams, InvalidParamsError
 
 
 class InvalidPairError(ValueError):
@@ -54,8 +54,8 @@ class TransformedCode(ArrayCode):
       column x is unmix[x][s][0] * home 0 + unmix[x][s][1] * home 1.
 
     The flat ``construction`` grid comes from the base's grid and this
-    table; ``as_irregular_code`` factors it only when the update protocol
-    asks for the per-edge factor grids.
+    table; the update protocol, inherited from ``ArrayCode``, factors that
+    grid's edges on the first update, so inner rounds are never factored.
     """
 
     def __init__(self, base, pair: tuple[int, int], g: int | None = None):
@@ -64,6 +64,9 @@ class TransformedCode(ArrayCode):
             raise InvalidParamsError(
                 f"transformation applies to k = n-2 codes, got ({n}, {k})"
             )
+        pairs = getattr(base, "pairs", [])
+        if len(pairs) >= (n + 1) // 2:  # each round doubles the node size
+            raise InvalidPairError(f"{len(pairs) + 1} rounds exceed ceil({n}/2)")
         field: Field = base.field
         if field.q <= 2:
             raise FieldTooSmallError("pair mixing needs q > 2 (g must differ from 1)")
@@ -80,7 +83,7 @@ class TransformedCode(ArrayCode):
 
         self.base = base
         self.pair = (a, b)
-        self.pairs = getattr(base, "pairs", []) + [self.pair]
+        self.pairs = pairs + [self.pair]
         self.g = g
         self.field = field
         self.params = CodeParams(n, k, tuple(2 * v for v in base.m),
@@ -98,7 +101,6 @@ class TransformedCode(ArrayCode):
             invert(Matrix.from_rows(field, [halves[j][h][1] for j, h in places])).data
             for places in self.homes
         ]
-        self._flat = None
 
     # -- shape -------------------------------------------------------------
 
@@ -174,13 +176,6 @@ class TransformedCode(ArrayCode):
             return Matrix.of(f, self.p[j], self.m[i], rows)
 
         return [[block(i, j) for j in range(self.n)] for i in range(self.n)]
-
-    def as_irregular_code(self) -> IrregularArrayCode:
-        """The flat grid as an ``IrregularArrayCode``, built once: the one step
-        that factors each edge, for the update protocol."""
-        if self._flat is None:
-            self._flat = IrregularArrayCode(self.field, self.params, self.construction)
-        return self._flat
 
     # -- repair -------------------------------------------------------------------
 

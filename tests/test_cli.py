@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -63,6 +64,20 @@ def test_transformed_spec_matches_golden(tmp_path, capsys):
                                       "--out", str(spec)])
     assert code == 0
     assert spec.read_bytes() == (GOLDEN / "spec_4_2_q8_r2.json").read_bytes()
+
+
+@pytest.mark.parametrize("rounds", [3, 20])
+def test_spec_with_too_many_rounds_is_a_usage_error(tmp_path, capsys, rounds):
+    # Each round doubles the node size; a (4, 2) chain holds at most two pairs.
+    doc = json.loads((GOLDEN / "spec_4_2_q8_r2.json").read_text())
+    doc["transform"]["pairs"] = [[2, 3], [0, 1]] * (rounds // 2) + [[2, 3]] * (rounds % 2)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, out, err = run_capture(capsys, ["encode", "--spec", str(spec),
+                                          "--out", str(tmp_path / "cw.txt")])
+    assert time.monotonic() - start < 1
+    assert (code, out, err) == (2, "", "error: 3 rounds exceed ceil(4/2)\n")
 
 
 # A seeded codeword per field path of the elimination kernel: GF(8) on packed

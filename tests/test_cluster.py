@@ -183,6 +183,23 @@ def test_scheduled_repair_counts(fig1b_code):
 
 
 @pytest.mark.parametrize(
+    "edit",
+    [lambda plan: plan[::-1], lambda plan: plan[0::2] + plan[1::2]],
+    ids=["reversed", "interleaved"],
+)
+def test_scheduled_repair_reads_in_any_plan_order(fig1b_code, edit):
+    code = fig1b()
+    code.repair_schedule = {node: edit(plan) for node, plan in code.repair_schedule.items()}
+    ref, cluster = Cluster(fig1b_code, seed=10), Cluster(code, seed=10)
+    for node in range(4):
+        lost = cluster.columns[node]
+        log = cluster.fail_and_repair(node)  # raises unless bitwise equal
+        assert cluster.columns[node] == lost
+        assert log.total() == 6
+        assert log.lines() == ref.fail_and_repair(node).lines()
+
+
+@pytest.mark.parametrize(
     "edit, error",
     [
         (lambda plan: plan[1:], InconsistentSystemError),  # no longer spans the column

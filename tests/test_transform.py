@@ -89,6 +89,12 @@ def test_rotation_pairs():
         rotation_pairs(4, -1)
 
 
+def test_rounds_are_capped_at_half_the_nodes(two_rounds):
+    # A (4, 2) chain holds at most ceil(4/2) = 2 pairs, as rotation_pairs does.
+    with pytest.raises(InvalidPairError, match=r"3 rounds exceed ceil\(4/2\)"):
+        pair_transform(two_rounds, (2, 3))
+
+
 def test_iterate_zero_rounds_is_base(base42):
     assert iterate_transform(base42, 0) is base42
 
@@ -346,8 +352,29 @@ def test_only_the_update_protocol_factors_edges(monkeypatch):
     assert code.decode_columns(known) == cluster.columns
     assert factored == []
     cluster.apply_update(0, [1] * code.m[0])
-    assert code.as_irregular_code() is code.as_irregular_code()
+    assert code.as_irregular_code().factors is code.factors
     assert len(factored) == 30  # one factorization per edge of the outer round
+
+
+def test_updates_and_repairs_build_no_flat_code(monkeypatch):
+    """A transformed code runs the update protocol on its own flat grid:
+    no ``IrregularArrayCode`` is built once the code exists."""
+    code = iterate_transform(build_mrmub(6, 4, 4), 3)
+    built = []
+    real = code_model.IrregularArrayCode.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(code_model.IrregularArrayCode, "__init__", counted)
+    cluster = Cluster(code, seed=2)
+    rng = random.Random(2)
+    for node in range(code.n):
+        cluster.apply_update(node, [rng.randrange(code.field.q) for _ in range(code.m[node])])
+        cluster.fail_and_repair(node)
+    assert cluster.audit().ok
+    assert built == []
 
 
 def test_flattened_diagonal_normalizes(single_round):
