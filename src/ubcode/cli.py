@@ -283,6 +283,8 @@ def cmd_verify(args) -> int:
     payload = {
         "update_bandwidth": str(average),
         "redundancy": redundancy(code),
+        "update_complexity": str(update_complexity(code)),
+        "update_complexity_bound": str(bounds(code.n, code.k, code.m).update_complexity_bound),
         "checks": [
             {"name": name, "ok": ok, "detail": det} for name, ok, det in checks
         ],

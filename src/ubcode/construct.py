@@ -89,8 +89,9 @@ def checked_matrix(field: Field, given, rows: int, cols: int, default, what: str
         if (m.rows, m.cols) != (rows, cols):
             raise InvalidParamsError(f"{what} is {m.rows}x{m.cols}, expected {rows}x{cols}")
     # Past SELECTION_CHECK_LIMIT the check is skipped.  A default needs none:
-    # a Vandermonde matrix on distinct points, and its systematic form, is
-    # MDS by theorem.  A caller's matrix is then not known good.
+    # both defaults, generators and assemblies, are the systematic form
+    # [I | P] of a Vandermonde matrix on distinct points, MDS by theorem.
+    # A caller's matrix is then not known good.
     try:
         known = assert_column_selections_invertible(m, rows)
     except InvalidParamsError as exc:
@@ -220,9 +221,14 @@ def build_mub(n: int, k: int, m_vec, field: Field | None = None,
 
 def _assemble(kind, n, k, m_vec, field, gens, assemblies):
     """Build the code from per-node generators and assembly matrices, where
-    None selects the default.  Each distinct matrix is built and checked
-    once and then shared by every node that uses it.  A caller's matrix too
-    large for the selection check is checked on the assembled code."""
+    None selects the default: the systematic form [I | P] from
+    ``systematic_mds_generator`` for both.  An assembly's first p_j columns
+    are then unit vectors, so each of the first p_j symbols node j receives
+    enters one of its parity symbols only, and an update rewrites fewer
+    parity symbols than under a dense assembly.
+    Each distinct matrix is built and checked once and then shared by every
+    node that uses it.  A caller's matrix too large for the selection check
+    is checked on the assembled code."""
     p_vec = bandwidth_optimal_profile(n, k, m_vec)
     if field is None:
         field = default_field(n, k, m_vec)
@@ -246,7 +252,7 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies):
         for i in range(n)
     ]
     assemblies = [
-        shared(assemblies[j], p_vec[j], widths[j], vandermonde_columns, f"assembly {j}")
+        shared(assemblies[j], p_vec[j], widths[j], systematic_mds_generator, f"assembly {j}")
         for j in range(n)
     ]
 

@@ -13,7 +13,8 @@ from ubcode.cluster import Cluster
 from ubcode.code_model import InvalidParamsError, code_to_json
 from ubcode.construct import build_mrmub
 from ubcode.finite_field import GF
-from ubcode.transform import pair_transform
+from ubcode.linalg import vandermonde_columns
+from ubcode.transform import iterate_transform, pair_transform
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,6 +64,21 @@ def test_transformed_spec_matches_golden(tmp_path, capsys):
                                       "--m", "2,2,2,2", "--q", "8", "--transform-rounds", "2",
                                       "--out", str(spec)])
     assert code == 0
+    assert spec.read_bytes() == (GOLDEN / "spec_4_2_q8_r2_systematic.json").read_bytes()
+
+
+def vandermonde_spec(path, n, k, m, q, rounds):
+    """Write the mrmub spec built over a dense Vandermonde assembly."""
+    field = GF(q)
+    assembly = vandermonde_columns(field, (n - k) * m // k, (n - 1) * m // k)
+    code = build_mrmub(n, k, m, field=field, assembly=assembly)
+    save_spec(iterate_transform(code, rounds) if rounds else code, str(path))
+
+
+def test_vandermonde_spec_matches_golden(tmp_path):
+    # The same spec over the dense assembly is the file first recorded.
+    spec = tmp_path / "spec.json"
+    vandermonde_spec(spec, 4, 2, 2, 8, 2)
     assert spec.read_bytes() == (GOLDEN / "spec_4_2_q8_r2.json").read_bytes()
 
 
@@ -82,31 +98,29 @@ def test_spec_with_too_many_rounds_is_a_usage_error(tmp_path, capsys, rounds):
 
 # A seeded codeword per field path of the elimination kernel: GF(8) on packed
 # byte rows, GF(25) and GF(2^16) on entry lists.  Decode and repair solve over
-# the field, so a wrong product anywhere changes the files they write.
+# the field, so a wrong product anywhere changes the files they write.  Each
+# code is pinned twice: as `construct` builds it, over systematic assemblies
+# (``*_systematic_seed16.txt``), and over a dense Vandermonde assembly, whose
+# files are the ones first recorded.
 CODEWORD_CASES = [
-    (["--n", "4", "--k", "2", "--m", "2,2,2,2", "--q", "8", "--transform-rounds", "2"],
-     "codeword_4_2_q8_r2_seed16.txt", "0,3", 24),
-    (["--n", "6", "--k", "4", "--m", "4,4,4,4,4,4", "--q", "25", "--transform-rounds", "3"],
-     "codeword_6_4_q25_r3_seed16.txt", "1,4", 120),
-    (["--n", "6", "--k", "3", "--m", "6,6,6,6,6,6", "--q", "65536"],
-     "codeword_6_3_q65536_seed16.txt", "0,2,5", 36),
+    ((4, 2, 2, 8, 2), "codeword_4_2_q8_r2", "0,3", 24),
+    ((6, 4, 4, 25, 3), "codeword_6_4_q25_r3", "1,4", 120),
+    ((6, 3, 6, 65536, 0), "codeword_6_3_q65536", "0,2,5", 36),
 ]
+CODEWORD_IDS = ["q8-r2", "q25-r3", "q65536"]
 
 
-@pytest.mark.parametrize("construct_args, golden, erased, repair_total", CODEWORD_CASES,
-                         ids=["q8-r2", "q25-r3", "q65536"])
-def test_seeded_codeword_matches_golden(tmp_path, capsys, construct_args, golden, erased,
-                                        repair_total):
+def check_seeded_codeword(capsys, tmp_path, spec, n, golden, erased, repair_total):
+    """Encode ``spec`` with seed 16, then decode ``erased`` and repair every
+    node, each against the golden file."""
     expected = (GOLDEN / golden).read_bytes()
-    spec, cw, out = tmp_path / "spec.json", tmp_path / "cw.txt", tmp_path / "out.txt"
-    assert run(["construct", "--kind", "mrmub", *construct_args, "--out", str(spec)]) == 0
+    cw, out = tmp_path / "cw.txt", tmp_path / "out.txt"
     assert run(["encode", "--spec", str(spec), "--seed", "16", "--out", str(cw)]) == 0
     assert cw.read_bytes() == expected
     code, _, err = run_capture(capsys, ["decode", "--spec", str(spec), "--in", str(cw),
                                         "--erased", erased, "--out", str(out)])
     assert code == 0, err
     assert out.read_bytes() == expected
-    n = int(construct_args[construct_args.index("--n") + 1])
     for node in range(n):
         out.unlink()
         code, stdout, err = run_capture(capsys, ["repair", "--spec", str(spec), "--in", str(cw),
@@ -114,6 +128,25 @@ def test_seeded_codeword_matches_golden(tmp_path, capsys, construct_args, golden
         assert code == 0, err
         assert f"total,{repair_total}" in stdout.splitlines()
         assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("shape, golden, erased, repair_total", CODEWORD_CASES, ids=CODEWORD_IDS)
+def test_seeded_codeword_matches_golden(tmp_path, capsys, shape, golden, erased, repair_total):
+    spec = tmp_path / "spec.json"
+    vandermonde_spec(spec, *shape)
+    check_seeded_codeword(capsys, tmp_path, spec, shape[0], f"{golden}_seed16.txt", erased,
+                          repair_total)
+
+
+@pytest.mark.parametrize("shape, golden, erased, repair_total", CODEWORD_CASES, ids=CODEWORD_IDS)
+def test_default_codeword_matches_golden(tmp_path, capsys, shape, golden, erased, repair_total):
+    n, k, m, q, rounds = shape
+    spec = tmp_path / "spec.json"
+    assert run(["construct", "--kind", "mrmub", "--n", str(n), "--k", str(k),
+                "--m", ",".join([str(m)] * n), "--q", str(q), "--transform-rounds", str(rounds),
+                "--out", str(spec)]) == 0
+    check_seeded_codeword(capsys, tmp_path, spec, n, f"{golden}_systematic_seed16.txt", erased,
+                          repair_total)
 
 
 def test_bounds_open_case(capsys):
@@ -189,8 +222,10 @@ def test_verify_json_reports_every_check(tmp_path, capsys):
     code, out, _ = run_capture(capsys, ["verify", str(spec), "--json"])
     assert code == 0
     doc = json.loads(out)
-    assert list(doc) == ["update_bandwidth", "redundancy", "checks"]
+    assert list(doc) == ["update_bandwidth", "redundancy", "update_complexity",
+                         "update_complexity_bound", "checks"]
     assert (doc["update_bandwidth"], doc["redundancy"]) == ("3", 8)
+    assert (doc["update_complexity"], doc["update_complexity_bound"]) == ("5/2", "5/2")
     assert [c["name"] for c in doc["checks"]] == CHECK_NAMES
     assert all(list(c) == ["name", "ok", "detail"] and c["ok"] for c in doc["checks"])
 

@@ -650,6 +650,58 @@ def test_threshold_n_minus_1_complexity_counterexample():
         assert update_complexity(built.code) < Fraction(n - k) + Fraction(k - 1, k)
 
 
+# Update complexity of default builds, whose assemblies are systematic, and of
+# the same builds over dense Vandermonde assemblies: the fixtures, the bench's
+# update_stream code, cli_pipeline's specs a and c, and recovery's transformed
+# code.  The systematic form keeps redundancy, the per-edge update bandwidth
+# and the MDS property; it lowers only how many parity symbols each data
+# symbol reaches.
+COMPLEXITY_CASES = [
+    # n, k, data profile, q (None: default field), pairing rounds,
+    # complexity with the default assemblies, with Vandermonde assemblies
+    (4, 2, [2] * 4, None, 0, Fraction(5, 2), Fraction(3)),
+    (5, 3, [3] * 5, None, 0, Fraction(8, 3), Fraction(3)),
+    (6, 3, [3] * 6, None, 0, Fraction(13, 3), Fraction(7)),
+    (10, 6, [12] * 10, None, 0, Fraction(59, 6), Fraction(57, 2)),
+    (8, 4, [8, 8, 4, 4, 0, 12, 4, 8], None, 0, Fraction(53, 8), Fraction(1381, 48)),
+    (6, 3, [6] * 6, 65536, 0, Fraction(19, 3), Fraction(31, 2)),
+    (6, 4, [4] * 6, None, 3, Fraction(41, 8), Fraction(23, 4)),
+]
+
+
+def complexity_build(n, k, m_vec, q, rounds, vandermonde):
+    """The default build, or the same build over p_j x sum_{i != j} m_i/k
+    Vandermonde assemblies."""
+    field = GF(q) if q else default_field(n, k, m_vec)
+    dense = None
+    if vandermonde:
+        p_vec = bounds(n, k, m_vec).bandwidth_profile
+        dense = [vandermonde_columns(field, p_vec[j],
+                                     sum(m_vec[i] // k for i in range(n) if i != j))
+                 for j in range(n)]
+    if len(set(m_vec)) == 1:
+        code = build_mrmub(n, k, m_vec[0], field=field, assembly=dense[0] if dense else None)
+    else:
+        code = build_mub(n, k, m_vec, field=field, assemblies=dense)
+    return iterate_transform(code, rounds) if rounds else code
+
+
+@pytest.mark.parametrize("n, k, m_vec, q, rounds, systematic, dense", COMPLEXITY_CASES,
+                         ids=["4-2-2", "5-3-3", "6-3-3", "10-6-12", "spec-a", "spec-c",
+                              "recovery"])
+def test_update_complexity_is_pinned(n, k, m_vec, q, rounds, systematic, dense):
+    default = complexity_build(n, k, m_vec, q, rounds, vandermonde=False)
+    vandermonde = complexity_build(n, k, m_vec, q, rounds, vandermonde=True)
+    assert update_complexity(default) == systematic
+    assert update_complexity(vandermonde) == dense
+    rep = bounds(default.n, default.k, default.m)
+    assert systematic >= rep.update_complexity_bound
+    for code in (default, vandermonde):
+        assert redundancy(code) == rep.min_redundancy_at_min_bandwidth
+        assert update_bandwidth(code)[0] == [list(row) for row in rep.bandwidth_assignment]
+        assert verify_mds(code).is_mds
+
+
 def test_build_mub_uniform_matches_mrmub_parameters():
     a = build_mrmub(5, 2, 2)
     b = build_mub(5, 2, [2] * 5)
