@@ -145,7 +145,10 @@ def cmd_bounds(args) -> int:
         print(f"min redundancy at min bw     = {rep.min_redundancy_at_min_bandwidth}")
     else:
         print("min redundancy at min bw     = open (k does not divide every m_i)")
-    print(f"update complexity bound      = {rep.update_complexity_bound}")
+    if rep.update_complexity_bound is not None:
+        print(f"update complexity bound      = {rep.update_complexity_bound}")
+    else:
+        print("update complexity bound      = not applicable (k = n-1)")
     print(f"redundancy profile           = {list(rep.redundancy_profile)}")
     if rep.bandwidth_profile is not None:
         print(f"bandwidth-optimal profile    = {list(rep.bandwidth_profile)}")
@@ -280,11 +283,12 @@ def cmd_verify(args) -> int:
     except (RepairMismatchError, ClusterStateError) as exc:
         checks.append(("workload-audit", False, str(exc)))
 
+    bound = bounds(code.n, code.k, code.m).update_complexity_bound
     payload = {
         "update_bandwidth": str(average),
         "redundancy": redundancy(code),
         "update_complexity": str(update_complexity(code)),
-        "update_complexity_bound": str(bounds(code.n, code.k, code.m).update_complexity_bound),
+        "update_complexity_bound": None if bound is None else str(bound),
         "checks": [
             {"name": name, "ok": ok, "detail": det} for name, ok, det in checks
         ],

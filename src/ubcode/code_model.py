@@ -9,9 +9,22 @@ data symbol.
 Codewords are plain lists of n columns, each column a list of canonical
 field integers laid out data-then-parity.  All metric values that the theory
 pins down as rationals (update bandwidth, update complexity) are returned as
-exact ``fractions.Fraction`` values, never floats.  Code objects are
-immutable once constructed and the metric/verification functions are pure,
-so subset checks may run concurrently over shared instances.
+exact ``fractions.Fraction`` values, never floats.
+
+Erasure decoding returns the kept columns as given and rebuilds only the
+erased ones.  Each code keeps one elimination per survivor set it has been
+asked to decode, filled lazily on first use: at most one entry per distinct
+kept set, with no option to size or turn it off.  That bound is
+combinatorial in n: up to sum_{e <= n-k} C(n, e) entries, each holding R x R
+field symbols for R kept parity rows (``build_mrmub(20, 10, 10)``: 616,666
+entries, about 70 GB as Python tuples, if every pattern is decoded).  The
+first decode of a kept set reduces ``[P_{S,E} | I]``, about twice the work
+of one solve of ``[P_{S,E} | b]``; later decodes of that set only apply.
+
+Code objects are immutable once constructed, apart from that cache and
+the factor grids, which are filled lazily; the metric/verification
+functions are pure, so subset checks and decodes may run concurrently over
+shared instances, and a race only computes an entry twice.
 """
 
 from __future__ import annotations
@@ -23,7 +36,16 @@ from itertools import combinations
 from math import comb
 
 from .finite_field import Field, GF
-from .linalg import Matrix, full_rank_decompose, rank, solve
+from .linalg import (
+    InconsistentSystemError,
+    Matrix,
+    UnderdeterminedSystemError,
+    full_rank_decompose,
+    hstack,
+    rank,
+    rref,
+    solve,
+)
 
 FEASIBILITY_SUBSET_LIMIT = 10**6
 MDS_SUBSET_LIMIT = 10**4
@@ -199,9 +221,35 @@ class ArrayCode:
         flat.factors = self.factors
         return flat
 
+    @cached_property
+    def _eliminations(self) -> dict:
+        """The decoder's elimination per kept set, filled on first use: see
+        ``solve_data_from_columns``."""
+        return {}
+
     def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
-        """Recover the full codeword from the surviving columns."""
-        return self.encode(solve_data_from_columns(self, known))
+        """Recover the full codeword from the surviving columns.
+
+        The kept columns come back as given (copies; the decoder has checked
+        every symbol and that they agree), and only the erased columns are
+        built: data from the solve, parity through the flat grid."""
+        data = solve_data_from_columns(self, known)
+        return [list(known[j]) if j in known else self._column(j, data) for j in range(self.n)]
+
+    def _column(self, j: int, data: list[list[int]]) -> list[int]:
+        """Column j of the codeword of ``data``, read off the flat grid (its
+        diagonal included)."""
+        f = self.field
+        minus_one = f.neg(1)
+        parity = [0] * self.p[j]
+        for i, edges in enumerate(self.construction):
+            if i != j or self._own_terms[j]:
+                parity = f.sub_scaled_row(parity, minus_one, edges[j].apply(data[i]))
+        col = [0] * self.col_lens[j]
+        for rows, values in ((self.data_rows(j), data[j]), (self.parity_rows(j), parity)):
+            for r, v in zip(rows, values):
+                col[r] = v
+        return col
 
     def repair(self, failed: int, fetch, helpers=None) -> list[int]:
         """Rebuild one column from a registered plan or k full columns.
@@ -211,8 +259,9 @@ class ArrayCode:
         and the lost symbols are linear in the global data, so the weights W
         solving ``reads^T W = lost_map^T`` rebuild the column as ``W^T``
         times the downloads.  The reads must be independent and span the
-        lost column; otherwise ``solve`` raises.  Without a plan, download
-        k full surviving columns and decode.
+        lost column; otherwise ``solve`` raises.  Without a plan, download k
+        full surviving columns, solve for the data and build the lost column
+        alone.
         """
         self.check_node(failed)
         plan = None
@@ -221,13 +270,11 @@ class ArrayCode:
         if plan is None:
             order = [j for j in (helpers or range(self.n)) if j != failed]
             known = {j: fetch(j, list(range(self.col_lens[j]))) for j in order[: self.k]}
-            return self.decode_columns(known)[failed]
+            return self._column(failed, solve_data_from_columns(self, known))
         maps = self.column_maps()
-        reads, values = [], []
-        for src, row in plan:
-            reads.append(maps[src].data[row])
-            values += [self.field.validate(v) for v in fetch(src, [row])]
-        reads = Matrix.of(self.field, len(reads), maps[failed].cols, reads)
+        values = [self.field.validate(v) for src, row in plan for v in fetch(src, [row])]
+        reads = Matrix.of(self.field, len(plan), maps[failed].cols,
+                          [maps[src].data[row] for src, row in plan])
         weights = solve(reads.transpose(), maps[failed].transpose())
         return weights.transpose().apply(values)
 
@@ -314,19 +361,22 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
     The one erasure decoder for every code class; it reads only the flat
     ``construction`` grid.  Survivors hold their data verbatim; taking
     ``construction[i][j] x_i`` off kept parity j for every kept i (i = j
-    too: transformed codes have a nonzero diagonal) leaves ``P_{S,E} x_E``
-    (see ``erased_block``), and one solve of that block gives the erased
-    data.  Raises NodeOutOfRangeError for a key outside 0..n-1, ValueError
-    for a symbol outside the field, TooManyErasuresError beyond n-k
-    erasures, and Underdetermined/Inconsistent errors when the survivors
-    do not pin the data down or contradict each other.
+    too: transformed codes have a nonzero diagonal) leaves the residue
+    ``b = P_{S,E} x_E`` (see ``erased_block``).  ``P_{S,E}`` is eliminated
+    once per code and kept set S (``_elimination``): the survivors agree
+    exactly when its left-null-space rows annihilate b, and its left
+    inverse then gives the erased data.  Raises NodeOutOfRangeError for a
+    key outside 0..n-1, ValueError for a symbol outside the field,
+    TooManyErasuresError beyond n-k erasures, InconsistentSystemError when
+    the survivors contradict each other and UnderdeterminedSystemError when
+    they do not pin the data down, on every call.
     """
     n, f = code.n, code.field
     for j in known:
         code.check_node(j)
         if len(known[j]) != code.col_lens[j]:
             raise InvalidParamsError(f"column {j} has wrong length")
-    kept = sorted(known)
+    kept = tuple(sorted(known))
     erased = [i for i in range(n) if i not in known]
     if len(erased) > n - code.k:
         raise TooManyErasuresError(f"{len(erased)} erasures exceed tolerance {n - code.k}")
@@ -339,13 +389,44 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
         residue = [f.validate(known[j][r]) for r in code.parity_rows(j)]
         for i in kept:
             residue = f.sub_scaled_row(residue, 1, code.construction[i][j].apply(data[i]))
-        rhs += [[v] for v in residue]
-    x = solve(erased_block(code, kept), Matrix.of(f, len(rhs), 1, rhs)).data
+        rhs += residue
+    left_inverse, null_rows = _elimination(code, kept)
+    if any(null_rows.apply(rhs)):
+        raise InconsistentSystemError("system has no solution")
+    if left_inverse is None:
+        unknowns = sum(code.m[i] for i in erased)
+        raise UnderdeterminedSystemError(
+            f"column rank {len(rhs) - null_rows.rows} < {unknowns} unknowns"
+        )
+    x = left_inverse.apply(rhs)
     pos = 0
     for i in erased:
-        data[i] = [row[0] for row in x[pos : pos + code.m[i]]]
+        data[i] = x[pos : pos + code.m[i]]
         pos += code.m[i]
     return data
+
+
+def _elimination(code: ArrayCode, kept: tuple[int, ...]) -> tuple[Matrix | None, Matrix]:
+    """(left inverse, left-null-space rows) of ``P_{S,E}`` for kept set S,
+    from one ``rref`` of ``[P_{S,E} | I]`` kept in ``code._eliminations``.
+
+    The reduced form is ``T [P | I]`` for an invertible T.  Its first
+    rank(P) rows carry the pivots on P; the rest are zero on P, so their T
+    rows span the left null space.  With P of full column rank the first
+    rows are ``[I | L]`` and L is a left inverse; otherwise it is None.
+    """
+    cache = code._eliminations
+    if kept not in cache:
+        f = code.field
+        block = erased_block(code, kept)
+        red, pivots = rref(hstack(f, [block, Matrix.identity(f, block.rows)]))
+        rank_p = sum(1 for c in pivots if c < block.cols)
+        t = red.take_cols(range(block.cols, block.cols + block.rows))
+        cache[kept] = (
+            t.take_rows(range(block.cols)) if rank_p == block.cols else None,
+            t.take_rows(range(rank_p, block.rows)),
+        )
+    return cache[kept]
 
 
 # -- metrics -----------------------------------------------------------------
@@ -414,7 +495,9 @@ class BoundsReport:
     water_level drives the minimum-redundancy profile; min_update_bandwidth
     and update_complexity_bound are exact rationals.  The fields tied to the
     divisibility condition (min_redundancy_at_min_bandwidth and its unique
-    profile) are None when the theory leaves them open.
+    profile) are None when the theory leaves them open, and
+    update_complexity_bound is None for k = n-1, where the paper's bound does
+    not hold.
     """
 
     n: int
@@ -424,7 +507,7 @@ class BoundsReport:
     min_redundancy: int
     min_update_bandwidth: Fraction
     min_redundancy_at_min_bandwidth: int | None
-    update_complexity_bound: Fraction
+    update_complexity_bound: Fraction | None
     redundancy_profile: tuple[int, ...]
     bandwidth_profile: tuple[int, ...] | None
     bandwidth_assignment: tuple[tuple[int, ...], ...]
@@ -486,7 +569,7 @@ def bounds(n: int, k: int, m) -> BoundsReport:
         min_redundancy=r_min,
         min_update_bandwidth=gamma_min,
         min_redundancy_at_min_bandwidth=r_sma,
-        update_complexity_bound=Fraction(n - k) + Fraction(k - 1, k),
+        update_complexity_bound=None if k == n - 1 else Fraction(n - k) + Fraction(k - 1, k),
         redundancy_profile=redundancy_profile,
         bandwidth_profile=bandwidth_profile,
         bandwidth_assignment=tuple(tuple(row) for row in assignment),

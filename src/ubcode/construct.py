@@ -174,11 +174,11 @@ def default_field(n: int, k: int, m_vec) -> Field:
 class BuiltCode(IrregularArrayCode):
     """A constructed code: the ``IrregularArrayCode`` its factor grids define.
 
-    The builders attach the construction record, ``kind``, the per-node
-    ``generators`` and ``assemblies``, and may register a repair schedule;
-    this class adds the per-edge intermediate vectors (``intermediates``).
-    Immutable after construction, so one instance can back any number of
-    concurrent encodes/decodes.
+    The builders attach the per-node ``generators`` and ``assemblies``, and
+    may register a repair schedule; this class adds the per-edge
+    intermediate vectors (``intermediates``).  Immutable after construction
+    but for the caches ``ArrayCode`` fills lazily, so one instance can back
+    any number of concurrent encodes/decodes.
     """
 
     @property
@@ -203,7 +203,7 @@ def build_mrmub(n: int, k: int, m: int, field: Field | None = None,
     validate_dimensions(n, k, [m] * n)
     if m % k:
         raise DivisibilityError(f"k={k} must divide m={m}")
-    return _assemble("mrmub", n, k, [m] * n, field, [base_generator] * n, [assembly] * n)
+    return _assemble(n, k, [m] * n, field, [base_generator] * n, [assembly] * n)
 
 
 def build_mub(n: int, k: int, m_vec, field: Field | None = None,
@@ -214,12 +214,10 @@ def build_mub(n: int, k: int, m_vec, field: Field | None = None,
     validate_dimensions(n, k, m_vec)
     if any(mi % k for mi in m_vec):
         raise DivisibilityError(f"k={k} must divide every entry of {m_vec}")
-    return _assemble(
-        "mub", n, k, m_vec, field, base_generators or [None] * n, assemblies or [None] * n
-    )
+    return _assemble(n, k, m_vec, field, base_generators or [None] * n, assemblies or [None] * n)
 
 
-def _assemble(kind, n, k, m_vec, field, gens, assemblies):
+def _assemble(n, k, m_vec, field, gens, assemblies):
     """Build the code from per-node generators and assembly matrices, where
     None selects the default: the systematic form [I | P] from
     ``systematic_mds_generator`` for both.  An assembly's first p_j columns
@@ -286,7 +284,6 @@ def _assemble(kind, n, k, m_vec, field, gens, assemblies):
         report = verify_mds(code)  # raises EnumerationTooLargeError past its limit
         if not report.is_mds:
             raise InvalidParamsError(f"the given matrices build no MDS code: {report.detail}")
-    code.kind = kind
     code.generators = generators  # per node: k x (n-1); None where the node holds no data
     code.assemblies = assemblies  # per node j: p_j x sum(m_i/k) matrix
     return code

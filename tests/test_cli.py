@@ -155,6 +155,26 @@ def test_bounds_open_case(capsys):
     assert "open" in out
 
 
+def test_update_complexity_bound_not_applicable_at_k_n_minus_1(tmp_path, capsys):
+    # The paper's update-complexity bound holds for k <= n-2 only; a (4, 3)
+    # code sits below it (complexity 1), so no bound is reported.
+    argv = ["--n", "4", "--k", "3", "--m", "3,3,3,3"]
+    code, out, _ = run_capture(capsys, ["bounds", *argv])
+    assert code == 0
+    assert "update complexity bound      = not applicable (k = n-1)" in out.splitlines()
+    code, out, _ = run_capture(capsys, ["bounds", *argv, "--json"])
+    assert code == 0
+    assert json.loads(out)["update_complexity_bound"] is None
+    spec = tmp_path / "spec.json"
+    assert run(["construct", "--kind", "mrmub", *argv, "--out", str(spec)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_capture(capsys, ["verify", str(spec), "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["update_complexity"], doc["update_complexity_bound"]) == ("1", None)
+    assert '"update_complexity_bound": null' in out
+
+
 # -- construct / verify round trips ---------------------------------------------------
 
 

@@ -95,6 +95,10 @@ def test_bounds_threshold_n_minus_1():
 def test_bounds_update_complexity_bound():
     assert bounds(4, 2, [2] * 4).update_complexity_bound == Fraction(5, 2)
     assert bounds(6, 3, [3] * 6).update_complexity_bound == Fraction(3) + Fraction(2, 3)
+    assert bounds(4, 1, [2] * 4).update_complexity_bound == Fraction(3)
+    # At k = n-1 the bound does not hold (see
+    # test_threshold_n_minus_1_complexity_counterexample), so none is given.
+    assert bounds(4, 3, [3] * 4).update_complexity_bound is None
 
 
 def test_bounds_assignment_collapses_under_divisibility():
@@ -446,14 +450,46 @@ def decoder_codes():
     return decoder_check_codes()
 
 
-def test_decoder_matches_full_column_map_reference(decoder_codes, rng):
-    for code in decoder_codes:
+def test_decoder_matches_full_column_map_reference(rng):
+    # Fresh codes, so the first decode of each kept set eliminates (cold) and
+    # the second reads the code's cached elimination; both equal the encode.
+    for code in decoder_check_codes():
         data = random_fill(code, rng)
         cols = code.encode(data)
-        for erased in erasure_patterns(code, code.n - code.k):
+        patterns = list(erasure_patterns(code, code.n - code.k))
+        for erased in patterns:
             known = {j: cols[j] for j in range(code.n) if j not in erased}
-            assert solve_data_from_columns(code, known) == reference_decode(code, known) == data
+            assert tuple(sorted(known)) not in code._eliminations
             assert code.decode_columns(known) == cols
+            assert code.decode_columns(known) == cols
+            assert solve_data_from_columns(code, known) == reference_decode(code, known) == data
+        assert len(code._eliminations) == len(patterns)  # one entry per kept set
+
+
+def test_decoded_columns_are_copies(decoder_codes, rng):
+    # The kept columns come back as given, but as copies: changing what a
+    # decode returned changes neither the caller's columns nor a later decode.
+    for code in decoder_codes:
+        cols = code.encode(random_fill(code, rng))
+        for erased in erasure_patterns(code, code.n - code.k):
+            known = {j: list(cols[j]) for j in range(code.n) if j not in erased}
+            decoded = code.decode_columns(known)
+            for col in decoded:
+                col[:] = [0] * len(col)
+                col.append(1)
+            assert known == {j: cols[j] for j in known}
+            assert code.decode_columns(known) == cols
+
+
+def test_decoder_rejects_a_rank_deficient_kept_set_on_every_call(rng):
+    code = dependent_parity_code(25)
+    cols = code.encode(random_fill(code, rng))
+    for kept in [(0, 1), (0, 2), (0, 3)]:
+        known = {j: cols[j] for j in kept}
+        for _ in range(2):  # the cached elimination still raises
+            with pytest.raises(UnderdeterminedSystemError, match="column rank 3 < 4 unknowns"):
+                code.decode_columns(known)
+    assert code.decode_columns({1: cols[1], 2: cols[2]}) == cols
 
 
 def test_decoder_rejects_too_many_erasures_for_every_class(fig1b_code):
@@ -530,12 +566,15 @@ def test_repair_rejects_fetched_symbols_outside_the_field(code, bad):
 
 def test_decoder_rejects_a_corrupted_survivor(decoder_codes, rng):
     # Below n-k erasures the survivors hold more than k columns, so a single
-    # changed symbol contradicts the rest.
+    # changed symbol contradicts the rest.  Each kept set is decoded clean
+    # first, so the corrupted decode reads the cached elimination and must
+    # still check that the survivors agree.
     for code in decoder_codes:
         f = code.field
         cols = code.encode(random_fill(code, rng))
         for erased in erasure_patterns(code, code.n - code.k - 1):
             known = {j: list(cols[j]) for j in range(code.n) if j not in erased}
+            assert code.decode_columns(known) == cols
             j = rng.choice([j for j in known if known[j]])
             r = rng.randrange(len(known[j]))
             known[j][r] = f.add(known[j][r], 1 + rng.randrange(f.q - 1))
@@ -601,20 +640,24 @@ def with_row(m, r, row):
     return Matrix(m.field, m.rows, m.cols, data)
 
 
-@pytest.mark.parametrize("q", [25, 256])
-def test_verify_mds_rejects_dependent_parity_rows(q):
-    # Row 1 of node 0's parity becomes g times row 0 for every source node.
-    # Each column holds exactly total/k symbols, so every k-subset with node
-    # 0 loses rank and the code is no longer MDS.
+def dependent_parity_code(q: int) -> IrregularArrayCode:
+    """build_mrmub(4, 2, 2) over GF(q) with row 1 of node 0's parity set to
+    g times row 0 for every source node.  Each column holds exactly total/k
+    symbols, so every kept pair holding node 0 loses rank."""
     f = GF(q)
     view = build_mrmub(4, 2, 2, field=f).as_irregular_code()
-    assert verify_mds(view).is_mds
     grid = [list(row) for row in view.construction]
     for i in range(view.n):
         blk = grid[i][0]
         grid[i][0] = with_row(blk, 1, [f.mul(f.primitive, v) for v in blk.data[0]])
-    broken = IrregularArrayCode(f, view.params, grid)
-    rep = verify_mds(broken)
+    return IrregularArrayCode(f, view.params, grid)
+
+
+@pytest.mark.parametrize("q", [25, 256])
+def test_verify_mds_rejects_dependent_parity_rows(q):
+    # Every k-subset with node 0 loses rank, so the code is no longer MDS.
+    assert verify_mds(build_mrmub(4, 2, 2, field=GF(q))).is_mds
+    rep = verify_mds(dependent_parity_code(q))
     assert not rep.is_mds
     assert 0 in rep.witness
 

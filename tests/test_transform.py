@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubcode import code_model
 from ubcode.cli import load_spec, save_spec
@@ -493,6 +495,48 @@ def test_five_node_single_round_repair():
     assert counts[3] == counts[4] == optimal == 20
     for j in (0, 1, 2):
         assert counts[j] == 2 * 3 * base.col_lens[0] == 30
+
+
+# Largest per-node data count (k * m/k * 2^rounds) the sweep draws; it keeps
+# the whole sweep to a few seconds.
+SWEEP_NODE_DATA = 48
+
+
+@st.composite
+def transformed_shapes(draw):
+    """(n, q, m/k, rounds): a (n, n-2) base with m a multiple of k over a
+    field with the (n-1) * m/k assembly points it needs, and 0..ceil(n/2)
+    pairing rounds, capped by SWEEP_NODE_DATA."""
+    n = draw(st.integers(4, 7))
+    q = draw(st.sampled_from([8, 9, 16, 25]))
+    share = draw(st.integers(1, min(2, q // (n - 1))))
+    most = max(r for r in range((n + 1) // 2 + 1) if (n - 2) * share << r <= SWEEP_NODE_DATA)
+    return n, q, share, draw(st.integers(0, most))
+
+
+@settings(max_examples=25, deadline=None)
+@given(transformed_shapes(), st.integers(0, 2**16))
+def test_transformed_codes_property_sweep(shape, seed):
+    # Every decode of up to n-k erasures runs twice on a fresh code: cold,
+    # then from the cached elimination.  Every repair is bitwise (the cluster
+    # raises otherwise) at (n-1) * alpha / 2 symbols for a node paired in any
+    # round and k full columns for a node paired in none.
+    n, q, share, rounds = shape
+    k = n - 2
+    code = iterate_transform(build_mrmub(n, k, k * share, field=GF(q)), rounds)
+    cluster = Cluster(code, seed=seed)
+    cols = [list(col) for col in cluster.columns]
+    for size in range(n - k + 1):
+        for erased in combinations(range(n), size):
+            known = {j: cols[j] for j in range(n) if j not in erased}
+            assert code.decode_columns(known) == cols, erased
+            assert code.decode_columns(known) == cols, erased
+    alpha = code.col_lens[0]
+    paired = {j for pair in getattr(code, "pairs", []) for j in pair}
+    for node in range(n):
+        want = (n - 1) * alpha // 2 if node in paired else k * alpha
+        assert cluster.fail_and_repair(node).total() == want, node
+    assert cluster.audit().ok
 
 
 def test_five_node_full_iteration_repair():
