@@ -78,10 +78,7 @@ class Cluster:
         if data is None:
             data = random_data(code, 0 if seed is None else seed)
         else:
-            if len(data) != code.n or any(
-                len(x) != mi for x, mi in zip(data, code.m)
-            ):
-                raise InvalidParamsError("data does not match the code's data profile")
+            code.check_data(data)
             data = [[self.field.validate(v) for v in x] for x in data]
         self.truth = data
         self.columns = code.encode(data)

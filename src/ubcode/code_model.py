@@ -1,15 +1,18 @@
-"""Irregular array codes: parameters, metrics, closed-form bounds, verification.
+"""Irregular array codes: the code class, decoding, metrics, bounds, verification.
 
 An irregular array code stores, in node j, a data vector of m_j symbols and
 a parity vector of p_j symbols; the parities are linear in all data vectors
 through per-edge construction matrices (grid entry [i][j] maps node i's data
 into node j's parity).  Any k of the n columns must suffice to recover every
-data symbol.
+data symbol.  Every code in the package, built, loaded or transformed, is an
+``IrregularArrayCode`` given by that flat grid; ``transform.TransformedCode``
+is its one structured subclass.
 
 Codewords are plain lists of n columns, each column a list of canonical
-field integers laid out data-then-parity.  All metric values that the theory
-pins down as rationals (update bandwidth, update complexity) are returned as
-exact ``fractions.Fraction`` values, never floats.
+field integers in the code's row layout (data-then-parity, or per half of
+a transformed code).  All metric values that the theory pins down as
+rationals (update bandwidth, update complexity) are returned as exact
+``fractions.Fraction`` values, never floats.
 
 Erasure decoding returns the kept columns as given and rebuilds only the
 erased ones.  Each code keeps one elimination per survivor set it has been
@@ -18,8 +21,9 @@ kept set, with no option to size or turn it off.  That bound is
 combinatorial in n: up to sum_{e <= n-k} C(n, e) entries, each holding R x R
 field symbols for R kept parity rows (``build_mrmub(20, 10, 10)``: 616,666
 entries, about 70 GB as Python tuples, if every pattern is decoded).  The
-first decode of a kept set reduces ``[P_{S,E} | I]``, about twice the work
-of one solve of ``[P_{S,E} | b]``; later decodes of that set only apply.
+first decode of a kept set runs ``linalg.left_inverse`` on ``P_{S,E}``,
+about twice the work of one solve of ``[P_{S,E} | b]``; later decodes of
+that set only apply.
 
 Code objects are immutable once constructed, apart from that cache and
 the factor grids, which are filled lazily; the metric/verification
@@ -41,9 +45,8 @@ from .linalg import (
     Matrix,
     UnderdeterminedSystemError,
     full_rank_decompose,
-    hstack,
+    left_inverse,
     rank,
-    rref,
     solve,
 )
 
@@ -100,23 +103,50 @@ def validate_dimensions(n: int, k: int, m) -> None:
         raise InvalidParamsError("code must store at least one data symbol")
 
 
-class ArrayCode:
-    """Column-oriented interface shared by every code object.
+class IrregularArrayCode:
+    """An irregular array code given by its flat ``construction`` grid.
 
-    Subclasses set ``field``, ``params`` and the flat ``construction`` grid
-    (entry [i][j] maps node i's data into node j's parity rows), and provide
-    ``encode``.  This base derives the shape, the node-index check, the
-    default data-then-parity row layout, the column maps, erasure decoding,
-    repair, and the update protocol: every code factors its own flat grid,
-    one edge at a time, only when an update asks.  ``as_irregular_code`` is
-    the flat view for outside callers.  A subclass that stores its rows in
-    another layout overrides the row maps as well.
+    ``construction[i][j]`` is the p_j x m_i map from node i's data into node
+    j's parity.  The class owns the shape, the node and data-fill checks,
+    the data-then-parity row layout, the column maps, erasure decoding,
+    repair and the update protocol, whose factor grids come from the grid,
+    one edge at a time on first use, or from ``from_factors``, which derives
+    the grid from them.  It encodes by running the update protocol from the
+    zero codeword.
     """
 
-    field: Field
-    params: CodeParams
-    construction: list[list[Matrix]]
     repair_schedule = None  # optional download plans: node -> [(source, row), ...]
+
+    def __init__(self, field: Field, params: CodeParams, construction):
+        if field.q != params.q:
+            raise InvalidParamsError(f"field GF({field.q}) != params q={params.q}")
+        self.field = field
+        self.params = params
+        n = params.n
+        for i in range(n):
+            for j in range(n):
+                mm = construction[i][j]
+                if (mm.rows, mm.cols) != (params.p[j], params.m[i]):
+                    raise InvalidParamsError(
+                        f"construction[{i}][{j}] is {mm.rows}x{mm.cols}, "
+                        f"expected {params.p[j]}x{params.m[i]}"
+                    )
+        self.construction = construction
+
+    @classmethod
+    def from_factors(cls, field: Field, params: CodeParams, A, B) -> "IrregularArrayCode":
+        """Zero-diagonal code whose construction matrices are ``B[i][j] @ A[i][j]``."""
+        n = params.n
+        construction = [
+            [
+                Matrix.zeros(field, params.p[j], params.m[i]) if i == j else B[i][j] @ A[i][j]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        code = cls(field, params, construction)
+        code.factors = A, B
+        return code
 
     @property
     def n(self) -> int:
@@ -138,10 +168,20 @@ class ArrayCode:
     def col_lens(self) -> tuple[int, ...]:
         return self.params.col_lens
 
+    @property
+    def code(self) -> "IrregularArrayCode":
+        """The code itself, for callers that read a built code's ``.code``."""
+        return self
+
     def check_node(self, node: int) -> None:
         """Reject a node index outside 0..n-1."""
         if not 0 <= node < self.n:
             raise NodeOutOfRangeError(f"node {node} outside 0..{self.n - 1}")
+
+    def check_data(self, data) -> None:
+        """Reject a data fill that is not one vector of m_j symbols per node."""
+        if len(data) != self.n or any(len(x) != mi for x, mi in zip(data, self.m)):
+            raise InvalidParamsError(f"data vectors do not match the data profile {self.m}")
 
     def data_rows(self, j: int) -> list[int]:
         return list(range(self.m[j]))
@@ -214,17 +254,30 @@ class ArrayCode:
         if self._own_terms[i]:
             yield i, None, self.construction[i][i].apply(x)
 
+    def intermediates(self, i: int, x_i: list[int]) -> list[tuple[int, list[int]]]:
+        """The n-1 per-destination vectors node i ships, cyclic placement order:
+        ``parity_terms``' payloads, with [] on an edge that ships nothing."""
+        sent = {j: payload for j, payload, _ in self.parity_terms(i, x_i)}
+        return [(j, sent.get(j, [])) for j in ((i + d) % self.n for d in range(1, self.n))]
+
+    def encode(self, data: list[list[int]]) -> list[list[int]]:
+        """Columns [x_j ; p_j] with p_j the sum of the addends j receives."""
+        f = self.field
+        self.check_data(data)
+        parity = [[0] * pj for pj in self.p]
+        for i in range(self.n):
+            for j, _, addend in self.parity_terms(i, data[i]):
+                parity[j] = [f.add(a, b) for a, b in zip(parity[j], addend)]
+        return [list(x) + pj for x, pj in zip(data, parity)]
+
     def as_irregular_code(self) -> "IrregularArrayCode":
-        """The flat grid as a data-then-parity ``IrregularArrayCode`` that
-        shares this code's factor grids; for callers outside the package."""
-        flat = IrregularArrayCode(self.field, self.params, self.construction)
-        flat.factors = self.factors
-        return flat
+        """The code as a data-then-parity ``IrregularArrayCode``: itself."""
+        return self
 
     @cached_property
     def _eliminations(self) -> dict:
-        """The decoder's elimination per kept set, filled on first use: see
-        ``solve_data_from_columns``."""
+        """The decoder's elimination per kept set, filled on first use; the
+        module docstring states how large it can grow."""
         return {}
 
     def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
@@ -279,66 +332,7 @@ class ArrayCode:
         return weights.transpose().apply(values)
 
 
-class IrregularArrayCode(ArrayCode):
-    """A concrete code stored data-then-parity: its construction matrices.
-
-    ``construction[i][j]`` is the p_j x m_i map from node i's data into node
-    j's parity.  The factor grids come from the construction alone:
-    ``from_factors`` derives the construction from given grids and keeps
-    them, and otherwise each edge is factored on first use.  It encodes by
-    running the update protocol from the zero codeword, and is its own
-    flat view.
-    """
-
-    def __init__(self, field: Field, params: CodeParams, construction):
-        if field.q != params.q:
-            raise InvalidParamsError(f"field GF({field.q}) != params q={params.q}")
-        self.field = field
-        self.params = params
-        n = params.n
-        for i in range(n):
-            for j in range(n):
-                mm = construction[i][j]
-                if (mm.rows, mm.cols) != (params.p[j], params.m[i]):
-                    raise InvalidParamsError(
-                        f"construction[{i}][{j}] is {mm.rows}x{mm.cols}, "
-                        f"expected {params.p[j]}x{params.m[i]}"
-                    )
-        self.construction = construction
-
-    @classmethod
-    def from_factors(cls, field: Field, params: CodeParams, A, B) -> "IrregularArrayCode":
-        """Zero-diagonal code whose construction matrices are ``B[i][j] @ A[i][j]``."""
-        n = params.n
-        construction = [
-            [
-                Matrix.zeros(field, params.p[j], params.m[i]) if i == j else B[i][j] @ A[i][j]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        code = cls(field, params, construction)
-        code.factors = A, B
-        return code
-
-    def as_irregular_code(self) -> "IrregularArrayCode":
-        return self
-
-    def encode(self, data: list[list[int]]) -> list[list[int]]:
-        """Columns [x_j ; p_j] with p_j the sum of the addends j receives."""
-        f = self.field
-        if len(data) != self.n or any(
-            len(x) != mi for x, mi in zip(data, self.params.m)
-        ):
-            raise InvalidParamsError("data vectors do not match the data profile")
-        parity = [[0] * pj for pj in self.params.p]
-        for i in range(self.n):
-            for j, _, addend in self.parity_terms(i, data[i]):
-                parity[j] = [f.add(a, b) for a, b in zip(parity[j], addend)]
-        return [list(x) + pj for x, pj in zip(data, parity)]
-
-
-def erased_block(code: ArrayCode, kept) -> Matrix:
+def erased_block(code: IrregularArrayCode, kept) -> Matrix:
     """``P_{S,E}``: the parity rows of the kept columns S, in order, on the
     data columns of the erased nodes E, the complement of S.
 
@@ -358,7 +352,7 @@ def erased_block(code: ArrayCode, kept) -> Matrix:
 def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]]:
     """Solve for every data vector given a subset of intact columns.
 
-    The one erasure decoder for every code class; it reads only the flat
+    The one erasure decoder for every code; it reads only the flat
     ``construction`` grid.  Survivors hold their data verbatim; taking
     ``construction[i][j] x_i`` off kept parity j for every kept i (i = j
     too: transformed codes have a nonzero diagonal) leaves the residue
@@ -390,15 +384,15 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
         for i in kept:
             residue = f.sub_scaled_row(residue, 1, code.construction[i][j].apply(data[i]))
         rhs += residue
-    left_inverse, null_rows = _elimination(code, kept)
+    inverse, null_rows = _elimination(code, kept)
     if any(null_rows.apply(rhs)):
         raise InconsistentSystemError("system has no solution")
-    if left_inverse is None:
+    if inverse is None:
         unknowns = sum(code.m[i] for i in erased)
         raise UnderdeterminedSystemError(
             f"column rank {len(rhs) - null_rows.rows} < {unknowns} unknowns"
         )
-    x = left_inverse.apply(rhs)
+    x = inverse.apply(rhs)
     pos = 0
     for i in erased:
         data[i] = x[pos : pos + code.m[i]]
@@ -406,33 +400,19 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
     return data
 
 
-def _elimination(code: ArrayCode, kept: tuple[int, ...]) -> tuple[Matrix | None, Matrix]:
-    """(left inverse, left-null-space rows) of ``P_{S,E}`` for kept set S,
-    from one ``rref`` of ``[P_{S,E} | I]`` kept in ``code._eliminations``.
-
-    The reduced form is ``T [P | I]`` for an invertible T.  Its first
-    rank(P) rows carry the pivots on P; the rest are zero on P, so their T
-    rows span the left null space.  With P of full column rank the first
-    rows are ``[I | L]`` and L is a left inverse; otherwise it is None.
-    """
+def _elimination(code: IrregularArrayCode, kept: tuple[int, ...]) -> tuple[Matrix | None, Matrix]:
+    """``left_inverse(P_{S,E})`` for kept set S: (left inverse or None,
+    left-null-space rows), computed once and kept in ``code._eliminations``."""
     cache = code._eliminations
     if kept not in cache:
-        f = code.field
-        block = erased_block(code, kept)
-        red, pivots = rref(hstack(f, [block, Matrix.identity(f, block.rows)]))
-        rank_p = sum(1 for c in pivots if c < block.cols)
-        t = red.take_cols(range(block.cols, block.cols + block.rows))
-        cache[kept] = (
-            t.take_rows(range(block.cols)) if rank_p == block.cols else None,
-            t.take_rows(range(rank_p, block.rows)),
-        )
+        cache[kept] = left_inverse(erased_block(code, kept))
     return cache[kept]
 
 
 # -- metrics -----------------------------------------------------------------
 
 
-def update_bandwidth(code: ArrayCode):
+def update_bandwidth(code: IrregularArrayCode):
     """Per-edge minimum symbol counts and their node average, exact.
 
     Entry [i][j] is the rank of the construction matrix from i into j, the
@@ -452,7 +432,7 @@ def update_bandwidth(code: ArrayCode):
     return grid, Fraction(total, n)
 
 
-def redundancy(code: ArrayCode) -> int:
+def redundancy(code: IrregularArrayCode) -> int:
     return sum(code.p)
 
 
@@ -468,7 +448,7 @@ def zero_diagonal(code: IrregularArrayCode) -> IrregularArrayCode:
     return IrregularArrayCode.from_factors(code.field, code.params, *code.factors)
 
 
-def update_complexity(code: ArrayCode) -> Fraction:
+def update_complexity(code: IrregularArrayCode) -> Fraction:
     """Average number of parity symbols rewritten per single-symbol change.
 
     Counts nonzero entries of the off-diagonal construction matrices (the

@@ -11,8 +11,9 @@ the update-bandwidth optimum by construction.
 symbols, redundancy is the global minimum); ``build_mub`` handles arbitrary
 per-node data counts divisible by k (redundancy is the minimum attainable at
 optimal update bandwidth).  The builders assemble the per-edge factor grids
-and return the ``IrregularArrayCode`` they define, as a ``BuiltCode`` that
-also records its generators and assembly matrices.
+and return the ``IrregularArrayCode`` they define, as a ``BuiltCode``: the
+same class under its own name, carrying its generators and assembly
+matrices.
 """
 
 from __future__ import annotations
@@ -172,25 +173,9 @@ def default_field(n: int, k: int, m_vec) -> Field:
 
 
 class BuiltCode(IrregularArrayCode):
-    """A constructed code: the ``IrregularArrayCode`` its factor grids define.
-
-    The builders attach the per-node ``generators`` and ``assemblies``, and
-    may register a repair schedule; this class adds the per-edge
-    intermediate vectors (``intermediates``).  Immutable after construction
-    but for the caches ``ArrayCode`` fills lazily, so one instance can back
-    any number of concurrent encodes/decodes.
-    """
-
-    @property
-    def code(self) -> "BuiltCode":
-        """The code itself: a built code is its own flat code."""
-        return self
-
-    def intermediates(self, i: int, x_i: list[int]) -> list[tuple[int, list[int]]]:
-        """The n-1 per-destination vectors node i ships, cyclic placement order:
-        ``parity_terms``' payloads, with [] on an edge that ships nothing."""
-        sent = {j: payload for j, payload, _ in self.parity_terms(i, x_i)}
-        return [(j, sent.get(j, [])) for j in ((i + d) % self.n for d in range(1, self.n))]
+    """A constructed code: the ``IrregularArrayCode`` its factor grids
+    define, with the per-node ``generators`` and ``assemblies`` the builders
+    attach and, for fig1b, a registered repair schedule."""
 
 
 # -- builders ------------------------------------------------------------------

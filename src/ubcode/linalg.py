@@ -241,17 +241,26 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def left_inverse(m: Matrix) -> tuple[Matrix | None, Matrix]:
+    """(L, N) from one ``rref`` of ``[m | I]``, which is ``T [m | I]`` for an
+    invertible T.  Its first rank(m) rows carry the pivots on m and the rest
+    are zero on m, so their T rows, N, span the left null space.  With m of
+    full column rank the first rows are ``[I | L]``, so ``L @ m = I``;
+    otherwise L is None."""
+    f = m.field
+    red, pivots = rref(hstack(f, [m, Matrix.identity(f, m.rows)]))
+    r = sum(1 for c in pivots if c < m.cols)
+    t = red.take_cols(range(m.cols, m.cols + m.rows))
+    return (t.take_rows(range(m.cols)) if r == m.cols else None), t.take_rows(range(r, m.rows))
+
+
 def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ShapeMismatchError(f"cannot invert {m.rows}x{m.cols} matrix")
-    if m.rows == 0:
-        return Matrix(m.field, 0, 0)
-    aug = hstack(m.field, [m, Matrix.identity(m.field, m.rows)])
-    red, pivots = rref(aug)
-    own_rank = sum(1 for p in pivots if p < m.rows)
-    if own_rank < m.rows:
-        raise SingularMatrixError(f"matrix of rank {own_rank} is singular")
-    return red.take_cols(range(m.rows, 2 * m.rows))
+    inverse, null_rows = left_inverse(m)
+    if inverse is None:
+        raise SingularMatrixError(f"matrix of rank {m.rows - null_rows.rows} is singular")
+    return inverse
 
 
 def full_rank_decompose(m: Matrix) -> tuple[Matrix, Matrix]:

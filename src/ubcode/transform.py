@@ -12,7 +12,9 @@ because g != 1, which is why the base field must have more than two elements.
 Re-applying the transformation with disjoint pairs (descending rotation) makes
 every node repair-optimal; with a balanced minimum-redundancy base the result
 keeps both the redundancy and the update-bandwidth optima at the doubled
-parameters.
+parameters.  ``TransformedCode`` subclasses ``IrregularArrayCode``: it derives
+the flat grid from its base's grid and the pairing table, and brings its own
+row layout, encoder and repair schedules.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 
 from .finite_field import Field
 from .linalg import FieldTooSmallError, Matrix, invert
-from .code_model import ArrayCode, CodeParams, InvalidParamsError
+from .code_model import CodeParams, InvalidParamsError, IrregularArrayCode
 
 
 class InvalidPairError(ValueError):
@@ -38,7 +40,7 @@ def _mix(f: Field, w: tuple[int, int], u, v) -> list[int]:
     return f.sub_scaled_row(u if w[0] == 1 else f.scale_row(w[0], u), f.neg(w[1]), v)
 
 
-class TransformedCode(ArrayCode):
+class TransformedCode(IrregularArrayCode):
     """A base code plus one pairing round; rounds nest by using another
     TransformedCode as the base.  A node stores two contiguous halves, each
     a base column in the base's row layout; the base is regular, so one
@@ -54,8 +56,8 @@ class TransformedCode(ArrayCode):
       column x is unmix[x][s][0] * home 0 + unmix[x][s][1] * home 1.
 
     The flat ``construction`` grid comes from the base's grid and this
-    table; the update protocol, inherited from ``ArrayCode``, factors that
-    grid's edges on the first update, so inner rounds are never factored.
+    table; the inherited update protocol factors that grid's edges on the
+    first update, so inner rounds are never factored.
     """
 
     def __init__(self, base, pair: tuple[int, int], g: int | None = None):
@@ -115,9 +117,8 @@ class TransformedCode(ArrayCode):
     def base_data(self, data: list[list[int]]) -> tuple[list, list]:
         """Split transformed per-node data into the two base-instance fills."""
         f = self.field
+        self.check_data(data)
         half = self.m[0] // 2
-        if any(len(v) != 2 * half for v in data) or len(data) != self.n:
-            raise InvalidParamsError("data vectors do not match the doubled profile")
         x0, x1 = [], []
         for places, (r0, r1) in zip(self.homes, self.unmix):
             u, v = (data[j][h * half : (h + 1) * half] for j, h in places)
@@ -176,6 +177,13 @@ class TransformedCode(ArrayCode):
             return Matrix.of(f, self.p[j], self.m[i], rows)
 
         return [[block(i, j) for j in range(self.n)] for i in range(self.n)]
+
+    def as_irregular_code(self) -> IrregularArrayCode:
+        """The flat grid as a data-then-parity ``IrregularArrayCode`` that
+        shares this code's factor grids; for callers outside the package."""
+        flat = IrregularArrayCode(self.field, self.params, self.construction)
+        flat.factors = self.factors
+        return flat
 
     # -- repair -------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubcode.code_model import bounds
+from ubcode.code_model import InvalidParamsError, bounds, code_from_json, code_to_json
 from ubcode.construct import build_mrmub, build_mub, fig1b
 from ubcode.finite_field import GF
 from ubcode.linalg import InconsistentSystemError, UnderdeterminedSystemError
@@ -17,6 +17,7 @@ from ubcode.cluster import (
     RepairMismatchError,
     TransferLog,
 )
+from ubcode.transform import iterate_transform
 
 
 # -- init ------------------------------------------------------------------------
@@ -49,6 +50,29 @@ def test_init_matches_grid(fig1b_code):
 def test_init_validates_shape(fig1b_code):
     with pytest.raises(Exception):
         Cluster(fig1b_code, data=[[0, 0]] * 3)
+
+
+def misshapen_fills(code):
+    """Data fills that miss the code's data profile by one node or one symbol."""
+    fill = [[0] * mi for mi in code.m]
+    longest = max(range(code.n), key=lambda j: code.m[j])
+    short = [x[:-1] if j == longest else x for j, x in enumerate(fill)]
+    long = [x + [0] if j == 0 else x for j, x in enumerate(fill)]
+    return [fill[:-1], fill + [[]], short, long]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_mub(4, 2, [4, 2, 2, 0]),
+    lambda: code_from_json(code_to_json(build_mrmub(5, 3, 3))),
+    lambda: iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 2),
+], ids=["built", "loaded", "transformed"])
+def test_misshapen_data_fill_is_invalid_params(make):
+    code = make()
+    for data in misshapen_fills(code):
+        with pytest.raises(InvalidParamsError, match="data profile"):
+            code.encode(data)
+        with pytest.raises(InvalidParamsError, match="data profile"):
+            Cluster(code, data=data)
 
 
 def test_init_and_update_validate_symbols():

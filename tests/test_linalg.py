@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubcode import linalg
 from ubcode.finite_field import GF
@@ -16,6 +18,7 @@ from ubcode.linalg import (
     full_rank_decompose,
     hstack,
     invert,
+    left_inverse,
     rank,
     rref,
     solve,
@@ -369,3 +372,30 @@ def test_solve_and_invert_match_scalar_reference(field):
                 solve(a, b)
         else:
             assert as_lists(solve(a, b)) == [row[n:] for row in red]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([GF(2), GF(8), GF(25), GF(1 << 16)]),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_left_inverse_against_reference_rank(field, rows, cols, deficient, seed):
+    """L m = I exactly at full column rank, N m = 0, and N has rows - rank
+    independent rows; invert's singular message states that rank."""
+    rng = random.Random(seed)
+    m = (rank_deficient_matrix if deficient else random_matrix)(field, rows, cols, rng)
+    r = len(reference_rref(m)[1])
+    inverse, null_rows = left_inverse(m)
+    if r == cols:
+        assert inverse @ m == Matrix.identity(field, cols)
+    else:
+        assert inverse is None
+    assert null_rows.rows == rows - r and null_rows.cols == rows
+    assert null_rows @ m == Matrix.zeros(field, rows - r, cols)
+    assert len(reference_rref(null_rows)[1]) == rows - r
+    if rows == cols and r < cols:
+        with pytest.raises(SingularMatrixError, match=f"matrix of rank {r} is singular"):
+            invert(m)
