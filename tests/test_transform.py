@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from ubcode.cli import load_spec, save_spec
 from ubcode.finite_field import GF
 from ubcode.linalg import FieldTooSmallError
 from ubcode.code_model import (
+    InvalidParamsError,
     bounds,
     redundancy,
     update_bandwidth,
@@ -99,6 +101,12 @@ def test_rounds_are_capped_at_half_the_nodes(two_rounds):
 
 def test_iterate_zero_rounds_is_base(base42):
     assert iterate_transform(base42, 0) is base42
+
+
+def test_from_factors_is_a_usage_error(two_rounds):
+    # The flat classmethod cannot build a round: its shape comes from a base.
+    with pytest.raises(InvalidParamsError, match="built from its base and pairs"):
+        TransformedCode.from_factors(two_rounds.field, two_rounds.params, *two_rounds.factors)
 
 
 # -- correspondence ------------------------------------------------------------------
@@ -274,6 +282,36 @@ def test_composed_column_maps_match_unit_encodes(pairs, q, shape, mixer):
     for pair in pairs:
         code = TransformedCode(code, pair, g)
     assert [list(map(list, m.data)) for m in code.column_maps()] == unit_encode_maps(code)
+
+
+@st.composite
+def encoder_cases(draw):
+    """(code, data): iterate_transform(build_mrmub(n, n-2, m), r) for n = 4..7
+    and 0 <= r <= ceil(n/2), with m = (n-2) * share over a field holding the
+    (n-1) * share assembly points; the root is built or, with the whole code,
+    saved and loaded back through a spec file."""
+    n = draw(st.integers(4, 7))
+    q = draw(st.sampled_from([8, 9, 16, 25]))
+    share = draw(st.integers(1, min(2, q // (n - 1))))
+    code = iterate_transform(build_mrmub(n, n - 2, (n - 2) * share, field=GF(q)),
+                             draw(st.integers(0, (n + 1) // 2)))
+    if draw(st.booleans()):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_spec(code, f"{tmp}/spec.json")
+            code = load_spec(f"{tmp}/spec.json")
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    return code, random_fill(code, rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(encoder_cases())
+def test_batched_encode_matches_column_maps(case):
+    # The batched encoder reads the root grid and the pairing table; the
+    # column maps read the flat grid built from them, one product per node.
+    code, data = case
+    x = [v for fill in data for v in fill]
+    cols = code.encode(data)
+    assert cols == [m.apply(x) for m in code.column_maps()]
 
 
 def per_node_rows(code, j):
