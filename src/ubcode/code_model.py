@@ -8,6 +8,11 @@ data symbol.  Every code in the package, built, loaded or transformed, is an
 ``IrregularArrayCode`` given by that flat grid; ``transform.TransformedCode``
 is its one structured subclass.
 
+Two things read that grid.  The codec (encode, erasure decode, column maps,
+``verify_mds``) reads it through one parity map per node, every grid entry
+into that node side by side.  The update protocol reads it one edge at a
+time, through each edge's factor pair, and is checked against the codec.
+
 Codewords are plain lists of n columns, each column a list of canonical
 field integers in the code's row layout (data-then-parity, or per half of
 a transformed code).  All metric values that the theory pins down as
@@ -25,10 +30,11 @@ first decode of a kept set runs ``linalg.left_inverse`` on ``P_{S,E}``,
 about twice the work of one solve of ``[P_{S,E} | b]``; later decodes of
 that set only apply.
 
-Code objects are immutable once constructed, apart from that cache and
-the factor grids, which are filled lazily; the metric/verification
-functions are pure, so subset checks and decodes may run concurrently over
-shared instances, and a race only computes an entry twice.
+Code objects are immutable once constructed, apart from that cache, the
+parity maps and the factor grids, which are filled lazily; the
+metric/verification functions are pure, so subset checks and decodes may
+run concurrently over shared instances, and a race only computes an entry
+twice.
 """
 
 from __future__ import annotations
@@ -108,11 +114,12 @@ class IrregularArrayCode:
 
     ``construction[i][j]`` is the p_j x m_i map from node i's data into node
     j's parity.  The class owns the shape, the node and data-fill checks,
-    the data-then-parity row layout, the column maps, erasure decoding,
+    the data-then-parity row layout, the parity maps, erasure decoding,
     repair and the update protocol, whose factor grids come from the grid,
     one edge at a time on first use, or from ``from_factors``, which derives
-    the grid from them.  It encodes by running the update protocol from the
-    zero codeword.
+    the grid from them.  Encoding, decoding and the column maps read only
+    the parity maps, never a factor grid, so an encode is an independent
+    check of what the update protocol ships.
     """
 
     repair_schedule = None  # optional download plans: node -> [(source, row), ...]
@@ -195,22 +202,33 @@ class IrregularArrayCode:
             offs.append(offs[-1] + mi)
         return offs
 
+    @cached_property
+    def _parity_maps(self) -> list[Matrix]:
+        """Per node j, the p_j x sum(m) map from the global data vector to
+        j's flat parity: every ``construction[i][j]`` side by side, the
+        diagonal included.  The one data-to-parity product of the codec."""
+        return [
+            Matrix.of(self.field, pj, self.params.total_data,
+                      [[v for edges in self.construction for v in edges[j].data[t]]
+                       for t in range(pj)])
+            for j, pj in enumerate(self.p)
+        ]
+
     def column_maps(self) -> list[Matrix]:
         """Per-column matrices mapping the global data vector to the stored symbols.
 
         Column j holds its own data verbatim at ``data_rows(j)`` and row t of
-        its flat parity (every node's construction matrix into j, side by
-        side) at ``parity_rows(j)[t]``.
+        its parity map at ``parity_rows(j)[t]``.
         """
         offs = self.data_offsets()
         unit = Matrix.identity(self.field, offs[-1]).data
         maps = []
-        for j in range(self.n):
+        for j, pmap in enumerate(self._parity_maps):
             rows = [None] * self.col_lens[j]
             for t, r in enumerate(self.data_rows(j)):
                 rows[r] = unit[offs[j] + t]
-            for t, r in enumerate(self.parity_rows(j)):
-                rows[r] = [v for i in range(self.n) for v in self.construction[i][j].data[t]]
+            for r, row in zip(self.parity_rows(j), pmap.data):
+                rows[r] = row
             maps.append(Matrix.of(self.field, self.col_lens[j], offs[-1], rows))
         return maps
 
@@ -261,14 +279,10 @@ class IrregularArrayCode:
         return [(j, sent.get(j, [])) for j in ((i + d) % self.n for d in range(1, self.n))]
 
     def encode(self, data: list[list[int]]) -> list[list[int]]:
-        """Columns [x_j ; p_j] with p_j the sum of the addends j receives."""
-        f = self.field
+        """Columns [x_j ; p_j], p_j the parity map of j on the global data."""
         self.check_data(data)
-        parity = [[0] * pj for pj in self.p]
-        for i in range(self.n):
-            for j, _, addend in self.parity_terms(i, data[i]):
-                parity[j] = [f.add(a, b) for a, b in zip(parity[j], addend)]
-        return [list(x) + pj for x, pj in zip(data, parity)]
+        flat = [v for x in data for v in x]
+        return [list(x) + pmap.apply(flat) for x, pmap in zip(data, self._parity_maps)]
 
     def as_irregular_code(self) -> "IrregularArrayCode":
         """The code as a data-then-parity ``IrregularArrayCode``: itself."""
@@ -285,20 +299,14 @@ class IrregularArrayCode:
 
         The kept columns come back as given (copies; the decoder has checked
         every symbol and that they agree), and only the erased columns are
-        built: data from the solve, parity through the flat grid."""
+        built: data from the solve, parity through the parity maps."""
         data = solve_data_from_columns(self, known)
         return [list(known[j]) if j in known else self._column(j, data) for j in range(self.n)]
 
     def _column(self, j: int, data: list[list[int]]) -> list[int]:
-        """Column j of the codeword of ``data``, read off the flat grid (its
-        diagonal included)."""
-        f = self.field
-        minus_one = f.neg(1)
-        parity = [0] * self.p[j]
-        for i, edges in enumerate(self.construction):
-            if i != j or self._own_terms[j]:
-                parity = f.sub_scaled_row(parity, minus_one, edges[j].apply(data[i]))
+        """Column j of the codeword of ``data``."""
         col = [0] * self.col_lens[j]
+        parity = self._parity_maps[j].apply([v for x in data for v in x])
         for rows, values in ((self.data_rows(j), data[j]), (self.parity_rows(j), parity)):
             for r, v in zip(rows, values):
                 col[r] = v
@@ -336,31 +344,27 @@ def erased_block(code: IrregularArrayCode, kept) -> Matrix:
     """``P_{S,E}``: the parity rows of the kept columns S, in order, on the
     data columns of the erased nodes E, the complement of S.
 
-    Read from any code's flat ``construction`` grid; no factor grid is needed.
+    A slice of the parity maps; no factor grid is needed.
     """
-    erased = [i for i in range(code.n) if i not in kept]
+    offs = code.data_offsets()
+    cols = [c for i in range(code.n) if i not in kept for c in range(offs[i], offs[i + 1])]
     return Matrix.of(
-        code.field, sum(code.p[j] for j in kept), sum(code.m[i] for i in erased),
-        [
-            [v for i in erased for v in code.construction[i][j].data[r]]
-            for j in kept
-            for r in range(code.p[j])
-        ],
+        code.field, sum(code.p[j] for j in kept), len(cols),
+        [[row[c] for c in cols] for j in kept for row in code._parity_maps[j].data],
     )
 
 
 def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]]:
     """Solve for every data vector given a subset of intact columns.
 
-    The one erasure decoder for every code; it reads only the flat
-    ``construction`` grid.  Survivors hold their data verbatim; taking
-    ``construction[i][j] x_i`` off kept parity j for every kept i (i = j
-    too: transformed codes have a nonzero diagonal) leaves the residue
-    ``b = P_{S,E} x_E`` (see ``erased_block``).  ``P_{S,E}`` is eliminated
-    once per code and kept set S (``_elimination``): the survivors agree
-    exactly when its left-null-space rows annihilate b, and its left
-    inverse then gives the erased data.  Raises NodeOutOfRangeError for a
-    key outside 0..n-1, ValueError for a symbol outside the field,
+    The one erasure decoder for every code; it reads only the parity maps.
+    Survivors hold their data verbatim; taking j's parity map times the
+    data vector, erased part still zero, off kept parity j leaves the
+    residue ``b = P_{S,E} x_E`` (see ``erased_block``).  ``P_{S,E}`` is
+    eliminated once per code and kept set S (``_elimination``): the
+    survivors agree exactly when its left-null-space rows annihilate b, and
+    its left inverse then gives the erased data.  Raises NodeOutOfRangeError
+    for a key outside 0..n-1, ValueError for a symbol outside the field,
     TooManyErasuresError beyond n-k erasures, InconsistentSystemError when
     the survivors contradict each other and UnderdeterminedSystemError when
     they do not pin the data down, on every call.
@@ -378,12 +382,11 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
         [f.validate(known[j][r]) for r in code.data_rows(j)] if j in known else [0] * code.m[j]
         for j in range(n)
     ]
+    flat = [v for x in data for v in x]
     rhs = []
     for j in kept:
         residue = [f.validate(known[j][r]) for r in code.parity_rows(j)]
-        for i in kept:
-            residue = f.sub_scaled_row(residue, 1, code.construction[i][j].apply(data[i]))
-        rhs += residue
+        rhs += f.sub_scaled_row(residue, 1, code._parity_maps[j].apply(flat))
     inverse, null_rows = _elimination(code, kept)
     if any(null_rows.apply(rhs)):
         raise InconsistentSystemError("system has no solution")
@@ -443,7 +446,7 @@ def zero_diagonal(code: IrregularArrayCode) -> IrregularArrayCode:
     unchanged; codewords map bijectively by subtracting the diagonal term
     from each parity vector.
     """
-    if all(code.construction[i][i].is_zero() for i in range(code.n)):
+    if not any(code._own_terms):
         return code
     return IrregularArrayCode.from_factors(code.field, code.params, *code.factors)
 
@@ -787,7 +790,7 @@ def code_to_json(code: IrregularArrayCode) -> dict:
     Construction matrices are re-derived as B @ A on load; diagonal entries
     are stored as empty matrices, so the code must be in zero-diagonal form.
     """
-    if any(not code.construction[i][i].is_zero() for i in range(code.n)):
+    if any(code._own_terms):
         raise InvalidParamsError(
             "serialize zero_diagonal(code): diagonal contributions cannot be stored"
         )

@@ -122,16 +122,13 @@ class RowWiseMdsBase:
             field, generator, k, n_out, systematic_mds_generator, "generator"
         )[0]
 
-    def _reshape(self, x: list[int]) -> Matrix:
+    def encode(self, x: list[int]) -> Matrix:
+        """rows x n_out matrix whose column d is the vector hosted at offset d+1."""
         rows, rest = divmod(len(x), self.k)
         if rest:
             raise InvalidParamsError(f"data length {len(x)} is not a multiple of {self.k}")
-        grid = [[x[c * rows + r] for c in range(self.k)] for r in range(rows)]
-        return Matrix(self.field, rows, self.k, grid)
-
-    def encode(self, x: list[int]) -> Matrix:
-        """rows x n_out matrix whose column d is the vector hosted at offset d+1."""
-        return self._reshape(x) @ self.generator
+        columns = [x[c * rows : (c + 1) * rows] for c in range(self.k)]
+        return Matrix(self.field, self.k, rows, columns).transpose() @ self.generator
 
     def decode(self, known: dict[int, list[int]]) -> list[int]:
         """Recover the data vector from any k known encoded columns."""
@@ -140,18 +137,11 @@ class RowWiseMdsBase:
             raise TooManyErasuresError(
                 f"need {self.k} encoded columns, have {len(known)}"
             )
-        sub = invert(self.generator.take_cols(positions))
-        f = self.field
         rows = len(known[positions[0]])
-        x = [0] * (rows * self.k)
-        for r in range(rows):
-            picked = [known[pos][r] for pos in positions]
-            for c in range(self.k):
-                acc = 0
-                for t in range(self.k):
-                    acc = f.add(acc, f.mul(picked[t], sub.data[t][c]))
-                x[c * rows + r] = acc
-        return x
+        picked = Matrix(self.field, self.k, rows, [known[d] for d in positions])
+        # Row c of inverse^T @ picked is data column c: x read column-major.
+        columns = invert(self.generator.take_cols(positions)).transpose() @ picked
+        return [v for row in columns.data for v in row]
 
 
 def systematic_mds_generator(field: Field, k: int, n_out: int) -> Matrix:

@@ -279,19 +279,21 @@ def full_rank_decompose(m: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ x = b for the unique x; b may carry several right-hand sides."""
+    """Solve a @ x = b for the unique x; b may carry several right-hand sides.
+
+    From ``left_inverse(a)``: b is in a's column space exactly when the
+    left-null-space rows annihilate it, and x is unique exactly when a has
+    a left inverse."""
     if a.rows != b.rows:
         raise ShapeMismatchError(f"lhs has {a.rows} rows, rhs has {b.rows}")
-    aug = hstack(a.field, [a, b])
-    red, pivots = rref(aug)
-    lhs_pivots = [p for p in pivots if p < a.cols]
-    if len(lhs_pivots) < len(pivots):
+    inverse, null_rows = left_inverse(a)
+    if not (null_rows @ b).is_zero():
         raise InconsistentSystemError("system has no solution")
-    if len(lhs_pivots) < a.cols:
+    if inverse is None:
         raise UnderdeterminedSystemError(
-            f"column rank {len(lhs_pivots)} < {a.cols} unknowns"
+            f"column rank {a.rows - null_rows.rows} < {a.cols} unknowns"
         )
-    return Matrix.of(a.field, a.cols, b.cols, [red.data[i][a.cols :] for i in range(a.cols)])
+    return inverse @ b
 
 
 def vandermonde_columns(field: Field, r: int, c: int) -> Matrix:

@@ -20,15 +20,12 @@ An r-round codeword is 2^r interleaved codewords of the root (the
 untransformed code at the bottom of the chain), and ``encode`` makes them in
 one batched pass.  It splits the fill down the rounds into one block per
 root node whose data rows each carry all 2^r instances, computes each root
-edge's share of the parity as one matrix product, ``construction[i][j]``
-times node i's block, so every nonzero entry costs one row operation for the
-whole batch, and joins the columns back up the rounds.  It reads only the
-root grid and the pairing tables, so it stays independent of the factor
+node's parity as one matrix product, its parity map times every root node's
+block stacked, so every nonzero entry costs one row operation for the whole
+batch, and joins the columns back up the rounds.  It reads only the root's
+parity maps and the pairing tables, so it stays independent of the factor
 grids the update protocol runs on, which ``Cluster``'s audit checks it
-against.  The flat encoder, ``IrregularArrayCode.encode``, stays one scalar
-product per entry: a batch of one pays the row operations' per-call cost
-without sharing it, and through the same products ran slower than the
-scalar encoder on ``build_mrmub(10, 6, 12)``.
+against.
 """
 
 from __future__ import annotations
@@ -81,7 +78,8 @@ class TransformedCode(IrregularArrayCode):
     table; the inherited update protocol factors that grid's edges on the
     first update, so inner rounds are never factored.  ``encode`` does not
     use that grid: it encodes the 2^r root instances in one batch through
-    every round's table and the root's grid (see the module docstring).
+    every round's table and the root's parity maps (see the module
+    docstring).
     """
 
     def __init__(self, base, pair: tuple[int, int], g: int | None = None):
@@ -193,23 +191,14 @@ class TransformedCode(IrregularArrayCode):
         fills = self._split(blocks)
         if isinstance(self.base, TransformedCode):
             return self._join(self.base._encode_batch(fills, 2 * width))
-        # Each edge i -> j of the root adds construction[i][j] @ X_i to j's
-        # parity, X_i holding node i's data rows with every instance side by
-        # side: one product per edge, the diagonal included, for the batch.
-        f = self.field
+        # The root's parity map of node j times every root node's data rows
+        # stacked, each row holding all instances side by side, is j's
+        # parity for the whole batch.
         width *= 2
-        minus_one = f.neg(1)
-        batches = [Matrix.of(f, len(x) // width, width,
-                             [x[r : r + width] for r in range(0, len(x), width)])
-                   for x in fills]
-        cols = []
-        for j, x in enumerate(fills):
-            parity = [[0] * width for _ in range(self.base.p[j])]
-            for edges, batch in zip(self.base.construction, batches):
-                parity = [f.sub_scaled_row(a, minus_one, b)
-                          for a, b in zip(parity, (edges[j] @ batch).data)]
-            cols.append(x + [v for row in parity for v in row])
-        return self._join(cols)
+        batch = Matrix.of(self.field, sum(self.base.m), width,
+                          [x[r : r + width] for x in fills for r in range(0, len(x), width)])
+        return self._join([x + [v for row in (pmap @ batch).data for v in row]
+                           for x, pmap in zip(fills, self.base._parity_maps)])
 
     @cached_property
     def construction(self) -> list[list[Matrix]]:
@@ -323,7 +312,11 @@ def pair_transform(base, pair: tuple[int, int], g: int | None = None) -> Transfo
 
 def rotation_pairs(n: int, rounds: int) -> list[tuple[int, int]]:
     """Deterministic disjoint-pair coverage: (n-2, n-1), (n-4, n-3), ...;
-    with odd n the leftover node 0 pairs with its cyclic successor last."""
+    with odd n the leftover node 0 pairs with its cyclic successor last.
+
+    The ceil(n/2) cap is also checked in ``TransformedCode``, but only once
+    rounds exist; checked here, it stops a huge count before its pair list
+    is built."""
     if rounds < 0:
         raise InvalidPairError(f"rounds must be >= 0, got {rounds}")
     if rounds > (n + 1) // 2:

@@ -96,6 +96,18 @@ def test_spec_with_too_many_rounds_is_a_usage_error(tmp_path, capsys, rounds):
     assert (code, out, err) == (2, "", "error: 3 rounds exceed ceil(4/2)\n")
 
 
+def test_construct_with_a_billion_rounds_is_a_usage_error(tmp_path, capsys):
+    # rotation_pairs checks the cap before it lists a pair, so no 10^9-entry
+    # pair list is built.
+    spec = tmp_path / "spec.json"
+    start = time.monotonic()
+    assert_usage_error(capsys, ["construct", "--kind", "mrmub", "--n", "4", "--k", "2",
+                                "--m", "2,2,2,2", "--transform-rounds", "1000000000",
+                                "--out", str(spec)], "1000000000 rounds exceed ceil(4/2)")
+    assert time.monotonic() - start < 1
+    assert not spec.exists()
+
+
 # A seeded codeword per field path of the elimination kernel: GF(8) on packed
 # byte rows, GF(25) and GF(2^16) on entry lists.  Decode and repair solve over
 # the field, so a wrong product anywhere changes the files they write.  Each

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ubcode.code_model import InvalidParamsError, bounds, code_from_json, code_to_json
 from ubcode.construct import build_mrmub, build_mub, fig1b
 from ubcode.finite_field import GF
-from ubcode.linalg import InconsistentSystemError, UnderdeterminedSystemError
+from ubcode.linalg import InconsistentSystemError, Matrix, UnderdeterminedSystemError
 from ubcode.cluster import (
     Cluster,
     ClusterStateError,
@@ -285,6 +285,20 @@ def test_update_after_tampered_parity_raises():
     cluster.columns[2][code.parity_rows(2)[0]] ^= 1
     with pytest.raises(ClusterStateError, match=r"^after update: node 2 row 2: "):
         cluster.apply_update(0, [1, 1])
+
+
+def test_update_through_a_tampered_factor_raises():
+    # The audit encodes through the parity maps, never through the factor
+    # grids an update ships, so a receiver factor that no longer matches the
+    # code shows on the first update whose payload crosses that edge.
+    code = build_mrmub(4, 2, 2)
+    grid_b = code.factors[1]
+    grid_b[0][1] = Matrix.from_rows(code.field, [[v ^ 1 for v in row]
+                                                 for row in grid_b[0][1].data])
+    cluster = Cluster(code, seed=15)
+    with pytest.raises(ClusterStateError, match=r"^after update: node 1 row "):
+        for fill in ([1, 2], [2, 1]):  # node 0's first symbol changes at least once
+            cluster.apply_update(0, fill)
 
 
 def test_repair_that_alters_the_column_is_refused():
