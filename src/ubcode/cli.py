@@ -91,6 +91,11 @@ def read_columns(path: str, col_lens, field) -> list[list[int]]:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def write_columns(path: str, columns: list[list[int]]) -> None:
+    with open(path, "w") as fh:
+        fh.write(dump_columns(columns))
+
+
 # -- spec files -----------------------------------------------------------------
 
 
@@ -182,9 +187,7 @@ def cmd_encode(args) -> int:
         data = read_columns(args.data, code.m, code.field)
     else:
         data = random_data(code, args.seed)
-    columns = code.encode(data)
-    with open(args.out, "w") as fh:
-        fh.write(dump_columns(columns))
+    write_columns(args.out, code.encode(data))
     print(f"wrote {args.out}")
     return 0
 
@@ -202,8 +205,7 @@ def cmd_decode(args) -> int:
         raise CodewordMismatchError(
             "codeword file is not a valid codeword of this spec: surviving columns disagree"
         ) from None
-    with open(args.out, "w") as fh:
-        fh.write(dump_columns(restored))
+    write_columns(args.out, restored)
     print(f"recovered {sorted(erased)} -> {args.out}")
     return 0
 
@@ -218,6 +220,13 @@ def _cluster_from_files(args):
     return cluster
 
 
+def print_log(log) -> None:
+    """One ``op,src,dst,count`` line per transfer, then ``total,<symbols>``."""
+    for line in log.lines():
+        print(line)
+    print(f"total,{log.total()}")
+
+
 def cmd_update(args) -> int:
     cluster = _cluster_from_files(args)
     cluster.code.check_node(args.node)
@@ -228,24 +237,16 @@ def cmd_update(args) -> int:
         new_data = [
             rng.randrange(cluster.field.q) for _ in range(cluster.code.m[args.node])
         ]
-    log = cluster.apply_update(args.node, new_data)
-    for line in log.lines():
-        print(line)
-    print(f"total,{log.total()}")
-    with open(args.out, "w") as fh:
-        fh.write(dump_columns(cluster.columns))
+    print_log(cluster.apply_update(args.node, new_data))
+    write_columns(args.out, cluster.columns)
     return 0
 
 
 def cmd_repair(args) -> int:
     cluster = _cluster_from_files(args)
-    log = cluster.fail_and_repair(args.node)
-    for line in log.lines():
-        print(line)
-    print(f"total,{log.total()}")
+    print_log(cluster.fail_and_repair(args.node))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dump_columns(cluster.columns))
+        write_columns(args.out, cluster.columns)
     return 0
 
 

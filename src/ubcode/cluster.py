@@ -46,8 +46,8 @@ class TransferLog:
             raise ValueError("negative transfer count")
         self.records.append(TransferRecord(op, src, dst, count))
 
-    def total(self, op: str | None = None) -> int:
-        return sum(r.count for r in self.records if op is None or r.op == op)
+    def total(self) -> int:
+        return sum(r.count for r in self.records)
 
     def extend(self, other: "TransferLog") -> None:
         self.records.extend(other.records)
@@ -117,7 +117,9 @@ class Cluster:
         for r, v in zip(self.code.data_rows(node), new_data):
             own[r] = v
         self.truth[node] = new_data
-        self._assert_consistent("update")
+        result = self.audit()
+        if not result.ok:
+            raise ClusterStateError(f"after update: {result.detail}")
         self.log.extend(oplog)
         return oplog
 
@@ -169,11 +171,6 @@ class Cluster:
                 if a != b:
                     return AuditResult(False, (j, r), f"node {j} row {r}: {a} != {b}")
         return AuditResult(True)
-
-    def _assert_consistent(self, op: str) -> None:
-        result = self.audit()
-        if not result.ok:
-            raise ClusterStateError(f"after {op}: {result.detail}")
 
     # -- workloads ----------------------------------------------------------------
 

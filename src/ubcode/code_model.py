@@ -114,7 +114,9 @@ class IrregularArrayCode:
 
     ``construction[i][j]`` is the p_j x m_i map from node i's data into node
     j's parity.  The class owns the shape, the node and data-fill checks,
-    the data-then-parity row layout, the parity maps, erasure decoding,
+    the row layout (per node, its data and parity rows, stored once as
+    tuples in ``_rows``: data then parity here, and one layout shared by
+    every node of a transformed code), the parity maps, erasure decoding,
     repair and the update protocol, whose factor grids come from the grid,
     one edge at a time on first use, or from ``from_factors``, which derives
     the grid from them.  Encoding, decoding and the column maps read only
@@ -139,6 +141,8 @@ class IrregularArrayCode:
                         f"expected {params.p[j]}x{params.m[i]}"
                     )
         self.construction = construction
+        self._rows = tuple((tuple(range(mi)), tuple(range(mi, mi + pi)))
+                           for mi, pi in zip(params.m, params.p))
 
     @classmethod
     def from_factors(cls, field: Field, params: CodeParams, A, B) -> "IrregularArrayCode":
@@ -190,11 +194,11 @@ class IrregularArrayCode:
         if len(data) != self.n or any(len(x) != mi for x, mi in zip(data, self.m)):
             raise InvalidParamsError(f"data vectors do not match the data profile {self.m}")
 
-    def data_rows(self, j: int) -> list[int]:
-        return list(range(self.m[j]))
+    def data_rows(self, j: int) -> tuple[int, ...]:
+        return self._rows[j][0]
 
-    def parity_rows(self, j: int) -> list[int]:
-        return list(range(self.m[j], self.col_lens[j]))
+    def parity_rows(self, j: int) -> tuple[int, ...]:
+        return self._rows[j][1]
 
     def data_offsets(self) -> list[int]:
         offs = [0]

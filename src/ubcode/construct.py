@@ -22,7 +22,7 @@ from math import comb
 from itertools import combinations
 
 from .finite_field import Field, GF
-from .linalg import Matrix, ShapeMismatchError, invert, rank, rref, vandermonde_columns
+from .linalg import Matrix, invert, rank, rref, vandermonde_columns
 from .code_model import (
     CodeParams,
     InvalidParamsError,
@@ -40,24 +40,22 @@ class DivisibilityError(ValueError):
     """Node data counts must be divisible by the reconstruction threshold."""
 
 
-def assert_column_selections_invertible(m: Matrix, r: int) -> bool:
-    """Check every r-column selection of m is invertible.
+def assert_column_selections_invertible(m: Matrix) -> bool:
+    """Check every r-column selection of the r-row matrix m is invertible.
 
     One elimination brings m to [I_r | P]; left multiplication by an
     invertible matrix keeps the rank of every selection.  A selection S is
     then invertible exactly when P's minor on rows {0..r-1} - S and columns
     S - {0..r-1} is nonsingular (MacWilliams and Sloane, ch. 11, Thm. 8).
-    The first dependent selection in ``combinations`` order is reported.
+    The first dependent selection in ``combinations`` order is reported; a
+    matrix with more rows than columns fails at the first, pivot, test.
 
     Returns False, having checked nothing, when there are more than
     ``SELECTION_CHECK_LIMIT`` selections; True once all of them passed.
     """
-    if r > m.cols:
-        raise InvalidParamsError(f"{r} columns requested from a {m.cols}-column matrix")
+    r = m.rows
     if comb(m.cols, r) > SELECTION_CHECK_LIMIT:
         return False
-    if r != m.rows:
-        raise ShapeMismatchError(f"cannot invert {m.rows}x{r} matrix")
     red, pivots = rref(m)
     if pivots != list(range(r)):
         raise InvalidParamsError(f"columns {tuple(range(r))} are dependent")
@@ -75,26 +73,27 @@ def assert_column_selections_invertible(m: Matrix, r: int) -> bool:
     return True
 
 
-def checked_matrix(field: Field, given, rows: int, cols: int, default, what: str):
-    """The caller's matrix, or ``default(field, rows, cols)`` when None.
+def checked_matrix(field: Field, given, rows: int, cols: int, what: str):
+    """The caller's matrix, or ``systematic_mds_generator(field, rows, cols)``
+    when None.
 
     It must be rows x cols over ``field``, and every rows-column selection
     is checked invertible.  Returns the matrix and whether that is known.
     """
     if given is None:
-        m = default(field, rows, cols)
+        m = systematic_mds_generator(field, rows, cols)
     else:
         m = given if isinstance(given, Matrix) else Matrix.from_rows(field, given)
         if m.field != field:
             raise InvalidParamsError(f"{what} is over {m.field}, expected {field}")
         if (m.rows, m.cols) != (rows, cols):
             raise InvalidParamsError(f"{what} is {m.rows}x{m.cols}, expected {rows}x{cols}")
-    # Past SELECTION_CHECK_LIMIT the check is skipped.  A default needs none:
-    # both defaults, generators and assemblies, are the systematic form
-    # [I | P] of a Vandermonde matrix on distinct points, MDS by theorem.
-    # A caller's matrix is then not known good.
+    # Past SELECTION_CHECK_LIMIT the check is skipped.  The default needs
+    # none: it is the systematic form [I | P] of a Vandermonde matrix on
+    # distinct points, MDS by theorem.  A caller's matrix is then not known
+    # good.
     try:
-        known = assert_column_selections_invertible(m, rows)
+        known = assert_column_selections_invertible(m)
     except InvalidParamsError as exc:
         raise InvalidParamsError(f"{what}: {exc}") from exc
     return m, known or given is None
@@ -118,9 +117,7 @@ class RowWiseMdsBase:
         self.field = field
         self.n_out = n_out
         self.k = k
-        self.generator = checked_matrix(
-            field, generator, k, n_out, systematic_mds_generator, "generator"
-        )[0]
+        self.generator = checked_matrix(field, generator, k, n_out, "generator")[0]
 
     def encode(self, x: list[int]) -> Matrix:
         """rows x n_out matrix whose column d is the vector hosted at offset d+1."""
@@ -145,10 +142,10 @@ class RowWiseMdsBase:
 
 
 def systematic_mds_generator(field: Field, k: int, n_out: int) -> Matrix:
-    """[I_k | parity] generator with every k-column selection invertible."""
-    base = vandermonde_columns(field, k, n_out)
-    lead = invert(base.take_cols(range(k)))
-    return lead @ base
+    """[I_k | parity] generator with every k-column selection invertible:
+    the reduced form of a Vandermonde matrix, whose leading k x k block is
+    invertible, so the reduction is that block's inverse times the matrix."""
+    return rref(vandermonde_columns(field, k, n_out))[0]
 
 
 def default_field(n: int, k: int, m_vec) -> Field:
@@ -210,23 +207,20 @@ def _assemble(n, k, m_vec, field, gens, assemblies):
 
     built = {}
 
-    def shared(given, rows, cols, default, what):
+    def shared(given, rows, cols, what):
         if given is not None and not isinstance(given, Matrix):
             given = Matrix.from_rows(field, given)
-        key = (default, rows, cols, given)
+        key = (rows, cols, given)
         if key not in built:
-            built[key] = checked_matrix(field, given, rows, cols, default, what)
+            built[key] = checked_matrix(field, given, rows, cols, what)
         return built[key][0]
 
     generators = [
-        None if m_vec[i] == 0 else shared(
-            gens[i], k, n - 1, systematic_mds_generator, f"generator {i}"
-        )
+        None if m_vec[i] == 0 else shared(gens[i], k, n - 1, f"generator {i}")
         for i in range(n)
     ]
     assemblies = [
-        shared(assemblies[j], p_vec[j], widths[j], systematic_mds_generator, f"assembly {j}")
-        for j in range(n)
+        shared(assemblies[j], p_vec[j], widths[j], f"assembly {j}") for j in range(n)
     ]
 
     # Sender-side maps: node i reads its data column-major as m_i/k rows of

@@ -14,7 +14,9 @@ every node repair-optimal; with a balanced minimum-redundancy base the result
 keeps both the redundancy and the update-bandwidth optima at the doubled
 parameters.  ``TransformedCode`` subclasses ``IrregularArrayCode``: it derives
 the flat grid from its base's grid and the pairing table, and brings its own
-row layout, encoder and repair schedules.
+encoder and repair schedules.  Its row layout is one layout shared by every
+node, stored where the flat class keeps its own, so the inherited row
+accessors read it.
 
 An r-round codeword is 2^r interleaved codewords of the root (the
 untransformed code at the bottom of the chain), and ``encode`` makes them in
@@ -63,7 +65,8 @@ class TransformedCode(IrregularArrayCode):
     """A base code plus one pairing round; rounds nest by using another
     TransformedCode as the base.  A node stores two contiguous halves, each
     a base column in the base's row layout; the base is regular, so one
-    layout, read off the base once, serves every node of the round.
+    layout, read off the base once into ``_rows``, serves every node of the
+    round.
     Immutable; repair/update state lives in the owning cluster.
 
     Every method derives from one pairing table, built here:
@@ -114,8 +117,8 @@ class TransformedCode(IrregularArrayCode):
                                  tuple(2 * v for v in base.p), field.q)
         alpha = self.base_col_len = base.col_lens[0]
         # A regular base lays out every node alike; each half holds one of its columns.
-        self._data = tuple(h * alpha + r for h in (0, 1) for r in base.data_rows(0))
-        self._parity = tuple(h * alpha + r for h in (0, 1) for r in base.parity_rows(0))
+        self._rows = (tuple(tuple(h * alpha + r for h in (0, 1) for r in rows)
+                            for rows in base._rows[0]),) * n
         halves = self.halves = [[(j, (1, 0)), (j, (0, 1))] for j in range(n)]
         halves[a] = [(a, (1, 0)), (b, (1, g))]
         halves[b] = [(b, (1, 1)), (a, (0, 1))]
@@ -131,14 +134,6 @@ class TransformedCode(IrregularArrayCode):
         raise InvalidParamsError(
             "a transformed code is built from its base and pairs, not from factor grids"
         )
-
-    # -- shape -------------------------------------------------------------
-
-    def data_rows(self, j: int) -> tuple[int, ...]:
-        return self._data
-
-    def parity_rows(self, j: int) -> tuple[int, ...]:
-        return self._parity
 
     # -- correspondence -------------------------------------------------------
     #
@@ -165,17 +160,6 @@ class TransformedCode(IrregularArrayCode):
         insts = [(col[0::2], col[1::2]) for col in cols]
         return [_mix(f, w, *insts[x]) + _mix(f, w2, *insts[x2])
                 for (x, w), (x2, w2) in self.halves]
-
-    def base_data(self, data: list[list[int]]) -> tuple[list, list]:
-        """Split transformed per-node data into the two base-instance fills."""
-        self.check_data(data)
-        cols = self._split(data)
-        return [col[0::2] for col in cols], [col[1::2] for col in cols]
-
-    def joined_data(self, x0: list, x1: list) -> list[list[int]]:
-        """Inverse of base_data: per-node data of the transformed code.  The
-        mixing is row-wise, so encode applies it to whole base columns."""
-        return self._join([_interleave(u, v) for u, v in zip(x0, x1)])
 
     # -- codec ------------------------------------------------------------------
 

@@ -6,8 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubcode.code_model import InvalidParamsError, bounds, code_from_json, code_to_json
-from ubcode.construct import build_mrmub, build_mub, fig1b
+from ubcode.code_model import (
+    InvalidParamsError,
+    bandwidth_optimal_profile,
+    bounds,
+    code_from_json,
+    code_to_json,
+    redundancy,
+    verify_mds,
+)
+from ubcode.construct import (
+    build_mrmub,
+    build_mub,
+    default_field,
+    fig1b,
+    systematic_mds_generator,
+)
 from ubcode.finite_field import GF
 from ubcode.linalg import InconsistentSystemError, Matrix, UnderdeterminedSystemError
 from ubcode.cluster import (
@@ -195,6 +209,75 @@ def test_write_path_property_sweep(shape, seed):
             log = cluster.fail_and_repair(node)  # raises unless bitwise equal
             assert cluster.columns[node] == cols[node]
             assert log.total() == sum(code.col_lens[j] for j in helpers), (field, node)
+
+
+# Largest per-node data count (k * share * 2^rounds) the sweep below draws.
+SWEEP_NODE_DATA = 48
+
+
+@st.composite
+def mrmub_draws(draw):
+    """(n, k, share, q, perms, rounds): build_mrmub(n, k, k * share) with
+    share in {1, 2, 3}, over the default binary field or a prime field
+    GF(7), GF(11) or GF(13) that holds the (n-1) * share assembly points.
+    With perms, the generator and the assembly are column permutations of
+    the systematic defaults.  A k = n-2 code takes 0..ceil(n/2) pairing
+    rounds, up to SWEEP_NODE_DATA data symbols per node."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(1, n - 1))
+    q = draw(st.sampled_from([None, 7, 11, 13]))
+    share = draw(st.integers(1, 3 if q is None else min(3, q // (n - 1))))
+    perms = None
+    if draw(st.booleans()):
+        perms = (draw(st.permutations(range(n - 1))),
+                 draw(st.permutations(range((n - 1) * share))))
+    rounds = 0
+    if k == n - 2:
+        most = max(r for r in range((n + 1) // 2 + 1) if k * share << r <= SWEEP_NODE_DATA)
+        rounds = draw(st.integers(0, most))
+    return n, k, share, q, perms, rounds
+
+
+@settings(max_examples=25, deadline=None)
+@given(mrmub_draws(), st.integers(0, 2**16))
+def test_mrmub_property_sweep(shape, seed):
+    # The built code (a permuted default stays MDS) and its transform sit at
+    # the redundancy and update-bandwidth optima of bounds() at their own
+    # (doubled) parameters; every decode of up to n-k erasures returns the
+    # codeword, and every repair is bitwise (the cluster raises otherwise)
+    # at (n-1) * alpha / 2 symbols for a node paired in any round and k full
+    # columns for any other node.
+    n, k, share, q, perms, rounds = shape
+    m = k * share
+    field = default_field(n, k, [m] * n) if q is None else GF(q)
+    generator = assembly = None
+    if perms is not None:
+        p = bandwidth_optimal_profile(n, k, [m] * n)[0]
+        generator = systematic_mds_generator(field, k, n - 1).take_cols(perms[0])
+        assembly = systematic_mds_generator(field, p, (n - 1) * share).take_cols(perms[1])
+    root = build_mrmub(n, k, m, field=field, base_generator=generator, assembly=assembly)
+    assert verify_mds(root).is_mds
+    code = iterate_transform(root, rounds)
+    rep = bounds(n, k, code.m)
+    assert redundancy(code) == rep.min_redundancy
+    cluster = Cluster(code, seed=seed)
+    rng = random.Random(seed)
+    shipped = 0
+    for node in range(n):
+        fresh = [rng.randrange(field.q) for _ in range(code.m[node])]
+        shipped += cluster.apply_update(node, fresh).total()
+    assert Fraction(shipped, n) == rep.min_update_bandwidth
+    cols = [list(col) for col in cluster.columns]
+    for size in range(1, n - k + 1):
+        for erased in combinations(range(n), size):
+            known = {j: cols[j] for j in range(n) if j not in erased}
+            assert code.decode_columns(known) == cols, erased
+    alpha = code.col_lens[0]
+    paired = {j for pair in getattr(code, "pairs", []) for j in pair}
+    for node in range(n):
+        want = (n - 1) * alpha // 2 if node in paired else k * alpha
+        assert cluster.fail_and_repair(node).total() == want, node
+    assert cluster.audit().ok
 
 
 def test_scheduled_repair_counts(fig1b_code):

@@ -11,7 +11,6 @@ from ubcode.finite_field import GF
 from ubcode.linalg import (
     FieldTooSmallError,
     Matrix,
-    ShapeMismatchError,
     SingularMatrixError,
     column_weights,
     invert,
@@ -232,8 +231,6 @@ def test_base_rejects_bad_generator(gf2):
 
 def reference_selection_check(m, r):
     """The selection check as one ``invert`` per r-column selection."""
-    if r > m.cols:
-        raise InvalidParamsError(f"{r} columns requested from a {m.cols}-column matrix")
     if comb(m.cols, r) > construct.SELECTION_CHECK_LIMIT:
         return False
     for sel in combinations(range(m.cols), r):
@@ -244,17 +241,17 @@ def reference_selection_check(m, r):
     return True
 
 
-def selection_outcome(check, m, r):
+def selection_outcome(check, *args):
     """The check's return value, or the text of the ``InvalidParamsError`` it raised."""
     try:
-        return check(m, r)
+        return check(*args)
     except InvalidParamsError as exc:
         return f"InvalidParamsError: {exc}"
 
 
-def assert_selection_check_matches_reference(m, r):
-    assert selection_outcome(construct.assert_column_selections_invertible, m, r) == \
-        selection_outcome(reference_selection_check, m, r), m
+def assert_selection_check_matches_reference(m):
+    assert selection_outcome(construct.assert_column_selections_invertible, m) == \
+        selection_outcome(reference_selection_check, m, m.rows), m
 
 
 SELECTION_FIELDS = [2, 4, 8, 25, 32, 2**16]
@@ -297,7 +294,7 @@ def test_selection_check_matches_inverting_each_selection(q):
     for r in range(6):
         for c in range(r, r + 5):
             for m in selection_matrices(f, r, c, rng):
-                assert_selection_check_matches_reference(m, r)
+                assert_selection_check_matches_reference(m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -314,21 +311,7 @@ def test_selection_check_matches_reference_property(data):
                                       unique=True), label="columns")
         for row in rows:
             row[dst] = row[src]
-    assert_selection_check_matches_reference(Matrix(f, r, c, rows), r)
-
-
-def test_selection_check_shape_errors_are_pinned():
-    f = GF(8)
-    m = vandermonde_columns(f, 3, 5)
-    for r in (2, 4):
-        for check in (construct.assert_column_selections_invertible, reference_selection_check):
-            with pytest.raises(ShapeMismatchError, match=rf"^cannot invert 3x{r} matrix$"):
-                check(m, r)
-    for check in (construct.assert_column_selections_invertible, reference_selection_check):
-        with pytest.raises(InvalidParamsError, match=r"^6 columns requested from a 5-column matrix$"):
-            check(m, 6)
-    wide = vandermonde_columns(GF(32), 8, 18)  # C(18, 8) selections: past the limit
-    assert construct.assert_column_selections_invertible(wide, 8) is False
+    assert_selection_check_matches_reference(Matrix(f, r, c, rows))
 
 
 # -- builders: one selection check per distinct matrix ------------------------------------
@@ -350,9 +333,9 @@ def test_each_distinct_matrix_checked_once(monkeypatch, build, checks):
     real = construct.assert_column_selections_invertible
     calls = []
 
-    def counted(m, r):
-        calls.append((m.rows, m.cols, r))
-        real(m, r)
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        real(m)
 
     monkeypatch.setattr(construct, "assert_column_selections_invertible", counted)
     build()

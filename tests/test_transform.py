@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import json
 import random
 import tempfile
 from fractions import Fraction
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubcode import code_model
-from ubcode.cli import load_spec, save_spec
+from ubcode.cli import load_spec, run, save_spec
 from ubcode.finite_field import GF
 from ubcode.linalg import FieldTooSmallError
 from ubcode.code_model import (
@@ -20,7 +23,7 @@ from ubcode.code_model import (
     verify_mds,
     zero_diagonal,
 )
-from ubcode.construct import build_mrmub, fig1b
+from ubcode.construct import build_mrmub, build_mub, fig1b
 from ubcode.transform import (
     InvalidPairError,
     TransformedCode,
@@ -112,34 +115,22 @@ def test_from_factors_is_a_usage_error(two_rounds):
 # -- correspondence ------------------------------------------------------------------
 
 
-def test_correspondence_round_trip(single_round):
-    rng = random.Random(7)
-    q = single_round.field.q
-    width = single_round.m[0]
-    for _ in range(1000):
-        data = [[rng.randrange(q) for _ in range(width)] for _ in range(4)]
-        x0, x1 = single_round.base_data(data)
-        assert single_round.joined_data(x0, x1) == data
-    for _ in range(100):
-        x0 = [[rng.randrange(q) for _ in range(2)] for _ in range(4)]
-        x1 = [[rng.randrange(q) for _ in range(2)] for _ in range(4)]
-        data = single_round.joined_data(x0, x1)
-        back0, back1 = single_round.base_data(data)
-        assert (back0, back1) == (x0, x1)
-
-
 def test_zero_second_instance_zeroes_unpaired_lower_halves(base42, single_round):
+    # The fill of instance 0 = x0 and instance 1 = 0, written out from the
+    # pairing table: a holds x0[a] and x0[b] + g * 0, b holds x0[b] + 0 and
+    # instance 1 of a, and every unpaired node x0[j] over instance 1's zeros.
     rng = random.Random(9)
-    q = base42.field.q
-    x0 = [[rng.randrange(q) for _ in range(2)] for _ in range(4)]
-    x1 = [[0, 0] for _ in range(4)]
-    cols = single_round.encode(single_round.joined_data(x0, x1))
+    q, m = base42.field.q, base42.m[0]
+    x0 = [[rng.randrange(q) for _ in range(m)] for _ in range(4)]
+    a, b = single_round.pair
+    fill = [x0[j] + [0] * m for j in range(4)]
+    fill[a] = x0[a] + x0[b]
+    cols = single_round.encode(fill)
     alpha = single_round.base_col_len
     base_cols = base42.encode(x0)
     for j in (0, 1):  # unpaired nodes stack the instances verbatim
         assert cols[j][alpha:] == [0] * alpha
         assert cols[j][:alpha] == base_cols[j]
-    a, b = single_round.pair
     assert cols[a][:alpha] == base_cols[a]
     assert cols[a][alpha:] == base_cols[b]          # g * 0 vanishes
     assert cols[b][:alpha] == base_cols[b]
@@ -359,6 +350,51 @@ def test_every_node_shares_the_round_layout(tmp_path, pairs, q, shape):
     assert loaded.encode(data) == code.encode(data)
 
 
+def saved_and_loaded(code, path):
+    save_spec(code, str(path))
+    return load_spec(str(path))
+
+
+# Flat codes built, loaded from a spec and normalized by zero_diagonal, and
+# transformed codes of 1-3 rounds, built and loaded.
+LAYOUT_CONTRACT_CODES = {
+    "built": lambda tmp: build_mub(4, 2, [4, 2, 2, 0]),
+    "loaded": lambda tmp: saved_and_loaded(build_mrmub(5, 3, 3), tmp / "spec.json"),
+    "zero-diagonal": lambda tmp: zero_diagonal(pair_transform(build_mrmub(4, 2, 2), (2, 3))),
+    "r1": lambda tmp: iterate_transform(build_mrmub(6, 4, 4), 1),
+    "r2": lambda tmp: iterate_transform(build_mrmub(5, 3, 3, field=GF(25)), 2),
+    "r3": lambda tmp: iterate_transform(build_mrmub(6, 4, 4), 3),
+    "r2-loaded": lambda tmp: saved_and_loaded(
+        iterate_transform(build_mrmub(4, 2, 2, field=GF(9)), 2), tmp / "spec.json"),
+}
+
+
+@pytest.mark.parametrize("make", LAYOUT_CONTRACT_CODES.values(), ids=LAYOUT_CONTRACT_CODES)
+def test_row_layout_contract(tmp_path, make):
+    # data_rows(j) and parity_rows(j) are disjoint tuples that cover column
+    # j: data then parity in a flat code, and in each half of a transformed
+    # column the layout of the base column that half holds.  The encode of a
+    # fill reads the fill back at the data rows.
+    code = make(tmp_path)
+    fill = random_fill(code, random.Random(11))
+    cols = code.encode(fill)
+    for j in range(code.n):
+        data, parity = code.data_rows(j), code.parity_rows(j)
+        assert type(data) is tuple and type(parity) is tuple
+        assert len(data) == code.m[j] and not set(data) & set(parity)
+        assert sorted(data + parity) == list(range(code.col_lens[j]))
+        assert [cols[j][r] for r in data] == fill[j]
+        if not isinstance(code, TransformedCode):
+            assert data + parity == tuple(range(code.col_lens[j]))
+            continue
+        alpha = code.base_col_len
+        for h, (x, _) in enumerate(code.halves[j]):
+            for rows, base_rows in ((data, code.base.data_rows(x)),
+                                    (parity, code.base.parity_rows(x))):
+                assert tuple(r - h * alpha for r in rows
+                             if h * alpha <= r < (h + 1) * alpha) == base_rows
+
+
 def test_transformed_decode_all_patterns(single_round):
     rng = random.Random(23)
     n, k = single_round.n, single_round.k
@@ -575,6 +611,26 @@ def test_transformed_codes_property_sweep(shape, seed):
         want = (n - 1) * alpha // 2 if node in paired else k * alpha
         assert cluster.fail_and_repair(node).total() == want, node
     assert cluster.audit().ok
+
+
+@settings(max_examples=20, deadline=None)
+@given(transformed_shapes())
+def test_transformed_specs_round_trip_and_verify(shape):
+    # save_spec -> load_spec -> save_spec writes the same bytes, and
+    # `ubcode verify --json` on the spec reports every check ok.
+    n, q, share, rounds = shape
+    code = iterate_transform(build_mrmub(n, n - 2, (n - 2) * share, field=GF(q)), rounds)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = f"{tmp}/first.json", f"{tmp}/second.json"
+        save_spec(code, first)
+        save_spec(load_spec(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = run(["verify", first, "--json"])
+    report = json.loads(out.getvalue())
+    assert status == 0 and all(check["ok"] for check in report["checks"]), report
 
 
 def test_five_node_full_iteration_repair():
