@@ -77,11 +77,8 @@ class Cluster:
         self.field = code.field
         if data is None:
             data = random_data(code, 0 if seed is None else seed)
-        else:
-            code.check_data(data)
-            data = [[self.field.validate(v) for v in x] for x in data]
-        self.truth = data
-        self.columns = code.encode(data)
+        self.columns = code.encode(data)  # checks the fill
+        self.truth = [list(x) for x in data]
         self.log = TransferLog()
 
     @property
@@ -131,8 +128,6 @@ class Cluster:
         A physical symbol is charged once even when several recovery steps
         read it; the rebuilt column must match the lost one bitwise.
         """
-        self.code.check_node(node)
-        lost = self.columns[node]
         fetched: dict[tuple[int, int], int] = {}
 
         def fetch(src: int, rows) -> list[int]:
@@ -147,8 +142,8 @@ class Cluster:
                 out.append(fetched[key])
             return out
 
-        restored = self.code.repair(node, fetch)
-        if restored != lost:
+        restored = self.code.repair(node, fetch)  # checks the node first
+        if restored != self.columns[node]:
             raise RepairMismatchError(f"repair of node {node} altered the column")
         self.columns[node] = restored
 

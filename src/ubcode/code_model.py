@@ -13,11 +13,11 @@ Two things read that grid.  The codec (encode, erasure decode, column maps,
 into that node side by side.  The update protocol reads it one edge at a
 time, through each edge's factor pair, and is checked against the codec.
 
-Codewords are plain lists of n columns, each column a list of canonical
-field integers in the code's row layout (data-then-parity, or per half of
-a transformed code).  All metric values that the theory pins down as
-rationals (update bandwidth, update complexity) are returned as exact
-``fractions.Fraction`` values, never floats.
+Codewords are plain lists of n columns, each a list of canonical field
+integers in the code's row layout (data-then-parity, or per half of a
+transformed code), checked once where they enter: ``encode``'s fill,
+``decode_columns``' columns, each read of ``repair``'s fetch.  Metrics the
+theory pins down as rationals are exact ``fractions.Fraction``s, never floats.
 
 Erasure decoding returns the kept columns as given and rebuilds only the
 erased ones.  Each code keeps one elimination per survivor set it has been
@@ -190,9 +190,12 @@ class IrregularArrayCode:
             raise NodeOutOfRangeError(f"node {node} outside 0..{self.n - 1}")
 
     def check_data(self, data) -> None:
-        """Reject a data fill that is not one vector of m_j symbols per node."""
+        """Reject a data fill that is not one vector of m_j field elements per node."""
         if len(data) != self.n or any(len(x) != mi for x, mi in zip(data, self.m)):
             raise InvalidParamsError(f"data vectors do not match the data profile {self.m}")
+        for x in data:
+            for v in x:
+                self.field.validate(v)
 
     def data_rows(self, j: int) -> tuple[int, ...]:
         return self._rows[j][0]
@@ -301,9 +304,15 @@ class IrregularArrayCode:
     def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
         """Recover the full codeword from the surviving columns.
 
-        The kept columns come back as given (copies; the decoder has checked
-        every symbol and that they agree), and only the erased columns are
-        built: data from the solve, parity through the parity maps."""
+        Checks each key, length and symbol, then returns the kept columns as
+        given (copies; the solve checks that they agree) and builds only the
+        erased ones: data from the solve, parity through the parity maps."""
+        for j, col in known.items():
+            self.check_node(j)
+            if len(col) != self.col_lens[j]:
+                raise InvalidParamsError(f"column {j} has wrong length")
+            for v in col:
+                self.field.validate(v)
         data = solve_data_from_columns(self, known)
         return [list(known[j]) if j in known else self._column(j, data) for j in range(self.n)]
 
@@ -316,28 +325,41 @@ class IrregularArrayCode:
                 col[r] = v
         return col
 
-    def repair(self, failed: int, fetch, helpers=None) -> list[int]:
-        """Rebuild one column from a registered plan or k full columns.
+    def repair(self, failed: int, fetch) -> list[int]:
+        """Rebuild column ``failed`` from what ``fetch(source, rows)`` returns.
 
-        With no helpers given and a plan in ``repair_schedule`` for the
-        failed node, download its (source, row) symbols in plan order.  They
-        and the lost symbols are linear in the global data, so the weights W
-        solving ``reads^T W = lost_map^T`` rebuild the column as ``W^T``
-        times the downloads.  The reads must be independent and span the
-        lost column; otherwise ``solve`` raises.  Without a plan, download k
-        full surviving columns, solve for the data and build the lost column
-        alone.
+        The one repair entry and its input check: each read must return one
+        field element per requested row, otherwise ValueError names the
+        source.  ``_repair`` then runs on the checked reads and trusts them.
         """
         self.check_node(failed)
-        plan = None
-        if helpers is None and self.repair_schedule is not None:
-            plan = self.repair_schedule.get(failed)
+
+        def checked(src: int, rows) -> list[int]:
+            values = [self.field.validate(v) for v in fetch(src, rows)]
+            if len(values) != len(rows):
+                raise ValueError(f"node {src} returned {len(values)} symbols for {len(rows)} rows")
+            return values
+
+        return self._repair(failed, checked)
+
+    def _repair(self, failed: int, fetch) -> list[int]:
+        """Rebuild one column from a registered plan or k full columns.
+
+        With a plan in ``repair_schedule`` for the failed node, download its
+        (source, row) symbols in plan order.  They and the lost symbols are
+        linear in the global data, so the weights W solving ``reads^T W =
+        lost_map^T`` rebuild the column as ``W^T`` times the downloads.  The
+        reads must be independent and span the lost column; otherwise
+        ``solve`` raises.  Without a plan, download the first k surviving
+        columns, solve for the data and build the lost column alone.
+        """
+        plan = None if self.repair_schedule is None else self.repair_schedule.get(failed)
         if plan is None:
-            order = [j for j in (helpers or range(self.n)) if j != failed]
-            known = {j: fetch(j, list(range(self.col_lens[j]))) for j in order[: self.k]}
+            sources = [j for j in range(self.n) if j != failed][: self.k]
+            known = {j: fetch(j, range(self.col_lens[j])) for j in sources}
             return self._column(failed, solve_data_from_columns(self, known))
         maps = self.column_maps()
-        values = [self.field.validate(v) for src, row in plan for v in fetch(src, [row])]
+        values = [v for src, row in plan for v in fetch(src, [row])]
         reads = Matrix.of(self.field, len(plan), maps[failed].cols,
                           [maps[src].data[row] for src, row in plan])
         weights = solve(reads.transpose(), maps[failed].transpose())
@@ -367,29 +389,25 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
     residue ``b = P_{S,E} x_E`` (see ``erased_block``).  ``P_{S,E}`` is
     eliminated once per code and kept set S (``_elimination``): the
     survivors agree exactly when its left-null-space rows annihilate b, and
-    its left inverse then gives the erased data.  Raises NodeOutOfRangeError
-    for a key outside 0..n-1, ValueError for a symbol outside the field,
-    TooManyErasuresError beyond n-k erasures, InconsistentSystemError when
-    the survivors contradict each other and UnderdeterminedSystemError when
-    they do not pin the data down, on every call.
+    its left inverse then gives the erased data.  Its entry points,
+    ``decode_columns`` and ``repair``'s fetch, check the keys, lengths and
+    symbols.  Raises TooManyErasuresError beyond n-k erasures,
+    InconsistentSystemError when the survivors contradict each other and
+    UnderdeterminedSystemError when they do not pin the data down, on every call.
     """
     n, f = code.n, code.field
-    for j in known:
-        code.check_node(j)
-        if len(known[j]) != code.col_lens[j]:
-            raise InvalidParamsError(f"column {j} has wrong length")
     kept = tuple(sorted(known))
     erased = [i for i in range(n) if i not in known]
     if len(erased) > n - code.k:
         raise TooManyErasuresError(f"{len(erased)} erasures exceed tolerance {n - code.k}")
     data = [
-        [f.validate(known[j][r]) for r in code.data_rows(j)] if j in known else [0] * code.m[j]
+        [known[j][r] for r in code.data_rows(j)] if j in known else [0] * code.m[j]
         for j in range(n)
     ]
     flat = [v for x in data for v in x]
     rhs = []
     for j in kept:
-        residue = [f.validate(known[j][r]) for r in code.parity_rows(j)]
+        residue = [known[j][r] for r in code.parity_rows(j)]
         rhs += f.sub_scaled_row(residue, 1, code._parity_maps[j].apply(flat))
     inverse, null_rows = _elimination(code, kept)
     if any(null_rows.apply(rhs)):

@@ -14,9 +14,9 @@ every node repair-optimal; with a balanced minimum-redundancy base the result
 keeps both the redundancy and the update-bandwidth optima at the doubled
 parameters.  ``TransformedCode`` subclasses ``IrregularArrayCode``: it derives
 the flat grid from its base's grid and the pairing table, and brings its own
-encoder and repair schedules.  Its row layout is one layout shared by every
-node, stored where the flat class keeps its own, so the inherited row
-accessors read it.
+encoder and repair schedules (``_repair``, behind the inherited ``repair``,
+which checks each fetched symbol once).  Its one row layout, shared by every
+node, is stored where the flat class keeps its own, for the row accessors.
 
 An r-round codeword is 2^r interleaved codewords of the root (the
 untransformed code at the bottom of the chain), and ``encode`` makes them in
@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .finite_field import Field
 from .linalg import FieldTooSmallError, Matrix, invert
-from .code_model import CodeParams, InvalidParamsError, IrregularArrayCode
+from .code_model import CodeParams, InvalidParamsError, IrregularArrayCode, solve_data_from_columns
 
 
 class InvalidPairError(ValueError):
@@ -230,53 +230,43 @@ class TransformedCode(IrregularArrayCode):
 
     # -- repair -------------------------------------------------------------------
 
-    def _read(self, fetch, j: int, h: int, rows) -> list[int]:
-        """Fetch rows of half h of node j, each checked to be a field element."""
-        alpha = self.base_col_len
-        return [self.field.validate(v) for v in fetch(j, [h * alpha + r for r in rows])]
-
     def _instance_fetch(self, fetch, instance: int):
         """View one base instance through the physical transformed columns.
 
         Base column x is read from the homes its unmix row weighs: the one
         home that stores the instance alone, or both homes of a mixed column,
         which are then unmixed."""
+        alpha = self.base_col_len
 
         def inner(x, rows):
             w = self.unmix[x][instance]
             (j0, h0), (j1, h1) = self.homes[x]
-            u = self._read(fetch, j0, h0, rows) if w[0] else None
-            v = self._read(fetch, j1, h1, rows) if w[1] else None
+            u = fetch(j0, [h0 * alpha + r for r in rows]) if w[0] else None
+            v = fetch(j1, [h1 * alpha + r for r in rows]) if w[1] else None
             return _mix(self.field, w, u, v)
 
         return inner
 
-    def repair(self, failed: int, fetch, helpers=None) -> list[int]:
-        """Rebuild a column with the round-structured download schedule.
+    def _repair(self, failed: int, fetch) -> list[int]:
+        """Rebuild a column with the round-structured schedule, on checked reads.
 
         A paired node costs (n-1) * alpha' / 2 symbols: one full instance
         from the unpaired nodes plus the partner's mixed half.  An unpaired
         node repairs each instance through the base code; duplicate physical
-        reads are deduplicated by the caller's fetch.  ``helpers`` is ignored:
-        the round's schedule fixes the reads, so a one-round (4, 2) code
-        reads node 3 to repair node 0 even given helpers=[1, 2]."""
+        reads are deduplicated by the caller's fetch."""
+        if failed not in self.pair:
+            top, bottom = (self.base._repair(failed, self._instance_fetch(fetch, s))
+                           for s in (0, 1))
+            return top + bottom
         f = self.field
         alpha = self.base_col_len
-        self.check_node(failed)
         unpaired = [j for j in range(self.n) if j not in self.pair]
-        if failed not in self.pair:
-            order = [j for j in unpaired if j != failed] + list(self.pair)
-            top, bottom = (
-                self.base.repair(failed, self._instance_fetch(fetch, s), helpers=order)
-                for s in (0, 1)
-            )
-            return top + bottom
-        # The failed node stores instance s of one base column alone.  Decode
+        # The failed node stores instance s of one base column alone.  Solve
         # instance s from the unpaired nodes; each lost half then follows from
-        # cols[x] = w[i] * (lost half) + w[1-i] * (surviving home of x).
+        # base column x = w[i] * (lost half) + w[1-i] * (surviving home of x).
         s = next(w.index(1) for _, w in self.halves[failed] if 0 in w)
         inst = self._instance_fetch(fetch, s)
-        cols = self.base.decode_columns({j: inst(j, range(alpha)) for j in unpaired})
+        data = solve_data_from_columns(self.base, {j: inst(j, range(alpha)) for j in unpaired})
         out = []
         for h, (x, _) in enumerate(self.halves[failed]):
             i = self.homes[x].index((failed, h))
@@ -284,8 +274,8 @@ class TransformedCode(IrregularArrayCode):
             c = f.inv(w[i])
             d = f.neg(f.mul(c, w[1 - i]))
             j, hh = self.homes[x][1 - i]
-            survivor = self._read(fetch, j, hh, range(alpha)) if d else None
-            out += _mix(f, (c, d), cols[x], survivor)
+            survivor = fetch(j, range(hh * alpha, (hh + 1) * alpha)) if d else None
+            out += _mix(f, (c, d), self.base._column(x, data), survivor)
         return out
 
 

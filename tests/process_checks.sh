@@ -15,12 +15,13 @@
 #    bound; its codeword decodes byte for byte under every 1- and 2-node
 #    erasure, a copy with one survivor symbol flipped fails to decode with
 #    exit 1 and one stderr line, and the codeword repairs every node byte for
-#    byte at the cut-set figure.  The three seeded codewords of
-#    tests/test_cli.py's CODEWORD_CASES match their default-build golden files
-#    and decode byte for byte with their last n-k nodes erased.  A bad
-#    construct, a malformed UBCODE_SEED, a spec nested 200,000 deep and a
-#    (4, 2) spec with three pairing rounds each exit 2 with one stderr line and
-#    no traceback.
+#    byte at the cut-set figure.  A one-round (4, 2) spec whose pair is (0, 1)
+#    repairs every node byte for byte at 12, 12, 16 and 16 symbols.  The three
+#    seeded codewords of tests/test_cli.py's CODEWORD_CASES match their
+#    default-build golden files and decode byte for byte with their last n-k
+#    nodes erased.  A bad construct, a malformed UBCODE_SEED, a spec nested
+#    200,000 deep and a (4, 2) spec with three pairing rounds each exit 2 with
+#    one stderr line and no traceback.
 set -e -o pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -88,6 +89,18 @@ for j in 0 1 2 3; do
   # (n - 1) * alpha' / 2 = 3 * 16 / 2 symbols per repair
   python -m ubcode.cli repair --spec "$transformed" --in "$cw" --node "$j" --out "$out" \
     | grep -qx total,24
+  diff "$out" "$cw"
+done
+pair01="$tmp/pair01.json"  # one round on the pair (0, 1) instead of (n-2, n-1)
+python -m ubcode.cli construct --kind mrmub --n 4 --k 2 --m 2,2,2,2 --q 8 \
+  --transform-rounds 1 --out "$tmp/round1.json"
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["transform"]["pairs"] = [[0, 1]]; print(json.dumps(d))' \
+  "$tmp/round1.json" > "$pair01"
+python -m ubcode.cli encode --spec "$pair01" --seed 5 --out "$cw"
+for case in 0,12 1,12 2,16 3,16; do
+  # paired: (n - 1) * alpha' / 2 = 3 * 8 / 2; unpaired: k = 2 base columns of 4 per instance
+  python -m ubcode.cli repair --spec "$pair01" --in "$cw" --node "${case%,*}" --out "$out" \
+    | grep -qx "total,${case#*,}"
   diff "$out" "$cw"
 done
 codeword() {  # construct an mrmub spec, encode it with seed 16, diff against the golden file,

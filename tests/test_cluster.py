@@ -87,6 +87,15 @@ def test_misshapen_data_fill_is_invalid_params(make):
             code.encode(data)
         with pytest.raises(InvalidParamsError, match="data profile"):
             Cluster(code, data=data)
+    # A well-shaped fill holding a non-element is a ValueError.
+    q = code.field.q
+    for bad in (-1, q, True):
+        data = [[0] * mi for mi in code.m]
+        data[0][-1] = bad
+        with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\({q}\)$"):
+            code.encode(data)
+        with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\({q}\)$"):
+            Cluster(code, data=data)
 
 
 def test_init_and_update_validate_symbols():

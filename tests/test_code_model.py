@@ -404,10 +404,10 @@ def test_encode_and_generic_decode_round_trip(rng):
             assert code.decode_columns(known) == cols
 
 
-def test_solve_data_from_columns_validates_lengths():
+def test_decode_columns_validates_lengths():
     code = pcode_fixture()
     with pytest.raises(InvalidParamsError):
-        solve_data_from_columns(code, {0: [0, 0, 0]})
+        code.decode_columns({0: [0, 0, 0]})
 
 
 def reference_decode(code, known):
@@ -530,27 +530,34 @@ def test_decoder_rejects_symbols_outside_the_field(code, rows, bad):
     known = {j: list(cols[j]) for j in range(code.k)}
     known[0][getattr(code, rows)(0)[0]] = bad
     with pytest.raises(ValueError, match=rf"{bad} is not an element of GF\({code.field.q}\)"):
-        solve_data_from_columns(code, known)
+        code.decode_columns(known)
 
 
 REPAIR_CHECK_CODES = range_check_codes() + [
-    iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 2)
+    iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 2),
+    iterate_transform(build_mrmub(6, 4, 4, field=GF(8)), 3),
 ]
 
 
 @pytest.mark.parametrize(
-    "code", REPAIR_CHECK_CODES, ids=["built", "fig1b", "transformed", "two-rounds"]
+    "code", REPAIR_CHECK_CODES, ids=["built", "fig1b", "transformed", "two-rounds", "three-rounds"]
 )
-@pytest.mark.parametrize("bad", [99, -3])
+@pytest.mark.parametrize("bad", [99, -3, "short", "long"])
 def test_repair_rejects_fetched_symbols_outside_the_field(code, bad):
-    # One source returns a non-element as the first symbol of every read.
-    # Repair must refuse it, or not have read that source at all.
+    # One source returns a non-element as the first symbol of every read, or
+    # one symbol too few or too many.  Repair must refuse it, or not have
+    # read that source at all and return the lost column.
     cols = code.encode(random_fill(code, random.Random(5)))
     for source in range(code.n):
         def fetch(j, rows):
             values = [cols[j][r] for r in rows]
             if j == source and values:
-                values[0] = bad
+                if bad == "short":
+                    values.pop()
+                elif bad == "long":
+                    values.append(0)
+                else:
+                    values[0] = bad
             return values
 
         for failed in range(code.n):
@@ -559,7 +566,9 @@ def test_repair_rejects_fetched_symbols_outside_the_field(code, bad):
             try:
                 got = code.repair(failed, fetch)
             except ValueError as exc:
-                assert f"{bad} is not an element of GF({code.field.q})" in str(exc)
+                want = (f"node {source} returned" if bad in ("short", "long")
+                        else f"{bad} is not an element of GF({code.field.q})")
+                assert want in str(exc), (source, failed)
             else:
                 assert got == cols[failed], (source, failed)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ubcode import code_model
 from ubcode.cli import load_spec, run, save_spec
-from ubcode.finite_field import GF
+from ubcode.finite_field import GF, Field
 from ubcode.linalg import FieldTooSmallError
 from ubcode.code_model import (
     InvalidParamsError,
@@ -539,6 +539,28 @@ def test_repair_reads_are_pinned(shape, q, rounds):
         reads = repair_reads(code, node)
         assert [sum(1 for s, _ in reads if s == src) for src in range(code.n)] == counts
         assert hashlib.sha256(repr(reads).encode()).hexdigest()[:16] == digest
+
+
+def test_each_fetched_symbol_is_validated_once(monkeypatch):
+    # repair checks what its fetch returns once; the rounds and the root
+    # decoder run on the checked symbols.
+    code = iterate_transform(build_mrmub(6, 4, 4), 3)
+    cols = code.encode(random_fill(code, random.Random(0)))
+    validate, calls, returned = Field.validate, [0], [0]
+
+    def counted(self, a):
+        calls[0] += 1
+        return validate(self, a)
+
+    def fetch(src, rows):
+        values = [cols[src][r] for r in rows]
+        returned[0] += len(values)
+        return values
+
+    monkeypatch.setattr(Field, "validate", counted)
+    for node in range(code.n):
+        assert code.repair(node, fetch) == cols[node]
+    assert calls[0] == returned[0] == 864
 
 
 def test_single_round_repair_counts(single_round):
