@@ -19,7 +19,6 @@ import sys
 
 from .finite_field import GF
 from .code_model import (
-    InvalidParamsError,
     SpecSchemaError,
     bounds,
     code_from_json,
@@ -100,14 +99,12 @@ def write_columns(path: str, columns: list[list[int]]) -> None:
 
 
 def save_spec(code, path: str) -> None:
-    root, mixers = code, set()
+    root = code
     while isinstance(root, TransformedCode):
-        root, mixers = root.base, mixers | {root.g}
-    if len(mixers) > 1:
-        raise InvalidParamsError(f"a spec holds one mixer g, the rounds use {sorted(mixers)}")
+        root = root.base
     doc = code_to_json(root)
     if root is not code:
-        doc["transform"] = {"pairs": [list(p) for p in code.pairs], "g": code.g}
+        doc["transform"] = {"pairs": [list(p) for p in code.pairs], "g": code.field.primitive}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -122,12 +119,15 @@ def load_spec(path: str):
     code = code_from_json(doc)
     if "transform" in doc:
         g = spec_value(doc, ("transform", "g"), int)
+        if g != code.field.primitive:
+            raise SpecSchemaError(f"spec key transform.g must be {code.field.primitive}, "
+                                  f"the primitive element of GF({code.field.q})")
         pairs = spec_value(doc, ("transform", "pairs"), list)
         for t in range(len(pairs)):
             pair = spec_value(doc, ("transform", "pairs", t), list, int)
             if len(pair) != 2:
                 raise SpecSchemaError(f"spec key transform.pairs[{t}] must hold two nodes")
-            code = TransformedCode(code, tuple(pair), g)
+            code = TransformedCode(code, tuple(pair))
     return code
 
 

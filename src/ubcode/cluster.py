@@ -145,7 +145,6 @@ class Cluster:
         restored = self.code.repair(node, fetch)  # checks the node first
         if restored != self.columns[node]:
             raise RepairMismatchError(f"repair of node {node} altered the column")
-        self.columns[node] = restored
 
         oplog = TransferLog()
         per_src: dict[int, int] = {}
@@ -159,8 +158,9 @@ class Cluster:
     # -- verification ------------------------------------------------------------
 
     def audit(self) -> AuditResult:
-        """Recompute the encode of the ground truth and compare symbol-for-symbol."""
-        expect = self.code.encode(self.truth)
+        """Recompute the encode of the ground truth and compare symbol-for-symbol;
+        ``truth`` was checked as it came in, so ``_encode`` does not recheck it."""
+        expect = self.code._encode(self.truth)
         for j, (got, want) in enumerate(zip(self.columns, expect)):
             for r, (a, b) in enumerate(zip(got, want)):
                 if a != b:

@@ -16,8 +16,10 @@ time, through each edge's factor pair, and is checked against the codec.
 Codewords are plain lists of n columns, each a list of canonical field
 integers in the code's row layout (data-then-parity, or per half of a
 transformed code), checked once where they enter: ``encode``'s fill,
-``decode_columns``' columns, each read of ``repair``'s fetch.  Metrics the
-theory pins down as rationals are exact ``fractions.Fraction``s, never floats.
+``decode_columns``' columns, each read of ``repair``'s fetch; the
+``_encode`` and ``_repair`` behind those entries trust their input.  Metrics
+the theory pins down as rationals are exact ``fractions.Fraction``s, never
+floats.
 
 Erasure decoding returns the kept columns as given and rebuilds only the
 erased ones.  Each code keeps one elimination per survivor set it has been
@@ -286,8 +288,13 @@ class IrregularArrayCode:
         return [(j, sent.get(j, [])) for j in ((i + d) % self.n for d in range(1, self.n))]
 
     def encode(self, data: list[list[int]]) -> list[list[int]]:
-        """Columns [x_j ; p_j], p_j the parity map of j on the global data."""
+        """The codeword of ``data``: the one encode entry and its input check.
+        ``_encode`` then runs on the checked fill and trusts it."""
         self.check_data(data)
+        return self._encode(data)
+
+    def _encode(self, data: list[list[int]]) -> list[list[int]]:
+        """Columns [x_j ; p_j], p_j the parity map of j on the global data."""
         flat = [v for x in data for v in x]
         return [list(x) + pmap.apply(flat) for x, pmap in zip(data, self._parity_maps)]
 

@@ -384,13 +384,6 @@ class Field:
         yield 0
         yield from self._exp
 
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        from math import gcd
-
-        return (self.q - 1) // gcd(self._log[a], self.q - 1)
-
     # -- misc -------------------------------------------------------------------
 
     def to_json(self) -> dict:

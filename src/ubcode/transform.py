@@ -6,7 +6,7 @@ one can be rebuilt from (n-1) * alpha' / 2 downloaded symbols instead of the
 naive k full columns.  Columns outside the pair stack the two instances
 verbatim.  Of the pair (a, b), a keeps instance 0 of column a, b takes its
 instance 1, and each stores a different mix of the two instances of column b,
-weighted through a primitive element g; the pairing table of
+weighted through the field's primitive element g; the pairing table of
 ``TransformedCode`` records which half holds what.  The mixing is invertible
 because g != 1, which is why the base field must have more than two elements.
 Re-applying the transformation with disjoint pairs (descending rotation) makes
@@ -14,12 +14,13 @@ every node repair-optimal; with a balanced minimum-redundancy base the result
 keeps both the redundancy and the update-bandwidth optima at the doubled
 parameters.  ``TransformedCode`` subclasses ``IrregularArrayCode``: it derives
 the flat grid from its base's grid and the pairing table, and brings its own
-encoder and repair schedules (``_repair``, behind the inherited ``repair``,
-which checks each fetched symbol once).  Its one row layout, shared by every
-node, is stored where the flat class keeps its own, for the row accessors.
+encoder and repair schedules (``_encode`` and ``_repair``, behind the
+inherited ``encode`` and ``repair``, which check the fill and each fetched
+symbol once).  Its one row layout, shared by every node, is stored where the
+flat class keeps its own, for the row accessors.
 
 An r-round codeword is 2^r interleaved codewords of the root (the
-untransformed code at the bottom of the chain), and ``encode`` makes them in
+untransformed code at the bottom of the chain), and ``_encode`` makes them in
 one batched pass.  It splits the fill down the rounds into one block per
 root node whose data rows each carry all 2^r instances, computes each root
 node's parity as one matrix product, its parity map times every root node's
@@ -79,13 +80,13 @@ class TransformedCode(IrregularArrayCode):
 
     The flat ``construction`` grid comes from the base's grid and this
     table; the inherited update protocol factors that grid's edges on the
-    first update, so inner rounds are never factored.  ``encode`` does not
+    first update, so inner rounds are never factored.  ``_encode`` does not
     use that grid: it encodes the 2^r root instances in one batch through
     every round's table and the root's parity maps (see the module
     docstring).
     """
 
-    def __init__(self, base, pair: tuple[int, int], g: int | None = None):
+    def __init__(self, base, pair: tuple[int, int]):
         n, k = base.n, base.k
         if k != n - 2:
             raise InvalidParamsError(
@@ -100,18 +101,12 @@ class TransformedCode(IrregularArrayCode):
         a, b = pair
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise InvalidPairError(f"invalid node pair {pair} for n={n}")
-        if g is None:
-            g = field.primitive
-        field.validate(g)
-        if g in (0, 1) or field.multiplicative_order(g) != field.q - 1:
-            raise InvalidPairError(f"g={g} is not a primitive element of GF({field.q})")
         if len(set(base.m)) != 1 or len(set(base.col_lens)) != 1:
             raise InvalidParamsError("transformation needs a regular (uniform) base code")
 
         self.base = base
         self.pair = (a, b)
         self.pairs = pairs + [self.pair]
-        self.g = g
         self.field = field
         self.params = CodeParams(n, k, tuple(2 * v for v in base.m),
                                  tuple(2 * v for v in base.p), field.q)
@@ -120,7 +115,7 @@ class TransformedCode(IrregularArrayCode):
         self._rows = (tuple(tuple(h * alpha + r for h in (0, 1) for r in rows)
                             for rows in base._rows[0]),) * n
         halves = self.halves = [[(j, (1, 0)), (j, (0, 1))] for j in range(n)]
-        halves[a] = [(a, (1, 0)), (b, (1, g))]
+        halves[a] = [(a, (1, 0)), (b, (1, field.primitive))]
         halves[b] = [(b, (1, 1)), (a, (0, 1))]
         self.homes = [[(j, h) for j in range(n) for h in (0, 1) if halves[j][h][0] == x]
                       for x in range(n)]
@@ -163,10 +158,9 @@ class TransformedCode(IrregularArrayCode):
 
     # -- codec ------------------------------------------------------------------
 
-    def encode(self, data: list[list[int]]) -> list[list[int]]:
+    def _encode(self, data: list[list[int]]) -> list[list[int]]:
         """All 2^r root instances in one pass: split the fill down the rounds,
         encode the batch on the root grid, join the columns back up."""
-        self.check_data(data)
         return self._encode_batch(data, 1)
 
     def _encode_batch(self, blocks: list[list[int]], width: int) -> list[list[int]]:
@@ -279,9 +273,9 @@ class TransformedCode(IrregularArrayCode):
         return out
 
 
-def pair_transform(base, pair: tuple[int, int], g: int | None = None) -> TransformedCode:
+def pair_transform(base, pair: tuple[int, int]) -> TransformedCode:
     """One application of the pairing transformation to a regular k = n-2 base."""
-    return TransformedCode(base, pair, g)
+    return TransformedCode(base, pair)
 
 
 def rotation_pairs(n: int, rounds: int) -> list[tuple[int, int]]:

@@ -20,8 +20,9 @@
 #    seeded codewords of tests/test_cli.py's CODEWORD_CASES match their
 #    default-build golden files and decode byte for byte with their last n-k
 #    nodes erased.  A bad construct, a malformed UBCODE_SEED, a spec nested
-#    200,000 deep and a (4, 2) spec with three pairing rounds each exit 2 with
-#    one stderr line and no traceback.
+#    200,000 deep, a (4, 2) spec with three pairing rounds and a spec whose
+#    transform.g is not the field's primitive element each exit 2 with one
+#    stderr line and no traceback.
 set -e -o pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -126,4 +127,8 @@ rounds3="$tmp/rounds3.json"  # a (4, 2) chain holds at most 2 pairs
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["transform"]["pairs"].append([2, 3]); print(json.dumps(d))' \
   tests/golden/spec_4_2_q8_r2.json > "$rounds3"
 usage_error python -m ubcode.cli encode --spec "$rounds3" --out "$tmp/rounds3.cw"
+mixer1="$tmp/mixer1.json"  # every round mixes through the primitive element 2 of GF(8), never 1
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["transform"]["g"] = 1; print(json.dumps(d))' \
+  tests/golden/spec_4_2_q8_r2.json > "$mixer1"
+usage_error python -m ubcode.cli encode --spec "$mixer1" --out "$tmp/mixer1.cw"
 echo "process checks passed"

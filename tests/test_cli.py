@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from ubcode.cli import dump_columns, load_spec, parse_columns, run, save_spec
 from ubcode.cluster import Cluster
-from ubcode.code_model import InvalidParamsError, code_to_json
+from ubcode.code_model import code_to_json
 from ubcode.construct import build_mrmub
 from ubcode.finite_field import GF
 from ubcode.linalg import vandermonde_columns
-from ubcode.transform import iterate_transform, pair_transform
+from ubcode.transform import iterate_transform
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -335,8 +335,8 @@ def drop_key(path):
          "spec key matrices.A[0][1].entries: True is not an element of GF(4)"),
         (set_key(["matrices", "B", 1, 0, "rows"], 7),
          "spec key matrices.B[1][0].entries: data does not match shape 7x1"),
-        (set_key(["transform", "g"], 99999), "99999 is not an element of GF(4)"),
-        (set_key(["transform", "g"], -1), "-1 is not an element of GF(4)"),
+        (set_key(["transform", "g"], 99999), "spec key transform.g must be 2, the primitive element of GF(4)"),
+        (set_key(["transform", "g"], -1), "spec key transform.g must be 2, the primitive element of GF(4)"),
         (set_key(["transform", "pairs"], [[True, 3]]), "spec key transform.pairs[0] must be a list of int"),
         (set_key(["transform", "g"], True), "spec key transform.g must be int"),
         (set_key(["params", "k"], True), "spec key params.k must be int"),
@@ -359,6 +359,19 @@ def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     edit(doc)
     spec.write_text(json.dumps(doc))
     assert_usage_error(capsys, ["verify", str(spec)], message)
+
+
+@pytest.mark.parametrize("g", [3, 1, 0, 99999, -1],
+                         ids=["other-primitive", "one", "zero", "too-large", "negative"])
+def test_spec_mixer_other_than_the_primitive_element_is_a_usage_error(tmp_path, capsys, g):
+    # Every round mixes through the field's primitive element, 2 in GF(8);
+    # 3 is primitive too, but a spec naming it describes no code of this build.
+    doc = json.loads((GOLDEN / "spec_4_2_q8_r2.json").read_text())
+    doc["transform"]["g"] = g
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert_usage_error(capsys, ["verify", str(spec)],
+                       "spec key transform.g must be 2, the primitive element of GF(8)")
 
 
 def test_deeply_nested_spec_is_a_usage_error(tmp_path, capsys):
@@ -462,17 +475,6 @@ def test_update_then_repair_flow(tmp_path, capsys, spec_file):
     ])
     assert code == 0, err
     assert "total," in out
-
-
-def test_save_spec_refuses_rounds_with_different_mixers(tmp_path):
-    # A spec holds one g for every round; saving the outer one alone would
-    # reload as a code with other codewords.
-    base = build_mrmub(4, 2, 2, field=GF(8))
-    code = pair_transform(pair_transform(base, (2, 3), 3), (0, 1), 2)
-    spec = tmp_path / "spec.json"
-    with pytest.raises(InvalidParamsError, match=r"one mixer g, the rounds use \[2, 3\]"):
-        save_spec(code, str(spec))
-    assert not spec.exists()
 
 
 def test_transformed_spec_update_and_repair_flow(tmp_path, capsys):

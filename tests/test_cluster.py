@@ -22,7 +22,7 @@ from ubcode.construct import (
     fig1b,
     systematic_mds_generator,
 )
-from ubcode.finite_field import GF
+from ubcode.finite_field import GF, Field
 from ubcode.linalg import InconsistentSystemError, Matrix, UnderdeterminedSystemError
 from ubcode.cluster import (
     Cluster,
@@ -391,6 +391,27 @@ def test_update_through_a_tampered_factor_raises():
     with pytest.raises(ClusterStateError, match=r"^after update: node 1 row "):
         for fill in ([1, 2], [2, 1]):  # node 0's first symbol changes at least once
             cluster.apply_update(0, fill)
+
+
+@pytest.mark.parametrize(
+    "make, calls",
+    [(lambda: build_mrmub(10, 6, 12), 12),
+     (lambda: iterate_transform(build_mrmub(6, 4, 4), 3), 32)],
+    ids=["mrmub-10-6-12", "transformed-6-4-r3"],
+)
+def test_each_update_symbol_is_validated_once(monkeypatch, make, calls):
+    # apply_update checks the m_i new symbols; the audit re-encodes the
+    # ground truth, every symbol of which was checked where it came in.
+    cluster = Cluster(make(), seed=3)
+    validate, counted = Field.validate, [0]
+
+    def counting(self, a):
+        counted[0] += 1
+        return validate(self, a)
+
+    monkeypatch.setattr(Field, "validate", counting)
+    cluster.apply_update(1, [(v + 1) % cluster.field.q for v in cluster.truth[1]])
+    assert counted[0] == calls
 
 
 def test_repair_that_alters_the_column_is_refused():

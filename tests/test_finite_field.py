@@ -146,12 +146,6 @@ def test_serialization_round_trip():
             assert doc["modulus"] is None
 
 
-def test_multiplicative_order():
-    f = GF(16)
-    assert f.multiplicative_order(f.primitive) == 15
-    assert f.multiplicative_order(1) == 1
-
-
 def test_boundary_field_size():
     f = Field(1 << 16)
     g = f.primitive

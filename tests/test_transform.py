@@ -59,21 +59,6 @@ def test_rejects_binary_base(fig1b_code):
         pair_transform(fig1b_code, (2, 3))
 
 
-def test_rejects_non_primitive_mixer(base42):
-    with pytest.raises(InvalidPairError):
-        pair_transform(base42, (2, 3), g=1)
-    with pytest.raises(InvalidPairError):
-        pair_transform(base42, (2, 3), g=0)
-
-
-@pytest.mark.parametrize("q", [4, 25])
-@pytest.mark.parametrize("g", [-1, 99999])
-def test_rejects_out_of_field_mixer(q, g):
-    # Arithmetic on an out-of-field g never ends in an odd extension field.
-    with pytest.raises(ValueError, match=rf"{g} is not an element of GF\({q}\)"):
-        pair_transform(build_mrmub(4, 2, 2, field=GF(q)), (2, 3), g=g)
-
-
 def test_rejects_bad_pairs(base42):
     with pytest.raises(InvalidPairError):
         pair_transform(base42, (1, 1))
@@ -196,15 +181,6 @@ def test_arbitrary_pair_relabeling(base42):
     assert counts[1] == counts[3] == 16
 
 
-def test_alternative_primitive_mixer(base42):
-    # GF(4) has two primitive elements; either drives a valid pairing.
-    other = alternative_primitive(base42.field)
-    t = pair_transform(base42, (2, 3), g=other)
-    assert t.g == other
-    assert verify_mds(t).is_mds
-    assert repair_counts(t)[3] == 12
-
-
 def test_five_node_transform_mds():
     base = build_mrmub(5, 3, 3)
     t = pair_transform(base, (3, 4))
@@ -231,47 +207,33 @@ def unit_encode_maps(code):
     return maps
 
 
-def alternative_primitive(f):
-    return next(
-        e for e in range(2, f.q)
-        if e != f.primitive and f.multiplicative_order(e) == f.q - 1
-    )
-
-
 # Rotation pairs for 1-3 rounds, plus descending pairs off the rotation, whose
 # halves sit in other base columns than the rotation's.
 MAP_CASES = [
-    (rotation_pairs(shape[0], rounds), q, shape, mixer)
+    (rotation_pairs(shape[0], rounds), q, shape)
     for shape in [(5, 3, 3), (6, 4, 4)]
-    for mixer in ["primitive", "alternative"]
     for rounds in [1, 2, 3]
     for q in [8, 25]
 ] + [
-    (pairs, q, shape, mixer)
-    for pairs, q, shape in [
-        ([(4, 1), (0, 5), (3, 2)], 9, (6, 4, 4)),
-        ([(4, 0), (2, 1)], 27, (5, 3, 3)),
-    ]
-    for mixer in ["primitive", "alternative"]
+    ([(4, 1), (0, 5), (3, 2)], 9, (6, 4, 4)),
+    ([(4, 0), (2, 1)], 27, (5, 3, 3)),
 ]
 
 
 @pytest.mark.parametrize(
-    "pairs, q, shape, mixer",
+    "pairs, q, shape",
     MAP_CASES,
     ids=[
         f"{len(pairs)}-{q}" + ("" if shape == (5, 3, 3) else f"-n{shape[0]}")
-        + ("" if mixer == "primitive" else "-alt")
         + ("" if pairs == rotation_pairs(shape[0], len(pairs))
            else "-pairs" + "-".join(f"{a}{b}" for a, b in pairs))
-        for pairs, q, shape, mixer in MAP_CASES
+        for pairs, q, shape in MAP_CASES
     ],
 )
-def test_composed_column_maps_match_unit_encodes(pairs, q, shape, mixer):
+def test_composed_column_maps_match_unit_encodes(pairs, q, shape):
     code = build_mrmub(*shape, field=GF(q))
-    g = alternative_primitive(code.field) if mixer == "alternative" else None
     for pair in pairs:
-        code = TransformedCode(code, pair, g)
+        code = TransformedCode(code, pair)
     assert [list(map(list, m.data)) for m in code.column_maps()] == unit_encode_maps(code)
 
 
@@ -324,8 +286,8 @@ LAYOUT_CASES = [
     for rounds in [1, 2, 3]
     for q in [8, 25]
 ] + [
-    (pairs, 9, shape) for pairs, _, shape, mixer in MAP_CASES
-    if mixer == "primitive" and pairs != rotation_pairs(shape[0], len(pairs))
+    (pairs, 9, shape) for pairs, _, shape in MAP_CASES
+    if pairs != rotation_pairs(shape[0], len(pairs))
 ]
 
 
@@ -345,7 +307,8 @@ def test_every_node_shares_the_round_layout(tmp_path, pairs, q, shape):
     spec = tmp_path / "spec.json"
     save_spec(code, str(spec))
     loaded = load_spec(str(spec))
-    assert (loaded.pairs, loaded.g) == (code.pairs, code.g) == (pairs, code.field.primitive)
+    assert loaded.pairs == code.pairs == pairs
+    assert json.loads(spec.read_text())["transform"]["g"] == code.field.primitive
     data = random_fill(code, random.Random(q))
     assert loaded.encode(data) == code.encode(data)
 
