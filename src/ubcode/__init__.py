@@ -16,7 +16,6 @@ from .finite_field import GF, Field
 from .linalg import Matrix
 from .code_model import (
     BoundsReport,
-    CodeParams,
     IrregularArrayCode,
     bounds,
     feasible,
@@ -38,7 +37,6 @@ __all__ = [
     "Field",
     "Matrix",
     "BoundsReport",
-    "CodeParams",
     "IrregularArrayCode",
     "bounds",
     "feasible",

@@ -78,30 +78,6 @@ class NodeOutOfRangeError(ValueError):
     """A node index outside 0..n-1 was addressed."""
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Shape of an irregular array code: node count, threshold, symbol counts."""
-
-    n: int
-    k: int
-    m: tuple[int, ...]
-    p: tuple[int, ...]
-    q: int
-
-    def __post_init__(self):
-        validate_dimensions(self.n, self.k, self.m)
-        if len(self.p) != self.n or any(v < 0 for v in self.p):
-            raise InvalidParamsError(f"parity profile {self.p} invalid for n={self.n}")
-
-    @property
-    def total_data(self) -> int:
-        return sum(self.m)
-
-    @property
-    def col_lens(self) -> tuple[int, ...]:
-        return tuple(mi + pi for mi, pi in zip(self.m, self.p))
-
-
 def validate_dimensions(n: int, k: int, m) -> None:
     if n < 2 or not 1 <= k < n:
         raise InvalidParamsError(f"need 1 <= k < n with n >= 2, got n={n} k={k}")
@@ -112,10 +88,14 @@ def validate_dimensions(n: int, k: int, m) -> None:
 
 
 class IrregularArrayCode:
-    """An irregular array code given by its flat ``construction`` grid.
+    """An irregular array code given by its threshold k and its flat
+    ``construction`` grid.
 
     ``construction[i][j]`` is the p_j x m_i map from node i's data into node
-    j's parity.  The class owns the shape, the node and data-fill checks,
+    j's parity, so the grid gives the shape: n, m, p and the field, the one
+    field of every block, are read off it once, and a grid that is not n x n
+    or a block of another shape or field is rejected by name.  The class
+    owns the shape, the node and data-fill checks,
     the row layout (per node, its data and parity rows, stored once as
     tuples in ``_rows``: data then parity here, and one layout shared by
     every node of a transformed code), the parity maps, erasure decoding,
@@ -128,58 +108,40 @@ class IrregularArrayCode:
 
     repair_schedule = None  # optional download plans: node -> [(source, row), ...]
 
-    def __init__(self, field: Field, params: CodeParams, construction):
-        if field.q != params.q:
-            raise InvalidParamsError(f"field GF({field.q}) != params q={params.q}")
-        self.field = field
-        self.params = params
-        n = params.n
-        for i in range(n):
-            for j in range(n):
-                mm = construction[i][j]
-                if (mm.rows, mm.cols) != (params.p[j], params.m[i]):
-                    raise InvalidParamsError(
-                        f"construction[{i}][{j}] is {mm.rows}x{mm.cols}, "
-                        f"expected {params.p[j]}x{params.m[i]}"
-                    )
+    def __init__(self, k: int, construction):
+        n = len(construction)
+        if any(len(row) != n for row in construction):
+            raise InvalidParamsError(f"construction is not a {n}x{n} grid of blocks")
+        m = tuple(row[0].cols for row in construction)
+        validate_dimensions(n, k, m)
+        p = tuple(block.rows for block in construction[0])
+        field = construction[0][0].field
+        for i, row in enumerate(construction):
+            for j, b in enumerate(row):
+                if (b.rows, b.cols, b.field) != (p[j], m[i], field):
+                    raise InvalidParamsError(f"construction[{i}][{j}] is {b.rows}x{b.cols} over "
+                                             f"{b.field}, expected {p[j]}x{m[i]} over {field}")
+        self.field, self.n, self.k, self.m, self.p = field, n, k, m, p
+        self.col_lens = tuple(mi + pi for mi, pi in zip(m, p))
         self.construction = construction
-        self._rows = tuple((tuple(range(mi)), tuple(range(mi, mi + pi)))
-                           for mi, pi in zip(params.m, params.p))
+        self._rows = tuple((tuple(range(a)), tuple(range(a, c))) for a, c in zip(m, self.col_lens))
 
     @classmethod
-    def from_factors(cls, field: Field, params: CodeParams, A, B) -> "IrregularArrayCode":
-        """Zero-diagonal code whose construction matrices are ``B[i][j] @ A[i][j]``."""
-        n = params.n
+    def from_factors(cls, k: int, A, B) -> "IrregularArrayCode":
+        """Zero-diagonal code whose construction matrices are ``B[i][j] @ A[i][j]``;
+        the diagonal takes its shapes and field from the neighbouring edges."""
+        n = len(A)
         construction = [
             [
-                Matrix.zeros(field, params.p[j], params.m[i]) if i == j else B[i][j] @ A[i][j]
+                Matrix.zeros(A[i][i - 1].field, B[i - 1][i].rows, A[i][i - 1].cols) if i == j
+                else B[i][j] @ A[i][j]
                 for j in range(n)
             ]
             for i in range(n)
         ]
-        code = cls(field, params, construction)
+        code = cls(k, construction)
         code.factors = A, B
         return code
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def k(self) -> int:
-        return self.params.k
-
-    @property
-    def m(self) -> tuple[int, ...]:
-        return self.params.m
-
-    @property
-    def p(self) -> tuple[int, ...]:
-        return self.params.p
-
-    @property
-    def col_lens(self) -> tuple[int, ...]:
-        return self.params.col_lens
 
     @property
     def code(self) -> "IrregularArrayCode":
@@ -217,7 +179,7 @@ class IrregularArrayCode:
         j's flat parity: every ``construction[i][j]`` side by side, the
         diagonal included.  The one data-to-parity product of the codec."""
         return [
-            Matrix.of(self.field, pj, self.params.total_data,
+            Matrix.of(self.field, pj, sum(self.m),
                       [[v for edges in self.construction for v in edges[j].data[t]]
                        for t in range(pj)])
             for j, pj in enumerate(self.p)
@@ -477,7 +439,7 @@ def zero_diagonal(code: IrregularArrayCode) -> IrregularArrayCode:
     """
     if not any(code._own_terms):
         return code
-    return IrregularArrayCode.from_factors(code.field, code.params, *code.factors)
+    return IrregularArrayCode.from_factors(code.k, *code.factors)
 
 
 def update_complexity(code: IrregularArrayCode) -> Fraction:
@@ -494,7 +456,7 @@ def update_complexity(code: IrregularArrayCode) -> Fraction:
             touched += sum(
                 1 for row in code.construction[i][j].data for v in row if v
             )
-    return Fraction(touched, code.params.total_data)
+    return Fraction(touched, sum(code.m))
 
 
 # -- closed-form bounds -------------------------------------------------------
@@ -674,9 +636,14 @@ def feasible(n: int, k: int, m, p, bandwidth_matrix) -> Feasibility:
     For each candidate erased set E the survivors must offer every erased
     node enough per-edge bandwidth to re-derive its data (access), and the
     survivors' parity capacity must cover all erased data (capacity).
-    Returns the first violated subset as a witness.
+    Returns the first violated subset as a witness.  p must hold n
+    nonnegative ints and ``bandwidth_matrix`` be n x n.
     """
     validate_dimensions(n, k, m)
+    if len(p) != n or any(not isinstance(v, int) or v < 0 for v in p):
+        raise InvalidParamsError(f"parity profile {tuple(p)} invalid for n={n}")
+    if len(bandwidth_matrix) != n or any(len(row) != n for row in bandwidth_matrix):
+        raise InvalidParamsError(f"bandwidth matrix must be {n}x{n}")
     if comb(n, n - k) > FEASIBILITY_SUBSET_LIMIT:
         raise EnumerationTooLargeError(
             f"C({n},{n - k}) subsets exceed {FEASIBILITY_SUBSET_LIMIT}"
@@ -832,7 +799,7 @@ def code_to_json(code: IrregularArrayCode) -> dict:
             "k": code.k,
             "m": list(code.m),
             "p": list(code.p),
-            "q": code.params.q,
+            "q": code.field.q,
         },
         "matrices": {
             name: [
@@ -848,7 +815,9 @@ def code_from_json(obj: dict) -> IrregularArrayCode:
     """Rebuild a code from its spec document.
 
     A missing or ill-typed key, or a diagonal entry that is not the empty
-    matrix, raises ``SpecSchemaError`` naming the key.
+    matrix, raises ``SpecSchemaError`` naming the key.  The stored params
+    are checked: n, k and m before any matrix is read, p's length and q
+    against the field, and (m, p) against what the matrices give.
     """
     stored = spec_value(obj, ("field",), dict)
     field = GF(spec_value(obj, ("field", "q"), int))
@@ -858,7 +827,9 @@ def code_from_json(obj: dict) -> IrregularArrayCode:
         raise InvalidParamsError("field tables in file do not match this build")
     n, k, q = (spec_value(obj, ("params", key), int) for key in ("n", "k", "q"))
     m, p = (tuple(spec_value(obj, ("params", key), list, int)) for key in ("m", "p"))
-    params = CodeParams(n, k, m, p, q)
+    validate_dimensions(n, k, m)
+    if len(p) != n or q != field.q:
+        raise InvalidParamsError(f"params p={list(p)}, q={q} do not fit n={n} over GF({field.q})")
 
     def grid(name):
         return [
@@ -871,4 +842,8 @@ def code_from_json(obj: dict) -> IrregularArrayCode:
     for path in (("matrices", name, i, i) for name in "AB" for i in range(n)):
         if spec_value(obj, path, dict) != {"rows": 0, "cols": 0, "entries": []}:
             raise SpecSchemaError(f"spec key {_key_name(path)} must be an empty matrix")
-    return IrregularArrayCode.from_factors(field, params, *grids)
+    code = IrregularArrayCode.from_factors(k, *grids)
+    if (code.m, code.p) != (m, p):
+        raise InvalidParamsError(f"params m={list(m)}, p={list(p)} do not match the "
+                                 f"matrices' m={list(code.m)}, p={list(code.p)}")
+    return code

@@ -24,7 +24,6 @@ from itertools import combinations
 from .finite_field import Field, GF
 from .linalg import Matrix, invert, rank, rref, vandermonde_columns
 from .code_model import (
-    CodeParams,
     InvalidParamsError,
     IrregularArrayCode,
     TooManyErasuresError,
@@ -202,7 +201,6 @@ def _assemble(n, k, m_vec, field, gens, assemblies):
     p_vec = bandwidth_optimal_profile(n, k, m_vec)
     if field is None:
         field = default_field(n, k, m_vec)
-    params = CodeParams(n, k, tuple(m_vec), p_vec, field.q)
     widths = [sum(m_vec[i] // k for i in range(n) if i != j) for j in range(n)]
 
     built = {}
@@ -248,7 +246,7 @@ def _assemble(n, k, m_vec, field, gens, assemblies):
             grid_b[i][j] = assemblies[j].take_cols(range(off, off + width))
             off += width
 
-    code = BuiltCode.from_factors(field, params, grid_a, grid_b)
+    code = BuiltCode.from_factors(k, grid_a, grid_b)
     if not all(known for _, known in built.values()):
         report = verify_mds(code)  # raises EnumerationTooLargeError past its limit
         if not report.is_mds:

@@ -31,7 +31,7 @@ class FieldTooSmallError(ValueError):
 
 
 class ShapeMismatchError(ValueError):
-    """Operand dimensions are incompatible."""
+    """Operand dimensions, or the fields they are over, are incompatible."""
 
 
 class Matrix:
@@ -111,10 +111,9 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ShapeMismatchError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
+        if self.cols != other.rows or self.field != other.field:
+            raise ShapeMismatchError(f"cannot multiply {self.rows}x{self.cols} over {self.field} "
+                                     f"by {other.rows}x{other.cols} over {other.field}")
         f = self.field
         rows = []
         for srow in self.data:

@@ -37,7 +37,7 @@ from functools import cached_property
 
 from .finite_field import Field
 from .linalg import FieldTooSmallError, Matrix, invert
-from .code_model import CodeParams, InvalidParamsError, IrregularArrayCode, solve_data_from_columns
+from .code_model import InvalidParamsError, IrregularArrayCode, solve_data_from_columns
 
 
 class InvalidPairError(ValueError):
@@ -66,9 +66,10 @@ class TransformedCode(IrregularArrayCode):
     """A base code plus one pairing round; rounds nest by using another
     TransformedCode as the base.  A node stores two contiguous halves, each
     a base column in the base's row layout; the base is regular, so one
-    layout, read off the base once into ``_rows``, serves every node of the
-    round.
-    Immutable; repair/update state lives in the owning cluster.
+    layout, read off the base once into ``_rows``, serves every node.  The
+    grid is built lazily, so ``__init__`` sets the shape itself: the base's
+    n, k and field, with m and p doubled.  Immutable; repair/update state
+    lives in the owning cluster.
 
     Every method derives from one pairing table, built here:
 
@@ -107,10 +108,10 @@ class TransformedCode(IrregularArrayCode):
         self.base = base
         self.pair = (a, b)
         self.pairs = pairs + [self.pair]
-        self.field = field
-        self.params = CodeParams(n, k, tuple(2 * v for v in base.m),
-                                 tuple(2 * v for v in base.p), field.q)
+        self.field, self.n, self.k = field, n, k
+        self.m, self.p = (tuple(2 * v for v in vals) for vals in (base.m, base.p))
         alpha = self.base_col_len = base.col_lens[0]
+        self.col_lens = (2 * alpha,) * n
         # A regular base lays out every node alike; each half holds one of its columns.
         self._rows = (tuple(tuple(h * alpha + r for h in (0, 1) for r in rows)
                             for rows in base._rows[0]),) * n
@@ -125,10 +126,9 @@ class TransformedCode(IrregularArrayCode):
         ]
 
     @classmethod
-    def from_factors(cls, field: Field, params: CodeParams, A, B) -> "TransformedCode":
-        raise InvalidParamsError(
-            "a transformed code is built from its base and pairs, not from factor grids"
-        )
+    def from_factors(cls, k: int, A, B) -> "TransformedCode":
+        raise InvalidParamsError("a transformed code is built from its base and pairs, "
+                                 "not from factor grids")
 
     # -- correspondence -------------------------------------------------------
     #
@@ -218,7 +218,7 @@ class TransformedCode(IrregularArrayCode):
     def as_irregular_code(self) -> IrregularArrayCode:
         """The flat grid as a data-then-parity ``IrregularArrayCode`` that
         shares this code's factor grids; for callers outside the package."""
-        flat = IrregularArrayCode(self.field, self.params, self.construction)
+        flat = IrregularArrayCode(self.k, self.construction)
         flat.factors = self.factors
         return flat
 

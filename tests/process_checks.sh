@@ -20,9 +20,10 @@
 #    seeded codewords of tests/test_cli.py's CODEWORD_CASES match their
 #    default-build golden files and decode byte for byte with their last n-k
 #    nodes erased.  A bad construct, a malformed UBCODE_SEED, a spec nested
-#    200,000 deep, a (4, 2) spec with three pairing rounds and a spec whose
-#    transform.g is not the field's primitive element each exit 2 with one
-#    stderr line and no traceback.
+#    200,000 deep, a (4, 2) spec with three pairing rounds, a spec whose
+#    transform.g is not the field's primitive element and a spec whose
+#    params.m disagrees with its matrices each exit 2 with one stderr line and
+#    no traceback.
 set -e -o pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -131,4 +132,8 @@ mixer1="$tmp/mixer1.json"  # every round mixes through the primitive element 2 o
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["transform"]["g"] = 1; print(json.dumps(d))' \
   tests/golden/spec_4_2_q8_r2.json > "$mixer1"
 usage_error python -m ubcode.cli encode --spec "$mixer1" --out "$tmp/mixer1.cw"
+params_m="$tmp/params_m.json"  # the stored params are checked against the matrices' shapes
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["params"]["m"] = [2, 2, 2, 4]; print(json.dumps(d))' \
+  tests/golden/spec_4_2_q8_r2.json > "$params_m"
+usage_error python -m ubcode.cli encode --spec "$params_m" --out "$tmp/params_m.cw"
 echo "process checks passed"

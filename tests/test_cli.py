@@ -342,11 +342,20 @@ def drop_key(path):
         (set_key(["params", "k"], True), "spec key params.k must be int"),
         (set_key(["matrices", "A", 0, 0], {"rows": 1, "cols": 2, "entries": [[1, 0]]}),
          "spec key matrices.A[0][0] must be an empty matrix"),
+        # The params no longer drive the shape, but they are still checked against it.
+        (set_key(["params", "m"], [2, 2, 2, 4]),
+         "params m=[2, 2, 2, 4], p=[2, 2, 2, 2] do not match the matrices' m=[2, 2, 2, 2]"),
+        (set_key(["params", "p", 1], 3),
+         "params m=[2, 2, 2, 2], p=[2, 3, 2, 2] do not match the matrices' m=[2, 2, 2, 2], "
+         "p=[2, 2, 2, 2]"),
+        (set_key(["params", "q"], 8), "params p=[2, 2, 2, 2], q=8 do not fit n=4 over GF(4)"),
+        (set_key(["params", "n"], 3), "data profile (2, 2, 2, 2) invalid for n=3"),
     ],
     ids=["missing-k", "missing-entries", "short-grid", "m-type", "q-type",
          "transform-no-g", "transform-g-type", "transform-short-pair", "transform-flat-pairs",
          "entry-out-of-field", "entry-bool", "entries-shape", "transform-g-too-large",
-         "transform-g-negative", "transform-pairs-bool", "transform-g-bool", "params-k-bool", "diagonal-not-empty"],
+         "transform-g-negative", "transform-pairs-bool", "transform-g-bool", "params-k-bool", "diagonal-not-empty",
+         "params-m-disagrees", "params-p-disagrees", "params-q-disagrees", "params-n-disagrees"],
 )
 def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     spec = tmp_path / "spec.json"

@@ -12,6 +12,7 @@ from ubcode.finite_field import GF
 from ubcode.linalg import (
     InconsistentSystemError,
     Matrix,
+    ShapeMismatchError,
     UnderdeterminedSystemError,
     rank,
     solve,
@@ -20,7 +21,6 @@ from ubcode.linalg import (
 from ubcode.transform import iterate_transform
 from ubcode.code_model import (
     Admissibility,
-    CodeParams,
     EnumerationTooLargeError,
     InvalidParamsError,
     IrregularArrayCode,
@@ -51,7 +51,6 @@ def pcode_fixture():
     other nodes; hand-transcribed from its grid.
     """
     f = GF(2)
-    params = CodeParams(4, 2, (2, 2, 2, 2), (2, 2, 2, 2), 2)
     eye = Matrix.identity(f, 2)
     zero = Matrix.zeros(f, 2, 2)
     # destination pairs per source: parity of node j sums data of nodes src1, src2
@@ -60,7 +59,7 @@ def pcode_fixture():
     for dest, (s1, s2) in contributions.items():
         grid[s1][dest] = eye
         grid[s2][dest] = eye
-    return IrregularArrayCode(f, params, grid)
+    return IrregularArrayCode(2, grid)
 
 
 # -- bounds -------------------------------------------------------------------
@@ -289,6 +288,21 @@ def test_feasible_access_violation_witnessed():
     assert res.violated == "access"
 
 
+@pytest.mark.parametrize(
+    "p, grid",
+    [
+        ([1], [[0] * 4 for _ in range(4)]),
+        ([-1] * 4, [[0] * 4 for _ in range(4)]),
+        ([2] * 4, [[0] * 3 for _ in range(3)]),
+        ([2] * 4, [[0] * 3 for _ in range(4)]),
+    ],
+    ids=["short-p", "negative-p", "3x3-grid", "4x3-grid"],
+)
+def test_feasible_rejects_a_misshapen_profile_or_grid(p, grid):
+    with pytest.raises(InvalidParamsError):
+        feasible(4, 2, [2] * 4, p, grid)
+
+
 def test_feasible_enumeration_guard():
     with pytest.raises(EnumerationTooLargeError):
         feasible(50, 25, [1] * 50, [1] * 50, [[1] * 50 for _ in range(50)])
@@ -324,18 +338,16 @@ def test_pcode_metrics():
 
 def test_redundancy_zero_parity_profile():
     f = GF(2)
-    params = CodeParams(3, 2, (1, 1, 1), (0, 0, 0), 2)
     grid = [[Matrix.zeros(f, 0, 1) for _ in range(3)] for _ in range(3)]
-    code = IrregularArrayCode(f, params, grid)
+    code = IrregularArrayCode(2, grid)
     assert redundancy(code) == 0
 
 
 def test_update_bandwidth_zero_code():
     f = GF(2)
-    params = CodeParams(3, 2, (1, 1, 1), (1, 1, 1), 2)
     zero = Matrix.zeros(f, 1, 1)
     grid = [[zero for _ in range(3)] for _ in range(3)]
-    code = IrregularArrayCode(f, params, grid)
+    code = IrregularArrayCode(2, grid)
     _, average = update_bandwidth(code)
     assert average == 0
     assert update_complexity(code) == 0
@@ -347,11 +359,10 @@ def test_update_complexity_weight_one_identity_blocks():
     # Every off-diagonal map an identity: each symbol touches n-1 parities.
     f = GF(3)
     n = 4
-    params = CodeParams(n, 2, (2,) * n, (2,) * n, 3)
     eye = Matrix.identity(f, 2)
     zero = Matrix.zeros(f, 2, 2)
     grid = [[zero if i == j else eye for j in range(n)] for i in range(n)]
-    code = IrregularArrayCode(f, params, grid)
+    code = IrregularArrayCode(2, grid)
     assert update_complexity(code) == Fraction(n - 1)
 
 
@@ -359,21 +370,42 @@ def test_factor_grids_come_only_from_the_construction(rng):
     built = build_mrmub(4, 2, 2)
     other = build_mrmub(4, 2, 2, assembly=[[1, 2, 3], [1, 3, 2]])
     with pytest.raises(TypeError):  # factors that contradict the construction
-        IrregularArrayCode(built.field, built.params, built.construction, other.A, other.B)
-    code = IrregularArrayCode(built.field, built.params, built.construction)
+        IrregularArrayCode(built.k, built.construction, other.A, other.B)
+    code = IrregularArrayCode(built.k, built.construction)
     for i, j in permutations(range(4), 2):
         assert code.B[i][j] @ code.A[i][j] == built.construction[i][j]
     data = random_fill(code, rng)
     assert code.encode(data) == built.encode(data)
 
 
+def test_construction_grid_must_be_square():
+    built = build_mrmub(4, 2, 2)
+    with pytest.raises(InvalidParamsError, match="not a 4x4 grid"):
+        IrregularArrayCode(2, [row[:3] for row in built.construction])
+
+
+def test_construction_blocks_must_share_one_field():
+    # A GF(8) grid with one GF(4) block would encode a wrong codeword.
+    grid = [list(row) for row in build_mrmub(4, 2, 2, field=GF(8)).construction]
+    grid[2][1] = build_mrmub(4, 2, 2, field=GF(4)).construction[2][1]
+    with pytest.raises(InvalidParamsError, match=r"construction\[2\]\[1\] .* over GF\(4\)"):
+        IrregularArrayCode(2, grid)
+
+
+def test_from_factors_rejects_factors_over_another_field():
+    built = build_mrmub(4, 2, 2, field=GF(8))
+    A = [list(row) for row in built.A]
+    A[0][1] = build_mrmub(4, 2, 2, field=GF(4)).A[0][1]
+    with pytest.raises(ShapeMismatchError, match="over GF"):
+        IrregularArrayCode.from_factors(2, A, built.B)
+
+
 def test_zero_diagonal():
     f = GF(2)
-    params = CodeParams(3, 2, (1, 1, 1), (1, 1, 1), 2)
     one = Matrix.from_rows(f, [[1]])
     zero = Matrix.zeros(f, 1, 1)
     grid = [[one for _ in range(3)] for _ in range(3)]
-    code = IrregularArrayCode(f, params, grid)
+    code = IrregularArrayCode(2, grid)
     normalized = zero_diagonal(code)
     for i in range(3):
         assert normalized.construction[i][i].is_zero()
@@ -599,7 +631,7 @@ def test_code_json_round_trip(rng):
     doc = code_to_json(code)
     text = json.dumps(doc)
     loaded = code_from_json(json.loads(text))
-    assert loaded.params == code.params
+    assert (loaded.n, loaded.k, loaded.m, loaded.p) == (code.n, code.k, code.m, code.p)
     for i in range(4):
         for j in range(4):
             assert loaded.construction[i][j] == code.construction[i][j]
@@ -609,10 +641,9 @@ def test_code_json_round_trip(rng):
 
 def test_code_json_rejects_nonzero_diagonal():
     f = GF(2)
-    params = CodeParams(3, 2, (1, 1, 1), (1, 1, 1), 2)
     one = Matrix.from_rows(f, [[1]])
     grid = [[one for _ in range(3)] for _ in range(3)]
-    code = IrregularArrayCode(f, params, grid)
+    code = IrregularArrayCode(2, grid)
     with pytest.raises(InvalidParamsError):
         code_to_json(code)
     code_to_json(zero_diagonal(code))
@@ -622,10 +653,10 @@ def test_verify_mds_flags_a_threshold_below_k():
     """Every column of this (3, 2) code holds node 0's one data symbol, so
     one column already determines the data."""
     f = GF(2)
-    params = CodeParams(3, 2, (1, 0, 0), (0, 1, 1), 2)
-    grid = [[Matrix.zeros(f, params.p[j], params.m[i]) for j in range(3)] for i in range(3)]
+    m, p = (1, 0, 0), (0, 1, 1)
+    grid = [[Matrix.zeros(f, p[j], m[i]) for j in range(3)] for i in range(3)]
     grid[0][1] = grid[0][2] = Matrix.identity(f, 1)
-    rep = verify_mds(IrregularArrayCode(f, params, grid))
+    rep = verify_mds(IrregularArrayCode(2, grid))
     assert rep == MdsReport(False, None, None, "every 1-subset already determines the data")
 
 
@@ -659,7 +690,7 @@ def dependent_parity_code(q: int) -> IrregularArrayCode:
     for i in range(view.n):
         blk = grid[i][0]
         grid[i][0] = with_row(blk, 1, [f.mul(f.primitive, v) for v in blk.data[0]])
-    return IrregularArrayCode(f, view.params, grid)
+    return IrregularArrayCode(view.k, grid)
 
 
 @pytest.mark.parametrize("q", [25, 256])
@@ -725,7 +756,7 @@ def broken_copies(view, rng, count):
         c = rng.randrange(f.q)
         grid = [list(row) for row in view.construction]
         grid[i][j] = with_row(grid[i][j], dst, f.scale_row(c, grid[i][j].data[src]))
-        out.append(IrregularArrayCode(f, view.params, grid))
+        out.append(IrregularArrayCode(view.k, grid))
     return out
 
 

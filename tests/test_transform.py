@@ -94,7 +94,7 @@ def test_iterate_zero_rounds_is_base(base42):
 def test_from_factors_is_a_usage_error(two_rounds):
     # The flat classmethod cannot build a round: its shape comes from a base.
     with pytest.raises(InvalidParamsError, match="built from its base and pairs"):
-        TransformedCode.from_factors(two_rounds.field, two_rounds.params, *two_rounds.factors)
+        TransformedCode.from_factors(two_rounds.k, *two_rounds.factors)
 
 
 # -- correspondence ------------------------------------------------------------------
