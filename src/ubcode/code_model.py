@@ -131,6 +131,8 @@ class IrregularArrayCode:
         """Zero-diagonal code whose construction matrices are ``B[i][j] @ A[i][j]``;
         the diagonal takes its shapes and field from the neighbouring edges."""
         n = len(A)
+        if n < 2:  # node 0's only neighbour would be node 0 itself
+            raise InvalidParamsError(f"need 1 <= k < n with n >= 2, got n={n} k={k}")
         construction = [
             [
                 Matrix.zeros(A[i][i - 1].field, B[i - 1][i].rows, A[i][i - 1].cols) if i == j
@@ -630,20 +632,26 @@ class Feasibility:
     detail: str = ""
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and v >= 0
+
+
 def feasible(n: int, k: int, m, p, bandwidth_matrix) -> Feasibility:
     """Check the two necessary conditions over every erased subset of size n-k.
 
     For each candidate erased set E the survivors must offer every erased
     node enough per-edge bandwidth to re-derive its data (access), and the
     survivors' parity capacity must cover all erased data (capacity).
-    Returns the first violated subset as a witness.  p must hold n
-    nonnegative ints and ``bandwidth_matrix`` be n x n.
+    Returns the first violated subset as a witness.  p and every row of
+    ``bandwidth_matrix`` must hold n nonnegative ints.
     """
     validate_dimensions(n, k, m)
-    if len(p) != n or any(not isinstance(v, int) or v < 0 for v in p):
+    if len(p) != n or not all(_is_count(v) for v in p):
         raise InvalidParamsError(f"parity profile {tuple(p)} invalid for n={n}")
     if len(bandwidth_matrix) != n or any(len(row) != n for row in bandwidth_matrix):
         raise InvalidParamsError(f"bandwidth matrix must be {n}x{n}")
+    if not all(_is_count(v) for row in bandwidth_matrix for v in row):
+        raise InvalidParamsError("bandwidth matrix entries must be nonnegative ints")
     if comb(n, n - k) > FEASIBILITY_SUBSET_LIMIT:
         raise EnumerationTooLargeError(
             f"C({n},{n - k}) subsets exceed {FEASIBILITY_SUBSET_LIMIT}"

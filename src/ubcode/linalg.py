@@ -6,7 +6,11 @@ be shared across threads freely.  Every operation builds its rows and wraps
 them in a new matrix.  Zero-row and zero-column matrices are first-class
 values: nodes holding no data produce genuinely empty factor matrices.
 Elimination always pivots on the first nonzero entry in column order, so
-every decomposition here is deterministic and reproducible.
+every decomposition here is deterministic and reproducible.  ``rref`` and
+``rank`` share one elimination loop per row form (packed byte rows for
+GF(2)..GF(256), entry lists otherwise): ``rref`` clears each pivot's column
+above and below it, while ``rank`` is forward elimination, clearing only
+below, and counts the same pivots without building a matrix.
 """
 
 from __future__ import annotations
@@ -168,8 +172,25 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     on it) deterministic.  Fields with byte multiply tables (characteristic
     2, q <= 256) eliminate on packed rows; every other field on entry lists.
     """
+    rows, pivots = _eliminate(m, True)
     if m.field.mul_tables is not None:
-        return _rref_packed(m)
+        rows = [row.to_bytes(m.cols, "little") for row in rows]
+    return Matrix.of(m.field, m.rows, m.cols, rows), pivots
+
+
+def rank(m: Matrix) -> int:
+    """The number of ``rref``'s pivots, by forward elimination: the same
+    pivots, but each clears only the rows below it and no matrix is built."""
+    return len(_eliminate(m, False)[1])
+
+
+def _eliminate(m: Matrix, clear_above: bool) -> tuple[list, list[int]]:
+    """The elimination behind ``rref`` and ``rank``: its rows, in the path's
+    own form, and its pivot columns.  Each pivot row is scaled to lead with 1
+    and cleared from the rows below it, and from those above when
+    ``clear_above``; without it the rows end in row-echelon form."""
+    if m.field.mul_tables is not None:
+        return _eliminate_packed(m, clear_above)
     f = m.field
     r = [list(row) for row in m.data]
     pivots: list[int] = []
@@ -187,23 +208,22 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if tail[0] != 1:
             tail = f.scale_row(f.inv(tail[0]), tail)
             r[prow][col:] = tail
-        for i, row in enumerate(r):
-            if i == prow:
-                continue
+        for i in range(0 if clear_above else prow + 1, m.rows):
+            row = r[i]
             c = row[col]
-            if c:
+            if c and i != prow:
                 row[col:] = f.sub_scaled_row(row[col:], c, tail)
         pivots.append(col)
         prow += 1
-    return Matrix.of(f, m.rows, m.cols, r), pivots
+    return r, pivots
 
 
-def _rref_packed(m: Matrix) -> tuple[Matrix, list[int]]:
-    """``rref`` with each row one int, entry j in byte j (little-endian).
+def _eliminate_packed(m: Matrix, clear_above: bool) -> tuple[list[int], list[int]]:
+    """``_eliminate`` with each row one int, entry j in byte j (little-endian).
 
     A row is scaled by one ``bytes.translate`` through the field's multiply
     table and two rows are added by one int XOR (characteristic 2).  The
-    pivot rule is ``rref``'s, so the result is identical.
+    pivot rule is the entry-list loop's, so the result is identical.
     """
     f = m.field
     tables = f.mul_tables
@@ -227,17 +247,14 @@ def _rref_packed(m: Matrix) -> tuple[Matrix, list[int]]:
             pivot = pivot.translate(tables[f.inv(lead)])
             rows[prow] = from_bytes(pivot, "little")
         translate = pivot.translate
-        for i, row in enumerate(rows):
+        for i in range(0 if clear_above else prow + 1, m.rows):
+            row = rows[i]
             c = row >> shift & 255
             if c and i != prow:
                 rows[i] = row ^ from_bytes(translate(tables[c]), "little")
         pivots.append(col)
         prow += 1
-    return Matrix.of(f, m.rows, width, [row.to_bytes(width, "little") for row in rows]), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return rows, pivots
 
 
 def left_inverse(m: Matrix) -> tuple[Matrix | None, Matrix]:

@@ -7,7 +7,9 @@
 #
 # 1. A three-round GF(25) transformed spec: verify --json reports every check
 #    ok, a 2-node erasure decodes byte for byte, and every node repairs byte
-#    for byte at the cut-set figure.
+#    for byte at the cut-set figure.  An (8, 4) irregular MUB spec over GF(32)
+#    (packed elimination) and a (6, 3) MR-MUB spec over GF(2^16) (entry-list
+#    elimination) each verify --json with every check ok.
 # 2. The demos and two bounds reports match the golden files.  A two-round
 #    transformed spec constructs byte for byte as its golden file over the
 #    default systematic assemblies and verifies with exit 0; its verify --json
@@ -29,16 +31,19 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 tmp=$(mktemp -d "${RUNNER_TEMP:-/tmp}/process_checks.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
+all_checks_ok() {  # verify --json on the spec $1 reports every check ok
+  python -m ubcode.cli verify "$1" --json | python -c \
+    'import json, sys; checks = json.load(sys.stdin)["checks"]; sys.exit(not all(c["ok"] for c in checks))'
+}
 
-# -- 1. a three-round GF(25) transformed spec ------------------------------------
+# -- 1. a three-round GF(25) transformed spec, then a GF(32) and a GF(2^16) spec --
 
 spec="$tmp/spec_b.json"
 cw="$tmp/spec_b.cw"
 out="$tmp/spec_b.out"
 python -m ubcode.cli construct --kind mrmub --n 6 --k 4 --m 4,4,4,4,4,4 --q 25 \
   --transform-rounds 3 --out "$spec"
-python -m ubcode.cli verify "$spec" --json | python -c \
-  'import json, sys; checks = json.load(sys.stdin)["checks"]; sys.exit(not all(c["ok"] for c in checks))'
+all_checks_ok "$spec"
 python -m ubcode.cli encode --spec "$spec" --seed 7 --out "$cw"
 python -m ubcode.cli decode --spec "$spec" --in "$cw" --erased 1,4 --out "$out"
 diff "$out" "$cw"
@@ -48,6 +53,11 @@ for j in 0 1 2 3 4 5; do
     | grep -qx total,120
   diff "$out" "$cw"
 done
+python -m ubcode.cli construct --kind mub --n 8 --k 4 --m 8,8,4,4,0,12,4,8 --out "$tmp/spec_a.json"
+all_checks_ok "$tmp/spec_a.json"
+python -m ubcode.cli construct --kind mrmub --n 6 --k 3 --m 6,6,6,6,6,6 --q 65536 \
+  --out "$tmp/spec_c.json"
+all_checks_ok "$tmp/spec_c.json"
 
 # -- 2. goldens, a two-round GF(8) transformed spec, codewords, exit codes --------
 
@@ -60,8 +70,7 @@ python -m ubcode.cli construct --kind mrmub --n 4 --k 2 --m 2,2,2,2 --q 8 \
   --transform-rounds 2 --out "$transformed"
 diff "$transformed" tests/golden/spec_4_2_q8_r2_systematic.json
 python -m ubcode.cli verify "$transformed"
-python -m ubcode.cli verify "$transformed" --json | python -c \
-  'import json, sys; checks = json.load(sys.stdin)["checks"]; sys.exit(not all(c["ok"] for c in checks))'
+all_checks_ok "$transformed"
 python -m ubcode.cli verify "$transformed" --json | python -c \
   'import json, sys; from fractions import Fraction as F; d = json.load(sys.stdin); sys.exit(F(d["update_complexity"]) < F(d["update_complexity_bound"]))'
 err="$tmp/command.err"

@@ -295,8 +295,12 @@ def test_feasible_access_violation_witnessed():
         ([-1] * 4, [[0] * 4 for _ in range(4)]),
         ([2] * 4, [[0] * 3 for _ in range(3)]),
         ([2] * 4, [[0] * 3 for _ in range(4)]),
+        ([2] * 4, [[0, -5, 3, 3]] * 4),
+        ([2] * 4, [[0, "3", 3, 3]] * 4),
+        ([2] * 4, [[0, 1.0, 3, 3]] * 4),
     ],
-    ids=["short-p", "negative-p", "3x3-grid", "4x3-grid"],
+    ids=["short-p", "negative-p", "3x3-grid", "4x3-grid", "negative-entry", "str-entry",
+         "float-entry"],
 )
 def test_feasible_rejects_a_misshapen_profile_or_grid(p, grid):
     with pytest.raises(InvalidParamsError):
@@ -390,6 +394,12 @@ def test_construction_blocks_must_share_one_field():
     grid[2][1] = build_mrmub(4, 2, 2, field=GF(4)).construction[2][1]
     with pytest.raises(InvalidParamsError, match=r"construction\[2\]\[1\] .* over GF\(4\)"):
         IrregularArrayCode(2, grid)
+
+
+def test_from_factors_rejects_a_single_node():
+    # With n = 1 the diagonal's only neighbour is itself, so no edge gives its shape.
+    with pytest.raises(InvalidParamsError, match="n >= 2, got n=1"):
+        IrregularArrayCode.from_factors(1, [[None]], [[None]])
 
 
 def test_from_factors_rejects_factors_over_another_field():

@@ -168,6 +168,61 @@ def test_rank_transpose_random_1000_per_field():
         assert rank(m) == rank(m.transpose())
 
 
+# One field per row form and kind: packed GF(2) and GF(8), then on entry
+# lists an odd extension field, a prime field and GF(2^16).
+RANK_FIELDS = [GF(q) for q in (2, 8, 25, 257, 1 << 16)]
+
+
+@st.composite
+def rank_cases(draw):
+    """A matrix of up to 6 x 6, zero-row and zero-column shapes included, as
+    a product through an inner dimension that may cap its rank, with some
+    rows then zeroed or repeated from an earlier row."""
+    field = draw(st.sampled_from(RANK_FIELDS))
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+
+    def grid(r, c):
+        entry = st.integers(0, field.q - 1)
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    data = [list(row) for row in (
+        Matrix(field, rows, inner, grid(rows, inner)) @ Matrix(field, inner, cols, grid(inner, cols))
+    ).data]
+    for i in range(rows):
+        kind = draw(st.sampled_from(["keep", "zero", "repeat"]))
+        if kind == "zero":
+            data[i] = [0] * cols
+        elif kind == "repeat" and i:
+            data[i] = list(data[draw(st.integers(0, i - 1))])
+    return Matrix(field, rows, cols, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+def test_rank_counts_the_rref_pivots_and_ignores_transposition(m):
+    assert rank(m) == len(rref(m)[1]) == rank(m.transpose())
+
+
+def test_rank_eliminates_only_below_each_pivot(monkeypatch):
+    # Forward elimination clears at most 11 + 10 + ... + 1 = 66 entries of a
+    # full-rank 12 x 12 matrix; a full rref clears about twice as many.
+    field = GF(25)
+    assert field.mul_tables is None  # the entry-list path, one call per cleared row
+    rng = random.Random(29)
+    m = Matrix(field, 12, 12, [[rng.randrange(1, 25) for _ in range(12)] for _ in range(12)])
+    calls = 0
+    sub_scaled_row = type(field).sub_scaled_row
+
+    def counted(self, dst, c, src):
+        nonlocal calls
+        calls += 1
+        return sub_scaled_row(self, dst, c, src)
+
+    monkeypatch.setattr(type(field), "sub_scaled_row", counted)
+    assert rank(m) == 12
+    assert calls <= 12 * 11 // 2
+
+
 # -- solve --------------------------------------------------------------------
 
 
