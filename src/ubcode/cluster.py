@@ -2,10 +2,10 @@
 
 A cluster owns one code instance, the current per-node columns, and the
 ground-truth data vectors.  Updates ship exactly the per-edge intermediate
-vectors of the update protocol; repairs fetch symbols through a deduplicating
-download counter; every completed operation leaves the columns equal to a
-fresh encode of the ground truth (re-checked internally, and auditable on
-demand).
+vectors of the update protocol; a repair's fetch charges each row to its
+source, and ``code.repair`` asks for each (source, row) once; every completed
+operation leaves the columns equal to a fresh encode of the ground truth
+(re-checked internally, and auditable on demand).
 
 Randomness is always drawn from ``random.Random(seed)`` (the stdlib Mersenne
 Twister), so identical seeds reproduce identical clusters, workloads and
@@ -123,33 +123,24 @@ class Cluster:
     # -- repair ---------------------------------------------------------------
 
     def fail_and_repair(self, node: int) -> TransferLog:
-        """Erase a column, rebuild it from survivors, count every download.
+        """Erase a column, rebuild it from survivors, charge every row fetched.
 
-        A physical symbol is charged once even when several recovery steps
-        read it; the rebuilt column must match the lost one bitwise.
-        """
-        fetched: dict[tuple[int, int], int] = {}
+        ``code.repair`` downloads each physical symbol once, however many
+        recovery steps read it; the rebuilt column must match the lost one bitwise."""
+        per_src: dict[int, int] = {}
 
         def fetch(src: int, rows) -> list[int]:
             if src == node:
                 raise NodeOutOfRangeError(f"cannot download from failed node {src}")
             self.code.check_node(src)
-            out = []
-            for r in rows:
-                key = (src, r)
-                if key not in fetched:
-                    fetched[key] = self.columns[src][r]
-                out.append(fetched[key])
-            return out
+            per_src[src] = per_src.get(src, 0) + len(rows)
+            return [self.columns[src][r] for r in rows]
 
         restored = self.code.repair(node, fetch)  # checks the node first
         if restored != self.columns[node]:
             raise RepairMismatchError(f"repair of node {node} altered the column")
 
         oplog = TransferLog()
-        per_src: dict[int, int] = {}
-        for src, _ in fetched:
-            per_src[src] = per_src.get(src, 0) + 1
         for src in sorted(per_src):
             oplog.add("repair", src, node, per_src[src])
         self.log.extend(oplog)

@@ -63,7 +63,7 @@ MDS_SUBSET_LIMIT = 10**4
 
 
 class InvalidParamsError(ValueError):
-    """Code parameters violate 1 <= k < n, nonnegativity, or B > 0."""
+    """Code parameters are not ints, or violate 1 <= k < n, nonnegativity or B > 0."""
 
 
 class EnumerationTooLargeError(ValueError):
@@ -78,10 +78,14 @@ class NodeOutOfRangeError(ValueError):
     """A node index outside 0..n-1 was addressed."""
 
 
+def _is_count(v) -> bool:  # a nonnegative int; a bool is no count (see _is_a)
+    return _is_a(v, int) and v >= 0
+
+
 def validate_dimensions(n: int, k: int, m) -> None:
-    if n < 2 or not 1 <= k < n:
+    if not (_is_count(n) and _is_count(k)) or n < 2 or not 1 <= k < n:
         raise InvalidParamsError(f"need 1 <= k < n with n >= 2, got n={n} k={k}")
-    if len(m) != n or any(v < 0 for v in m):
+    if len(m) != n or not all(_is_count(v) for v in m):
         raise InvalidParamsError(f"data profile {tuple(m)} invalid for n={n}")
     if sum(m) == 0:
         raise InvalidParamsError("code must store at least one data symbol")
@@ -299,17 +303,24 @@ class IrregularArrayCode:
     def repair(self, failed: int, fetch) -> list[int]:
         """Rebuild column ``failed`` from what ``fetch(source, rows)`` returns.
 
-        The one repair entry and its input check: each read must return one
-        field element per requested row, otherwise ValueError names the
-        source.  ``_repair`` then runs on the checked reads and trusts them.
+        The one repair entry, its input check and its download store: a read
+        fetches the rows not yet downloaded from that source, once each in
+        request order, and must get one field element per row (ValueError
+        names the source otherwise); repeats come from the store.  ``_repair``
+        then runs on the checked reads and trusts them.
         """
         self.check_node(failed)
+        store: dict[int, dict[int, int]] = {}  # source -> row -> symbol
 
         def checked(src: int, rows) -> list[int]:
-            values = [self.field.validate(v) for v in fetch(src, rows)]
-            if len(values) != len(rows):
-                raise ValueError(f"node {src} returned {len(values)} symbols for {len(rows)} rows")
-            return values
+            seen = store.setdefault(src, {})
+            new = [r for r in dict.fromkeys(rows) if r not in seen]
+            values = [self.field.validate(v) for v in fetch(src, new)] if new else []
+            if len(values) != len(new):
+                raise ValueError(f"node {src} returned {len(values)} symbols for {len(new)} rows")
+            seen.update(zip(new, values))
+            # Every row new and none repeated: the download is the answer.
+            return values if len(new) == len(rows) else [seen[r] for r in rows]
 
         return self._repair(failed, checked)
 
@@ -473,7 +484,8 @@ class BoundsReport:
     divisibility condition (min_redundancy_at_min_bandwidth and its unique
     profile) are None when the theory leaves them open, and
     update_complexity_bound is None for k = n-1, where the paper's bound does
-    not hold.
+    not hold.  At k = n-1 the cyclic bandwidth_assignment need not support
+    bandwidth_profile, and ``build_mub`` exceeds min_redundancy_at_min_bandwidth.
     """
 
     n: int
@@ -630,10 +642,6 @@ class Feasibility:
     witness: tuple[int, ...] | None = None
     violated: str | None = None  # "access" | "capacity"
     detail: str = ""
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and v >= 0
 
 
 def feasible(n: int, k: int, m, p, bandwidth_matrix) -> Feasibility:

@@ -10,10 +10,10 @@ the update-bandwidth optimum by construction.
 ``build_mrmub`` handles the balanced profile (every node stores m data
 symbols, redundancy is the global minimum); ``build_mub`` handles arbitrary
 per-node data counts divisible by k (redundancy is the minimum attainable at
-optimal update bandwidth).  The builders assemble the per-edge factor grids
-and return the ``IrregularArrayCode`` they define, as a ``BuiltCode``: the
-same class under its own name, carrying its generators and assembly
-matrices.
+optimal update bandwidth for k <= n-2, and above what ``bounds`` reports at
+k = n-1).  The builders assemble the per-edge factor grids and return the
+``IrregularArrayCode`` they define, as a ``BuiltCode``: the same class under
+its own name, carrying its generators and assembly matrices.
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ def build_mrmub(n: int, k: int, m: int, field: Field | None = None,
 
 def build_mub(n: int, k: int, m_vec, field: Field | None = None,
               base_generators=None, assemblies=None) -> BuiltCode:
-    """General construction for arbitrary per-node data counts divisible by k;
-    redundancy equals the minimum attainable at optimal update bandwidth."""
+    """General construction for arbitrary per-node data counts divisible by k,
+    at optimal update bandwidth with the least redundancy there for k <= n-2
+    (at k = n-1 more than ``bounds`` reports: 7 against 6 for (4, 3, [6, 3, 3, 3]))."""
     m_vec = list(m_vec)
     validate_dimensions(n, k, m_vec)
     if any(mi % k for mi in m_vec):

@@ -246,8 +246,8 @@ class TransformedCode(IrregularArrayCode):
 
         A paired node costs (n-1) * alpha' / 2 symbols: one full instance
         from the unpaired nodes plus the partner's mixed half.  An unpaired
-        node repairs each instance through the base code; duplicate physical
-        reads are deduplicated by the caller's fetch."""
+        node repairs each instance through the base code; a physical row
+        both instances read is downloaded once, by ``repair``'s store."""
         if failed not in self.pair:
             top, bottom = (self.base._repair(failed, self._instance_fetch(fetch, s))
                            for s in (0, 1))

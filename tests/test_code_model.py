@@ -169,6 +169,48 @@ def test_bounds_invalid_params():
         bounds(3, 2, [1, 1])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bounds(4, 2, [2.5, 2, 2, 2]),
+        lambda: bounds(4, 2, ["2", 2, 2, 2]),
+        lambda: bounds(4, 2, [True, 2, 2, 2]),
+        lambda: bounds(4.0, 2, [2] * 4),
+        lambda: bounds(4, 2.0, [2] * 4),
+        lambda: bounds(4, True, [2] * 4),
+        lambda: build_mub(4, 2, [2.0, 2, 2, 2]),
+        lambda: build_mrmub(4, 2, 2.0),
+        lambda: feasible(4, 2, [2.5, 2, 2, 2], [2] * 4, [[0, 1, 1, 1]] * 4),
+        lambda: feasible(4, 2, [2] * 4, [True, 2, 2, 2], [[0, 1, 1, 1]] * 4),
+        lambda: feasible(4, 2, [2] * 4, [2] * 4, [[0, True, 1, 1]] * 4),
+    ],
+    ids=["float-m", "str-m", "bool-m", "float-n", "float-k", "bool-k", "mub-float-m",
+         "mrmub-float-m", "feasible-float-m", "feasible-bool-p", "feasible-bool-entry"],
+)
+def test_dimensions_and_counts_must_be_ints(call):
+    with pytest.raises(InvalidParamsError):
+        call()
+
+
+def test_bounds_at_k_n_minus_1_disagree_with_feasible_and_build_mub():
+    # A known fault, pinned until bounds() is fixed: at k = n-1 the
+    # reported bandwidth profile is the minimum-redundancy one, which the
+    # cyclic bandwidth_assignment cannot support although another grid of
+    # the same bandwidth can, and build_mub reaches the minimum update
+    # bandwidth with more redundancy than min_redundancy_at_min_bandwidth.
+    rep = bounds(3, 2, [2, 2, 0])
+    assert (rep.bandwidth_profile, rep.min_redundancy_at_min_bandwidth) == ((0, 0, 2), 2)
+    verdict = feasible(3, 2, rep.m, rep.bandwidth_profile, rep.bandwidth_assignment)
+    assert (verdict.feasible, verdict.violated, verdict.witness) == (False, "capacity", (0,))
+    grid = [[0, 0, 2], [0, 0, 2], [0, 0, 0]]
+    assert feasible(3, 2, rep.m, rep.bandwidth_profile, grid).feasible
+    assert Fraction(sum(map(sum, grid)), 3) == rep.min_update_bandwidth == Fraction(4, 3)
+    for n, k, m, built_redundancy in [(3, 2, [2, 2, 0], 3), (4, 3, [6, 3, 3, 3], 7)]:
+        rep, built = bounds(n, k, m), build_mub(n, k, m)
+        assert update_bandwidth(built)[1] == rep.min_update_bandwidth
+        assert redundancy(built) == built_redundancy == rep.min_redundancy_at_min_bandwidth + 1
+
+
 def test_bandwidth_optimal_profile_requires_divisibility():
     with pytest.raises(InvalidParamsError):
         bandwidth_optimal_profile(4, 2, [3, 2, 2, 0])
@@ -613,6 +655,28 @@ def test_repair_rejects_fetched_symbols_outside_the_field(code, bad):
                 assert want in str(exc), (source, failed)
             else:
                 assert got == cols[failed], (source, failed)
+
+
+def test_repair_fetches_each_row_once_and_answers_repeats_from_its_store(monkeypatch):
+    # Reads that repeat a row, or name rows already fetched from that
+    # source, pass the fetch only the new rows, once each and in request
+    # order, and still return every requested symbol.
+    code = build_mrmub(4, 2, 2)  # no plan: the flat repair reads columns 1 and 2
+    cols = code.encode(random_fill(code, random.Random(7)))
+    asked, answered = [], []
+
+    def fetch(src, rows):
+        asked.append((src, list(rows)))
+        return [cols[src][r] for r in rows]
+
+    def reads_then_repairs(failed, read):
+        answered.extend(read(1, rows) for rows in ([2, 0, 2], [0, 3], [3, 0]))
+        return IrregularArrayCode._repair(code, failed, read)
+
+    monkeypatch.setattr(code, "_repair", reads_then_repairs)
+    assert code.repair(0, fetch) == cols[0]
+    assert asked == [(1, [2, 0]), (1, [3]), (1, [1]), (2, [0, 1, 2, 3])]
+    assert answered == [[cols[1][r] for r in rows] for rows in ([2, 0, 2], [0, 3], [3, 0])]
 
 
 def test_decoder_rejects_a_corrupted_survivor(decoder_codes, rng):

@@ -506,7 +506,8 @@ def test_repair_reads_are_pinned(shape, q, rounds):
 
 def test_each_fetched_symbol_is_validated_once(monkeypatch):
     # repair checks what its fetch returns once; the rounds and the root
-    # decoder run on the checked symbols.
+    # decoder run on the checked symbols.  The fetch is asked for each
+    # (source, row) once per repair: 6 x 120 symbols.
     code = iterate_transform(build_mrmub(6, 4, 4), 3)
     cols = code.encode(random_fill(code, random.Random(0)))
     validate, calls, returned = Field.validate, [0], [0]
@@ -523,7 +524,30 @@ def test_each_fetched_symbol_is_validated_once(monkeypatch):
     monkeypatch.setattr(Field, "validate", counted)
     for node in range(code.n):
         assert code.repair(node, fetch) == cols[node]
-    assert calls[0] == returned[0] == 864
+    assert calls[0] == returned[0] == 720
+
+
+PLAIN_FETCH_CASES = [
+    (lambda: iterate_transform(build_mrmub(6, 4, 4), 3), 120),  # GF(8)
+    (lambda: iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 2), 24),
+]
+
+
+@pytest.mark.parametrize("make, want", PLAIN_FETCH_CASES, ids=["three-rounds", "two-rounds"])
+def test_plain_fetch_is_asked_for_the_cut_set_figure(make, want):
+    # repair downloads each (source, row) once, so a fetch that keeps
+    # nothing is asked for (n-1) * alpha / (n-k) symbols on every node.
+    code = make()
+    cols = code.encode(random_fill(code, random.Random(1)))
+    for node in range(code.n):
+        asked = []
+
+        def fetch(src, rows):
+            asked.extend((src, r) for r in rows)
+            return [cols[src][r] for r in rows]
+
+        assert code.repair(node, fetch) == cols[node]
+        assert len(asked) == len(set(asked)) == want, node
 
 
 def test_single_round_repair_counts(single_round):
