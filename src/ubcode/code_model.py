@@ -66,6 +66,10 @@ class InvalidParamsError(ValueError):
     """Code parameters are not ints, or violate 1 <= k < n, nonnegativity or B > 0."""
 
 
+class DivisibilityError(InvalidParamsError):
+    """Node data counts must be divisible by the reconstruction threshold."""
+
+
 class EnumerationTooLargeError(ValueError):
     """A brute-force check would need to enumerate too many subsets."""
 
@@ -82,13 +86,19 @@ def _is_count(v) -> bool:  # a nonnegative int; a bool is no count (see _is_a)
     return _is_a(v, int) and v >= 0
 
 
-def validate_dimensions(n: int, k: int, m) -> None:
+def validate_dimensions(n: int, k: int, m) -> tuple[int, ...]:
+    """The one check of (n, k, m): ints with 1 <= k < n, and m a list or tuple
+    of n nonnegative ints, not all 0.  Returns m as a tuple."""
     if not (_is_count(n) and _is_count(k)) or n < 2 or not 1 <= k < n:
-        raise InvalidParamsError(f"need 1 <= k < n with n >= 2, got n={n} k={k}")
+        raise InvalidParamsError(f"need 1 <= k < n with n >= 2, got n={n!r} k={k!r}")
+    if not isinstance(m, (list, tuple)):
+        raise InvalidParamsError(f"data profile {m!r} invalid for n={n}")
+    m = tuple(m)
     if len(m) != n or not all(_is_count(v) for v in m):
-        raise InvalidParamsError(f"data profile {tuple(m)} invalid for n={n}")
+        raise InvalidParamsError(f"data profile {m} invalid for n={n}")
     if sum(m) == 0:
         raise InvalidParamsError("code must store at least one data symbol")
+    return m
 
 
 class IrregularArrayCode:
@@ -267,8 +277,8 @@ class IrregularArrayCode:
         return [list(x) + pmap.apply(flat) for x, pmap in zip(data, self._parity_maps)]
 
     def as_irregular_code(self) -> "IrregularArrayCode":
-        """The code as a data-then-parity ``IrregularArrayCode``: itself."""
-        return self
+        """A plain data-then-parity ``IrregularArrayCode`` on this code's grid."""
+        return IrregularArrayCode(self.k, self.construction)
 
     @cached_property
     def _eliminations(self) -> dict:
@@ -504,8 +514,7 @@ class BoundsReport:
 def bounds(n: int, k: int, m) -> BoundsReport:
     """Water level, minimum redundancy, minimum update bandwidth and their
     achieving profiles for an (n, k, m) irregular array code."""
-    validate_dimensions(n, k, m)
-    m = tuple(m)
+    m = validate_dimensions(n, k, m)
     big_b = sum(m)
     order = sorted(range(n), key=lambda i: (-m[i], i))
     ms = [m[i] for i in order]
@@ -544,7 +553,7 @@ def bounds(n: int, k: int, m) -> BoundsReport:
         bandwidth_profile = redundancy_profile
     elif all(mi % k == 0 for mi in m):
         r_sma = ((n - 1) * sum(ms[: n - k]) + (n - k) * ms[n - k]) // k
-        bandwidth_profile = bandwidth_optimal_profile(n, k, m)
+        bandwidth_profile = _bandwidth_profile(n, k, m)
     else:
         r_sma = None
         bandwidth_profile = None
@@ -578,11 +587,16 @@ def bandwidth_optimal_profile(n: int, k: int, m) -> tuple[int, ...]:
     simultaneously erased peers, so its parity count is the largest such
     share sum: (sum of the n-k+1 largest data counts minus its own) / k for
     the n-k largest nodes, (sum of the n-k largest) / k for the rest.
-    Requires k to divide every data count.
+    Requires k to divide every data count: the one divisibility check.
     """
-    validate_dimensions(n, k, m)
+    m = validate_dimensions(n, k, m)
     if any(mi % k for mi in m):
-        raise InvalidParamsError(f"k={k} must divide every entry of {tuple(m)}")
+        raise DivisibilityError(f"k={k} must divide every entry of {m}")
+    return _bandwidth_profile(n, k, m)
+
+
+def _bandwidth_profile(n: int, k: int, m: tuple[int, ...]) -> tuple[int, ...]:
+    """``bandwidth_optimal_profile`` on checked, divisible dimensions."""
     order = sorted(range(n), key=lambda i: (-m[i], i))
     ms = [m[i] for i in order]
     head = sum(ms[: n - k + 1])
@@ -653,7 +667,7 @@ def feasible(n: int, k: int, m, p, bandwidth_matrix) -> Feasibility:
     Returns the first violated subset as a witness.  p and every row of
     ``bandwidth_matrix`` must hold n nonnegative ints.
     """
-    validate_dimensions(n, k, m)
+    m = validate_dimensions(n, k, m)
     if len(p) != n or not all(_is_count(v) for v in p):
         raise InvalidParamsError(f"parity profile {tuple(p)} invalid for n={n}")
     if len(bandwidth_matrix) != n or any(len(row) != n for row in bandwidth_matrix):

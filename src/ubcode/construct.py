@@ -7,13 +7,15 @@ columns of an "any p_j columns invertible" assembly matrix.  Sending those
 same per-edge vectors is the minimal update protocol, so the built codes hit
 the update-bandwidth optimum by construction.
 
-``build_mrmub`` handles the balanced profile (every node stores m data
-symbols, redundancy is the global minimum); ``build_mub`` handles arbitrary
-per-node data counts divisible by k (redundancy is the minimum attainable at
-optimal update bandwidth for k <= n-2, and above what ``bounds`` reports at
-k = n-1).  The builders assemble the per-edge factor grids and return the
-``IrregularArrayCode`` they define, as a ``BuiltCode``: the same class under
-its own name, carrying its generators and assembly matrices.
+``build_mub`` handles arbitrary per-node data counts divisible by k
+(redundancy is the minimum attainable at optimal update bandwidth for
+k <= n-2, and above what ``bounds`` reports at k = n-1); ``build_mrmub`` is
+``build_mub`` on the balanced profile [m] * n, at the global minimum.  Its
+first call, ``bandwidth_optimal_profile``, is the one check of (n, k, m) and
+of divisibility (``code_model.DivisibilityError``, an ``InvalidParamsError``,
+importable from here too).  It assembles the per-edge factor grids and
+returns the ``IrregularArrayCode`` they define, as a ``BuiltCode``: the same
+class under its own name, carrying its generators and assembly matrices.
 """
 
 from __future__ import annotations
@@ -24,19 +26,15 @@ from itertools import combinations
 from .finite_field import Field, GF
 from .linalg import Matrix, invert, rank, rref, vandermonde_columns
 from .code_model import (
+    DivisibilityError,
     InvalidParamsError,
     IrregularArrayCode,
     TooManyErasuresError,
     bandwidth_optimal_profile,
-    validate_dimensions,
     verify_mds,
 )
 
 SELECTION_CHECK_LIMIT = 10**4
-
-
-class DivisibilityError(ValueError):
-    """Node data counts must be divisible by the reconstruction threshold."""
 
 
 def assert_column_selections_invertible(m: Matrix) -> bool:
@@ -169,36 +167,28 @@ class BuiltCode(IrregularArrayCode):
 
 def build_mrmub(n: int, k: int, m: int, field: Field | None = None,
                 base_generator=None, assembly=None) -> BuiltCode:
-    """Balanced construction: every node stores m data and (n-k)m/k parity
-    symbols; redundancy and update bandwidth are both at their minima."""
-    validate_dimensions(n, k, [m] * n)
-    if m % k:
-        raise DivisibilityError(f"k={k} must divide m={m}")
-    return _assemble(n, k, [m] * n, field, [base_generator] * n, [assembly] * n)
+    """Balanced construction, ``build_mub`` on the profile [m] * n with one
+    generator and one assembly for every node: each node stores (n-k)m/k
+    parity symbols, and redundancy and update bandwidth are at their minima."""
+    nodes = n if isinstance(n, int) else 0  # any other n fails build_mub's check
+    return build_mub(n, k, [m] * nodes, field, [base_generator] * nodes, [assembly] * nodes)
 
 
 def build_mub(n: int, k: int, m_vec, field: Field | None = None,
               base_generators=None, assemblies=None) -> BuiltCode:
     """General construction for arbitrary per-node data counts divisible by k,
     at optimal update bandwidth with the least redundancy there for k <= n-2
-    (at k = n-1 more than ``bounds`` reports: 7 against 6 for (4, 3, [6, 3, 3, 3]))."""
-    m_vec = list(m_vec)
-    validate_dimensions(n, k, m_vec)
-    if any(mi % k for mi in m_vec):
-        raise DivisibilityError(f"k={k} must divide every entry of {m_vec}")
-    return _assemble(n, k, m_vec, field, base_generators or [None] * n, assemblies or [None] * n)
+    (at k = n-1 more than ``bounds`` reports: 7 against 6 for (4, 3, [6, 3, 3, 3])).
 
-
-def _assemble(n, k, m_vec, field, gens, assemblies):
-    """Build the code from per-node generators and assembly matrices, where
-    None selects the default: the systematic form [I | P] from
-    ``systematic_mds_generator`` for both.  An assembly's first p_j columns
-    are then unit vectors, so each of the first p_j symbols node j receives
-    enters one of its parity symbols only, and an update rewrites fewer
-    parity symbols than under a dense assembly.
-    Each distinct matrix is built and checked once and then shared by every
-    node that uses it.  A caller's matrix too large for the selection check
-    is checked on the assembled code."""
+    ``m_vec`` is a list or tuple, checked with divisibility by
+    ``bandwidth_optimal_profile``.  A None generator or assembly, or None
+    for all, selects the systematic form [I | P] of
+    ``systematic_mds_generator``: an assembly's first p_j columns are then
+    unit vectors, so each of the first p_j symbols node j receives enters one
+    of its parity symbols only, and an update rewrites fewer parity symbols
+    than under a dense assembly.  Each distinct matrix is built and checked
+    once and shared by every node that uses it; a caller's matrix too large
+    for the selection check is checked on the assembled code."""
     p_vec = bandwidth_optimal_profile(n, k, m_vec)
     if field is None:
         field = default_field(n, k, m_vec)
@@ -215,12 +205,12 @@ def _assemble(n, k, m_vec, field, gens, assemblies):
         return built[key][0]
 
     generators = [
-        None if m_vec[i] == 0 else shared(gens[i], k, n - 1, f"generator {i}")
+        None if m_vec[i] == 0 else
+        shared(base_generators[i] if base_generators else None, k, n - 1, f"generator {i}")
         for i in range(n)
     ]
-    assemblies = [
-        shared(assemblies[j], p_vec[j], widths[j], f"assembly {j}") for j in range(n)
-    ]
+    assemblies = [shared(assemblies[j] if assemblies else None, p_vec[j], widths[j],
+                         f"assembly {j}") for j in range(n)]
 
     # Sender-side maps: node i reads its data column-major as m_i/k rows of
     # k symbols and multiplies them by its generator G_i; destination

@@ -215,13 +215,6 @@ class TransformedCode(IrregularArrayCode):
 
         return [[block(i, j) for j in range(self.n)] for i in range(self.n)]
 
-    def as_irregular_code(self) -> IrregularArrayCode:
-        """The flat grid as a data-then-parity ``IrregularArrayCode`` that
-        shares this code's factor grids; for callers outside the package."""
-        flat = IrregularArrayCode(self.k, self.construction)
-        flat.factors = self.factors
-        return flat
-
     # -- repair -------------------------------------------------------------------
 
     def _instance_fetch(self, fetch, instance: int):

@@ -25,7 +25,8 @@
 #    200,000 deep, a (4, 2) spec with three pairing rounds, a spec whose
 #    transform.g is not the field's primitive element and a spec whose
 #    params.m disagrees with its matrices each exit 2 with one stderr line and
-#    no traceback.
+#    no traceback.  A non-MDS (4, 2) spec verifies under UBCODE_SEED=2 with
+#    exit 1, all four checks reported, a failed workload-audit and no stderr.
 set -e -o pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -145,4 +146,15 @@ params_m="$tmp/params_m.json"  # the stored params are checked against the matri
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["params"]["m"] = [2, 2, 2, 4]; print(json.dumps(d))' \
   tests/golden/spec_4_2_q8_r2.json > "$params_m"
 usage_error python -m ubcode.cli encode --spec "$params_m" --out "$tmp/params_m.cw"
+corrupt="$tmp/corrupt.json"  # A[0][1] zeroed: not MDS, and seed 2's workload repair cannot solve
+python -m ubcode.cli construct --kind mrmub --n 4 --k 2 --m 2,2,2,2 --out "$tmp/mrmub.json"
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); b = d["matrices"]["A"][0][1]; b["entries"] = [[0] * b["cols"]] * b["rows"]; print(json.dumps(d))' \
+  "$tmp/mrmub.json" > "$corrupt"
+status=0
+UBCODE_SEED=2 python -m ubcode.cli verify "$corrupt" > "$out" 2> "$err" || status=$?
+cat "$out" "$err"
+[ "$status" -eq 1 ] || { echo "verify exited $status, expected 1"; exit 1; }
+[ ! -s "$err" ] || { echo "expected no stderr"; exit 1; }
+[ "$(cut -d' ' -f1 "$out" | tr '\n' ' ')" = "factor-grids mds feasibility workload-audit " ]
+grep -qx "workload-audit   FAIL  column rank 3 < 4 unknowns" "$out"
 echo "process checks passed"

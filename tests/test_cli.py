@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from ubcode.cli import dump_columns, load_spec, parse_columns, run, save_spec
 from ubcode.cluster import Cluster
-from ubcode.code_model import code_to_json
-from ubcode.construct import build_mrmub
+from ubcode import code_model
+from ubcode.code_model import bounds, code_to_json
+from ubcode.construct import build_mrmub, build_mub
 from ubcode.finite_field import GF
 from ubcode.linalg import vandermonde_columns
 from ubcode.transform import iterate_transform
@@ -226,6 +228,25 @@ def test_verify_corrupted_spec_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_verify_corrupted_spec_fails_under_every_seed(tmp_path, capsys, monkeypatch, seed):
+    # The workload repairs a random node.  On this non-MDS code the repair's
+    # solve is underdetermined under seeds 2 and 4: a failed workload-audit,
+    # not a usage error.
+    doc = code_to_json(build_mrmub(4, 2, 2))
+    block = doc["matrices"]["A"][0][1]
+    block["entries"] = [[0 for _ in row] for row in block["entries"]]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    monkeypatch.setenv("UBCODE_SEED", str(seed))
+    code, out, err = run_capture(capsys, ["verify", str(spec)])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == CHECK_NAMES
+    if seed in (2, 4):
+        assert lines[3] == "workload-audit   FAIL  column rank 3 < 4 unknowns"
+
+
 def test_verify_reports_non_minimal_factor_pair(tmp_path, capsys):
     doc = code_to_json(build_mrmub(4, 2, 2))
     # A zero row on A[0][1] and a zero column on B[0][1] keep B @ A, but the
@@ -260,6 +281,38 @@ def test_verify_json_reports_every_check(tmp_path, capsys):
     assert (doc["update_complexity"], doc["update_complexity_bound"]) == ("5/2", "5/2")
     assert [c["name"] for c in doc["checks"]] == CHECK_NAMES
     assert all(list(c) == ["name", "ok", "detail"] and c["ok"] for c in doc["checks"])
+
+
+# validate_dimensions calls per entry: the public entry's one check, plus
+# the constructor's check of the grid it is given and code_from_json's of the
+# stored params.
+DIMENSION_CHECKS = [
+    (lambda spec: build_mrmub(4, 2, 2), 2),
+    (lambda spec: build_mub(4, 2, [4, 2, 2, 0]), 2),
+    (lambda spec: bounds(4, 2, [4, 2, 2, 0]), 1),
+    (lambda spec: run(["construct", "--kind", "mrmub", "--n", "4", "--k", "2",
+                       "--m", "2,2,2,2", "--out", str(spec)]), 2),
+    (lambda spec: run(["verify", str(spec)]), 4),
+]
+
+
+@pytest.mark.parametrize("entry, want", DIMENSION_CHECKS,
+                         ids=["build_mrmub", "build_mub", "bounds", "construct", "verify"])
+def test_each_entry_checks_its_dimensions_once(tmp_path, capsys, monkeypatch, entry, want):
+    spec = tmp_path / "spec.json"
+    save_spec(build_mrmub(4, 2, 2), str(spec))
+    validate, calls = code_model.validate_dimensions, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return validate(*args)
+
+    for name, module in list(sys.modules.items()):  # every binding, imported ones too
+        if name.startswith("ubcode") and vars(module).get("validate_dimensions") is validate:
+            monkeypatch.setattr(module, "validate_dimensions", counted)
+    entry(spec)
+    assert capsys.readouterr().err == ""
+    assert calls[0] == want
 
 
 def test_verify_json_reports_non_minimal_factor_pair(tmp_path, capsys):
@@ -381,6 +434,19 @@ def test_spec_mixer_other_than_the_primitive_element_is_a_usage_error(tmp_path, 
     spec.write_text(json.dumps(doc))
     assert_usage_error(capsys, ["verify", str(spec)],
                        "spec key transform.g must be 2, the primitive element of GF(8)")
+
+
+@pytest.mark.parametrize("key, value", [("primitive", 3), ("modulus", [1, 0, 1, 1])],
+                         ids=["other-primitive", "other-modulus"])
+def test_spec_field_tables_other_than_this_build_are_a_usage_error(tmp_path, capsys, key, value):
+    # GF(8) is built on x^3 + x + 1 with primitive element 2; a spec stored
+    # over x^3 + x^2 + 1, or naming 3, has other tables.
+    doc = json.loads((GOLDEN / "spec_4_2_q8_r2.json").read_text())
+    doc["field"][key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_capture(capsys, ["verify", str(spec)])
+    assert (code, out, err) == (2, "", "error: field tables in file do not match this build\n")
 
 
 def test_deeply_nested_spec_is_a_usage_error(tmp_path, capsys):

@@ -21,6 +21,7 @@ from ubcode.linalg import (
 from ubcode.transform import iterate_transform
 from ubcode.code_model import (
     Admissibility,
+    DivisibilityError,
     EnumerationTooLargeError,
     InvalidParamsError,
     IrregularArrayCode,
@@ -183,12 +184,38 @@ def test_bounds_invalid_params():
         lambda: feasible(4, 2, [2.5, 2, 2, 2], [2] * 4, [[0, 1, 1, 1]] * 4),
         lambda: feasible(4, 2, [2] * 4, [True, 2, 2, 2], [[0, 1, 1, 1]] * 4),
         lambda: feasible(4, 2, [2] * 4, [2] * 4, [[0, True, 1, 1]] * 4),
+        # The profile must be a list or tuple, and build_mrmub lets any n
+        # reach build_mub's check.
+        lambda: bounds(4, 2, 5),
+        lambda: bounds(4, 2, None),
+        lambda: build_mub(4, 2, 5),
+        lambda: build_mrmub(4.0, 2, 2),
+        lambda: build_mrmub("4", 2, 2),
+        lambda: bandwidth_optimal_profile(4, 2, 5),
+        lambda: feasible(4, 2, 5, [2] * 4, [[0, 1, 1, 1]] * 4),
     ],
     ids=["float-m", "str-m", "bool-m", "float-n", "float-k", "bool-k", "mub-float-m",
-         "mrmub-float-m", "feasible-float-m", "feasible-bool-p", "feasible-bool-entry"],
+         "mrmub-float-m", "feasible-float-m", "feasible-bool-p", "feasible-bool-entry",
+         "bounds-int-m", "bounds-none-m", "mub-int-m", "mrmub-float-n", "mrmub-str-n",
+         "profile-int-m", "feasible-int-m"],
 )
 def test_dimensions_and_counts_must_be_ints(call):
     with pytest.raises(InvalidParamsError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bandwidth_optimal_profile(4, 2, [3, 3, 3, 3]),
+        lambda: build_mrmub(4, 2, 3),
+        lambda: build_mub(4, 2, (3, 3, 3, 3)),
+    ],
+    ids=["profile", "mrmub", "mub"],
+)
+def test_divisibility_is_one_check_with_one_error(call):
+    assert issubclass(DivisibilityError, InvalidParamsError)
+    with pytest.raises(DivisibilityError, match=r"^k=2 must divide every entry of \(3, 3, 3, 3\)$"):
         call()
 
 

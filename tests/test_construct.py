@@ -426,7 +426,9 @@ def test_builders_check_dimensions_first(build):
 def test_built_code_is_the_code_its_grids_define(fig1b_code, fig3_code, mrmub_codes):
     for code in [fig1b_code, fig3_code] + [built for *_, built in mrmub_codes]:
         assert isinstance(code, IrregularArrayCode)
-        assert code.as_irregular_code() is code and code.code is code
+        flat = code.as_irregular_code()
+        assert type(flat) is IrregularArrayCode and flat.construction is code.construction
+        assert code.code is code
 
 
 def test_build_rejects_too_small_field():

@@ -391,7 +391,7 @@ def test_only_the_update_protocol_factors_edges(monkeypatch):
     assert code.decode_columns(known) == cluster.columns
     assert factored == []
     cluster.apply_update(0, [1] * code.m[0])
-    assert code.as_irregular_code().factors is code.factors
+    assert code.as_irregular_code().construction is code.construction
     assert len(factored) == 30  # one factorization per edge of the outer round
 
 
