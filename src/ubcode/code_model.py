@@ -86,6 +86,10 @@ def _is_count(v) -> bool:  # a nonnegative int; a bool is no count (see _is_a)
     return _is_a(v, int) and v >= 0
 
 
+def _is_row(v, n: int) -> bool:  # a list or tuple of n entries
+    return isinstance(v, (list, tuple)) and len(v) == n
+
+
 def validate_dimensions(n: int, k: int, m) -> tuple[int, ...]:
     """The one check of (n, k, m): ints with 1 <= k < n, and m a list or tuple
     of n nonnegative ints, not all 0.  Returns m as a tuple."""
@@ -165,13 +169,14 @@ class IrregularArrayCode:
         return self
 
     def check_node(self, node: int) -> None:
-        """Reject a node index outside 0..n-1."""
-        if not 0 <= node < self.n:
-            raise NodeOutOfRangeError(f"node {node} outside 0..{self.n - 1}")
+        """Reject a node index that is not an int in 0..n-1 (a bool is none)."""
+        if type(node) is not int or not 0 <= node < self.n:
+            raise NodeOutOfRangeError(f"node {node!r} outside 0..{self.n - 1}")
 
     def check_data(self, data) -> None:
-        """Reject a data fill that is not one vector of m_j field elements per node."""
-        if len(data) != self.n or any(len(x) != mi for x, mi in zip(data, self.m)):
+        """Reject a data fill that is not one vector (a list or tuple) of m_j
+        field elements per node."""
+        if not _is_row(data, self.n) or not all(map(_is_row, data, self.m)):
             raise InvalidParamsError(f"data vectors do not match the data profile {self.m}")
         for x in data:
             for v in x:
@@ -289,13 +294,17 @@ class IrregularArrayCode:
     def decode_columns(self, known: dict[int, list[int]]) -> list[list[int]]:
         """Recover the full codeword from the surviving columns.
 
-        Checks each key, length and symbol, then returns the kept columns as
-        given (copies; the solve checks that they agree) and builds only the
-        erased ones: data from the solve, parity through the parity maps."""
+        Checks that ``known`` is a dict and each key, column and symbol,
+        then returns the kept columns as given (copies; the solve checks that
+        they agree) and builds only the erased ones: data from the solve,
+        parity through the parity maps."""
+        if not isinstance(known, dict):
+            raise InvalidParamsError(f"known columns must be a dict of node -> column, "
+                                     f"got {type(known).__name__}")
         for j, col in known.items():
             self.check_node(j)
-            if len(col) != self.col_lens[j]:
-                raise InvalidParamsError(f"column {j} has wrong length")
+            if not _is_row(col, self.col_lens[j]):
+                raise InvalidParamsError(f"column {j} is not a list of {self.col_lens[j]} symbols")
             for v in col:
                 self.field.validate(v)
         data = solve_data_from_columns(self, known)
@@ -315,9 +324,9 @@ class IrregularArrayCode:
 
         The one repair entry, its input check and its download store: a read
         fetches the rows not yet downloaded from that source, once each in
-        request order, and must get one field element per row (ValueError
-        names the source otherwise); repeats come from the store.  ``_repair``
-        then runs on the checked reads and trusts them.
+        request order, and must get a list or tuple of one field element per
+        row (ValueError names the source otherwise); repeats come from the
+        store.  ``_repair`` then runs on the checked reads and trusts them.
         """
         self.check_node(failed)
         store: dict[int, dict[int, int]] = {}  # source -> row -> symbol
@@ -325,9 +334,12 @@ class IrregularArrayCode:
         def checked(src: int, rows) -> list[int]:
             seen = store.setdefault(src, {})
             new = [r for r in dict.fromkeys(rows) if r not in seen]
-            values = [self.field.validate(v) for v in fetch(src, new)] if new else []
-            if len(values) != len(new):
-                raise ValueError(f"node {src} returned {len(values)} symbols for {len(new)} rows")
+            got = fetch(src, new) if new else []
+            if not _is_row(got, len(new)):
+                what = (f"{len(got)} symbols" if isinstance(got, (list, tuple))
+                        else f"{type(got).__name__}, not a list,")
+                raise ValueError(f"node {src} returned {what} for {len(new)} rows")
+            values = [self.field.validate(v) for v in got]
             seen.update(zip(new, values))
             # Every row new and none repeated: the download is the answer.
             return values if len(new) == len(rows) else [seen[r] for r in rows]
@@ -665,12 +677,12 @@ def feasible(n: int, k: int, m, p, bandwidth_matrix) -> Feasibility:
     node enough per-edge bandwidth to re-derive its data (access), and the
     survivors' parity capacity must cover all erased data (capacity).
     Returns the first violated subset as a witness.  p and every row of
-    ``bandwidth_matrix`` must hold n nonnegative ints.
+    ``bandwidth_matrix`` must be a list or tuple of n nonnegative ints.
     """
     m = validate_dimensions(n, k, m)
-    if len(p) != n or not all(_is_count(v) for v in p):
-        raise InvalidParamsError(f"parity profile {tuple(p)} invalid for n={n}")
-    if len(bandwidth_matrix) != n or any(len(row) != n for row in bandwidth_matrix):
+    if not _is_row(p, n) or not all(_is_count(v) for v in p):
+        raise InvalidParamsError(f"parity profile {p!r} invalid for n={n}")
+    if not _is_row(bandwidth_matrix, n) or not all(_is_row(row, n) for row in bandwidth_matrix):
         raise InvalidParamsError(f"bandwidth matrix must be {n}x{n}")
     if not all(_is_count(v) for row in bandwidth_matrix for v in row):
         raise InvalidParamsError("bandwidth matrix entries must be nonnegative ints")

@@ -135,7 +135,10 @@ class Field:
     add/neg/sub and the row kernel.  In characteristic 2 with q <= 256,
     ``mul_tables[c]`` is the 256-byte table of c*v (zero at v >= q), so
     ``row.translate(mul_tables[c])`` scales a row of byte entries; every
-    other field has ``mul_tables = None``.
+    other field has ``mul_tables = None``.  ``linalg`` reads it as the
+    switch to packed rows: ``rref``/``rank`` eliminate on them, and ``@``
+    and the transformed encoder combine rows on them (``pack_rows`` and
+    ``combine_rows``).
 
     Immutable after construction; safe to share between threads.  Use the
     cached factory :func:`GF` rather than constructing directly.

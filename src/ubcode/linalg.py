@@ -10,7 +10,12 @@ every decomposition here is deterministic and reproducible.  ``rref`` and
 ``rank`` share one elimination loop per row form (packed byte rows for
 GF(2)..GF(256), entry lists otherwise): ``rref`` clears each pivot's column
 above and below it, while ``rank`` is forward elimination, clearing only
-below, and counts the same pivots without building a matrix.
+below, and counts the same pivots without building a matrix.  Products
+take the same two forms, chosen by ``pack_rows`` and summed by
+``combine_rows``: a row of ``a @ b`` is the sum of a's entries times b's
+rows, in GF(2)..GF(256) one ``bytes.translate`` per nonzero entry and one
+int XOR per sum.  ``Matrix.apply``, the matrix-vector product of the flat
+codec and the update protocol, stays scalar on plain symbol lists.
 """
 
 from __future__ import annotations
@@ -119,14 +124,9 @@ class Matrix:
             raise ShapeMismatchError(f"cannot multiply {self.rows}x{self.cols} over {self.field} "
                                      f"by {other.rows}x{other.cols} over {other.field}")
         f = self.field
-        rows = []
-        for srow in self.data:
-            orow = [0] * other.cols
-            for a, brow in zip(srow, other.data):
-                if a:  # orow += a * brow
-                    orow = f.sub_scaled_row(orow, f.neg(a), brow)
-            rows.append(orow)
-        return Matrix.of(f, self.rows, other.cols, rows)
+        brows = pack_rows(f, other.data)
+        return Matrix.of(f, self.rows, other.cols,
+                         [combine_rows(f, srow, brows, other.cols) for srow in self.data])
 
     def apply(self, vec: list[int]) -> list[int]:
         """Matrix-vector product on a plain symbol list."""
@@ -255,6 +255,45 @@ def _eliminate_packed(m: Matrix, clear_above: bool) -> tuple[list[int], list[int
         pivots.append(col)
         prow += 1
     return rows, pivots
+
+
+def pack_rows(field: Field, rows) -> list:
+    """``rows`` in the field's row form, the one ``combine_rows`` takes:
+    packed ``bytes`` where ``field.mul_tables`` exists (GF(2)..GF(256)),
+    entry lists otherwise."""
+    if field.mul_tables is not None:
+        return [bytes(row) for row in rows]
+    return [list(row) for row in rows]
+
+
+def combine_rows(field: Field, coeffs, rows, width: int):
+    """The row sum of a * row over the nonzero coefficients a, each row
+    ``width`` entries in the field's row form (see ``pack_rows``).  On
+    packed rows a term is one ``bytes.translate`` and terms add by one int
+    XOR; on entry lists it is ``combine_lists``.  A row of coefficient 0 is
+    not read, and a lone row of coefficient 1 is returned as it is."""
+    tables = field.mul_tables
+    if tables is None:
+        return combine_lists(field, coeffs, rows, width)
+    terms = [row if a == 1 else row.translate(tables[a]) for a, row in zip(coeffs, rows) if a]
+    if len(terms) == 1:
+        return terms[0]
+    acc = 0
+    for term in terms:
+        acc ^= int.from_bytes(term, "little")
+    return acc.to_bytes(width, "little")
+
+
+def combine_lists(field: Field, coeffs, rows, width: int) -> list[int]:
+    """``combine_rows`` on entry lists in any field, through the row kernel,
+    with the same rules: a row of coefficient 0 is not read (it may be
+    None), and a lone row of coefficient 1 is returned as it is."""
+    out = None
+    for a, row in zip(coeffs, rows):
+        if a:
+            out = ((row if a == 1 else field.scale_row(a, row)) if out is None
+                   else field.sub_scaled_row(out, field.neg(a), row))
+    return [0] * width if out is None else out
 
 
 def left_inverse(m: Matrix) -> tuple[Matrix | None, Matrix]:

@@ -25,10 +25,14 @@ one batched pass.  It splits the fill down the rounds into one block per
 root node whose data rows each carry all 2^r instances, computes each root
 node's parity as one matrix product, its parity map times every root node's
 block stacked, so every nonzero entry costs one row operation for the whole
-batch, and joins the columns back up the rounds.  It reads only the root's
-parity maps and the pairing tables, so it stays independent of the factor
-grids the update protocol runs on, which ``Cluster``'s audit checks it
-against.
+batch, and joins the columns back up the rounds.  Every mix and product of
+that pass is one ``linalg.combine_rows`` on rows in the form
+``linalg.pack_rows`` gives the fill, so in GF(2)..GF(256) the blocks are
+packed ``bytes`` rows from the fill to ``_encode``'s return.  It reads
+only the root's parity maps and the pairing tables, so it stays independent
+of the factor grids the update protocol runs on, which ``Cluster``'s audit
+checks it against.  Repair reads plain symbol lists and mixes them with
+``linalg.combine_lists`` in every field.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .finite_field import Field
-from .linalg import FieldTooSmallError, Matrix, invert
+from .linalg import FieldTooSmallError, Matrix, combine_lists, combine_rows, invert, pack_rows
 from .code_model import InvalidParamsError, IrregularArrayCode, solve_data_from_columns
 
 
@@ -44,19 +48,10 @@ class InvalidPairError(ValueError):
     """The requested node pair is out of range or degenerate."""
 
 
-def _mix(f: Field, w: tuple[int, int], u, v) -> list[int]:
-    """The row w[0]*u + w[1]*v.  An operand of weight 0 is not read (it may be
-    None), and a lone operand of weight 1 is returned as it is."""
-    if not w[1]:
-        return u if w[0] == 1 else f.scale_row(w[0], u)
-    if not w[0]:
-        return v if w[1] == 1 else f.scale_row(w[1], v)
-    return f.sub_scaled_row(u if w[0] == 1 else f.scale_row(w[0], u), f.neg(w[1]), v)
-
-
-def _interleave(u: list[int], v: list[int]) -> list[int]:
-    """u and v alternating: u[0], v[0], u[1], v[1], ..."""
-    out = [0] * (2 * len(u))
+def _interleave(u, v):
+    """u and v alternating: u[0], v[0], u[1], v[1], ..., in the row form
+    ``pack_rows`` gave them (a packed row comes back as a ``bytearray``)."""
+    out = u + v if isinstance(u, list) else bytearray(u + v)
     out[0::2] = u
     out[1::2] = v
     return out
@@ -137,33 +132,36 @@ class TransformedCode(IrregularArrayCode):
     # Splitting a round doubles I: instance s of the base column built from
     # batch instance c becomes instance 2c + s, so it is the slice [s::2].
 
-    def _split(self, blocks: list[list[int]]) -> list[list[int]]:
+    def _split(self, blocks):
         """Per base column x, the batch of its two instances: each node's
         block is its two halves stacked, and unmix[x] reads x's two homes."""
         f = self.field
         half = len(blocks[0]) // 2  # the code is regular: every block is alike
         out = []
         for places, (r0, r1) in zip(self.homes, self.unmix):
-            u, v = (blocks[j][h * half : (h + 1) * half] for j, h in places)
-            out.append(_interleave(_mix(f, r0, u, v), _mix(f, r1, u, v)))
+            uv = [blocks[j][h * half : (h + 1) * half] for j, h in places]
+            out.append(_interleave(combine_rows(f, r0, uv, half), combine_rows(f, r1, uv, half)))
         return out
 
-    def _join(self, cols: list[list[int]]) -> list[list[int]]:
+    def _join(self, cols):
         """Inverse of ``_split``: node j's block is its halves' weighted mixes
         of the two instances of their base columns."""
         f = self.field
+        half = len(cols[0]) // 2
         insts = [(col[0::2], col[1::2]) for col in cols]
-        return [_mix(f, w, *insts[x]) + _mix(f, w2, *insts[x2])
+        return [combine_rows(f, w, insts[x], half) + combine_rows(f, w2, insts[x2], half)
                 for (x, w), (x2, w2) in self.halves]
 
     # -- codec ------------------------------------------------------------------
 
     def _encode(self, data: list[list[int]]) -> list[list[int]]:
         """All 2^r root instances in one pass: split the fill down the rounds,
-        encode the batch on the root grid, join the columns back up."""
-        return self._encode_batch(data, 1)
+        encode the batch on the root grid, join the columns back up.  The
+        batch runs in the field's row form (packed bytes in GF(2)..GF(256),
+        see ``linalg.pack_rows``) and comes back as lists once, here."""
+        return [list(col) for col in self._encode_batch(pack_rows(self.field, data), 1)]
 
-    def _encode_batch(self, blocks: list[list[int]], width: int) -> list[list[int]]:
+    def _encode_batch(self, blocks, width: int):
         """This round's columns for a batch of ``width`` instances: each
         node's block holds its data rows with the instances side by side."""
         fills = self._split(blocks)
@@ -173,10 +171,13 @@ class TransformedCode(IrregularArrayCode):
         # stacked, each row holding all instances side by side, is j's
         # parity for the whole batch.
         width *= 2
-        batch = Matrix.of(self.field, sum(self.base.m), width,
-                          [x[r : r + width] for x in fills for r in range(0, len(x), width)])
-        return self._join([x + [v for row in (pmap @ batch).data for v in row]
-                           for x, pmap in zip(fills, self.base._parity_maps)])
+        batch = [x[r : r + width] for x in fills for r in range(0, len(x), width)]
+        cols = []
+        for x, pmap in zip(fills, self.base._parity_maps):
+            for coeffs in pmap.data:
+                x = x + combine_rows(self.field, coeffs, batch, width)
+            cols.append(x)
+        return self._join(cols)
 
     @cached_property
     def construction(self) -> list[list[Matrix]]:
@@ -230,7 +231,7 @@ class TransformedCode(IrregularArrayCode):
             (j0, h0), (j1, h1) = self.homes[x]
             u = fetch(j0, [h0 * alpha + r for r in rows]) if w[0] else None
             v = fetch(j1, [h1 * alpha + r for r in rows]) if w[1] else None
-            return _mix(self.field, w, u, v)
+            return combine_lists(self.field, w, (u, v), len(rows))
 
         return inner
 
@@ -262,7 +263,7 @@ class TransformedCode(IrregularArrayCode):
             d = f.neg(f.mul(c, w[1 - i]))
             j, hh = self.homes[x][1 - i]
             survivor = fetch(j, range(hh * alpha, (hh + 1) * alpha)) if d else None
-            out += _mix(f, (c, d), self.base._column(x, data), survivor)
+            out += combine_lists(f, (c, d), (self.base._column(x, data), survivor), alpha)
         return out
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ubcode.cluster import Cluster
 from ubcode.construct import build_mrmub, build_mub, fig1b, fig3
 from ubcode.finite_field import GF
 from ubcode.linalg import (
@@ -367,9 +368,12 @@ def test_feasible_access_violation_witnessed():
         ([2] * 4, [[0, -5, 3, 3]] * 4),
         ([2] * 4, [[0, "3", 3, 3]] * 4),
         ([2] * 4, [[0, 1.0, 3, 3]] * 4),
+        (5, [[0, 1, 1, 1]] * 4),
+        ([2] * 4, None),
+        ([2] * 4, [5] * 4),
     ],
     ids=["short-p", "negative-p", "3x3-grid", "4x3-grid", "negative-entry", "str-entry",
-         "float-entry"],
+         "float-entry", "int-p", "no-grid", "int-rows"],
 )
 def test_feasible_rejects_a_misshapen_profile_or_grid(p, grid):
     with pytest.raises(InvalidParamsError):
@@ -631,6 +635,32 @@ def test_repair_and_decoder_reject_out_of_range_nodes(code):
         known = {bad: cols[-1], 0: cols[0], 1: cols[1]}
         with pytest.raises(NodeOutOfRangeError):
             code.decode_columns(known)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda c, cl: cl.fail_and_repair(True), NodeOutOfRangeError, "node True outside 0..3"),
+        (lambda c, cl: cl.apply_update("0", [0, 0]), NodeOutOfRangeError, "node '0' outside"),
+        (lambda c, cl: c.encode(None), InvalidParamsError, "data profile"),
+        (lambda c, cl: c.encode([5] * 4), InvalidParamsError, "data profile"),
+        (lambda c, cl: Cluster(c, data=5), InvalidParamsError, "data profile"),
+        (lambda c, cl: c.decode_columns([]), InvalidParamsError, "must be a dict"),
+        (lambda c, cl: c.decode_columns({0: 5, 1: [0] * 4}), InvalidParamsError,
+         "column 0 is not a list of 4 symbols"),
+        (lambda c, cl: c.repair(0, lambda src, rows: 5), ValueError,
+         "node 1 returned int, not a list, for 4 rows"),
+    ],
+    ids=["bool-node", "str-node", "none-fill", "int-vectors", "int-cluster-fill", "list-known",
+         "int-column", "int-fetch"],
+)
+def test_codec_entries_reject_wrong_types(call, error, message):
+    code = build_mrmub(4, 2, 2)
+    cluster = Cluster(code, seed=1)
+    before = [list(col) for col in cluster.columns]
+    with pytest.raises(error, match=message):
+        call(code, cluster)
+    assert cluster.columns == before and not cluster.log.records
 
 
 @pytest.mark.parametrize("code", range_check_codes(), ids=["built", "fig1b", "transformed"])

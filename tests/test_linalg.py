@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +339,73 @@ def test_matmul_and_scale_match_scalar_reference(field):
         prod = m @ x
         for j in range(x.cols):
             assert m.apply(x.col(j)) == prod.col(j)
+
+
+def reference_product(a, b):
+    """Entry-list product with one scalar field multiply and add per term."""
+    f = a.field
+    return [
+        [functools.reduce(f.add, map(f.mul, row, b.col(j)), 0) for j in range(b.cols)]
+        for row in a.data
+    ]
+
+
+@st.composite
+def packed_products(draw):
+    """(a, b) over a field with byte multiply tables, any shape from 0x0 up,
+    with some rows and columns of each factor zeroed."""
+    field = draw(st.sampled_from([GF(q) for q in (2, 4, 8, 32, 256)]))
+    rows, inner, cols = draw(st.tuples(*[st.integers(0, 7)] * 3))
+
+    def matrix(r, c):
+        data = draw(st.lists(st.lists(st.integers(0, field.q - 1), min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+        zero_rows = draw(st.sets(st.integers(0, 6)))
+        zero_cols = draw(st.sets(st.integers(0, 6)))
+        return Matrix(field, r, c, [
+            [0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+            for i, row in enumerate(data)
+        ])
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_products())
+def test_packed_matmul_matches_entry_list_reference(case):
+    a, b = case
+    assert a.field.mul_tables is not None  # the product runs on packed rows
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert as_lists(prod) == reference_product(a, b)
+    assert all(type(row) is tuple for row in prod.data)
+
+
+@pytest.mark.parametrize("field", [GF(8), GF(25)], ids=repr)  # packed and entry-list products
+def test_matmul_rejects_a_shape_or_field_mismatch(field):
+    a = Matrix.zeros(field, 2, 3)
+    with pytest.raises(ShapeMismatchError, match=re.escape(f"2x3 over {field!r} by 2x3")):
+        a @ Matrix.zeros(field, 2, 3)
+    other = GF(16) if field.q == 8 else GF(27)
+    with pytest.raises(ShapeMismatchError, match=re.escape(f"by 3x1 over {other!r}")):
+        a @ Matrix.zeros(other, 3, 1)
+
+
+def test_shape_errors_name_the_shapes(gf4):
+    a = Matrix.zeros(gf4, 2, 3)
+    with pytest.raises(ShapeMismatchError, match="vector length 2 != cols 3"):
+        a.apply([0, 0])
+    with pytest.raises(ShapeMismatchError, match="hstack blocks disagree on row count"):
+        hstack(gf4, [a, Matrix.zeros(gf4, 3, 1)])
+    with pytest.raises(ShapeMismatchError, match="vstack blocks disagree on column count"):
+        vstack(gf4, [a, Matrix.zeros(gf4, 1, 2)])
+    with pytest.raises(ShapeMismatchError, match="lhs has 2 rows, rhs has 3"):
+        solve(a, Matrix.zeros(gf4, 3, 1))
+
+
+def test_repr_shows_field_shape_and_rows(gf4):
+    assert repr(Matrix.from_rows(gf4, [[1, 2], [3, 0]])) == "Matrix(GF(4), 2x2, ((1, 2), (3, 0)))"
+    assert repr(Matrix.zeros(gf4, 0, 3)) == "Matrix(GF(4), 0x3, ())"
 
 
 # -- elimination against a scalar reference ---------------------------------------

@@ -240,11 +240,13 @@ def test_composed_column_maps_match_unit_encodes(pairs, q, shape):
 @st.composite
 def encoder_cases(draw):
     """(code, data): iterate_transform(build_mrmub(n, n-2, m), r) for n = 4..7
-    and 0 <= r <= ceil(n/2), with m = (n-2) * share over a field holding the
-    (n-1) * share assembly points; the root is built or, with the whole code,
-    saved and loaded back through a spec file."""
-    n = draw(st.integers(4, 7))
-    q = draw(st.sampled_from([8, 9, 16, 25]))
+    (at most q + 1) and 0 <= r <= ceil(n/2), with m = (n-2) * share over a
+    field holding the (n-1) * share assembly points; the root is built or,
+    with the whole code, saved and loaded back through a spec file.  GF(4),
+    GF(8), GF(16) and GF(256) encode on packed byte rows, GF(9) and GF(25)
+    on entry lists."""
+    q = draw(st.sampled_from([4, 8, 9, 16, 25, 256]))
+    n = draw(st.integers(4, min(7, q + 1)))
     share = draw(st.integers(1, min(2, q // (n - 1))))
     code = iterate_transform(build_mrmub(n, n - 2, (n - 2) * share, field=GF(q)),
                              draw(st.integers(0, (n + 1) // 2)))
@@ -265,6 +267,19 @@ def test_batched_encode_matches_column_maps(case):
     x = [v for fill in data for v in fill]
     cols = code.encode(data)
     assert cols == [m.apply(x) for m in code.column_maps()]
+
+
+@pytest.mark.parametrize("q", [8, 9, 257, 2**16])
+def test_a_tuple_fill_encodes_like_a_list_fill(q):
+    # A fill may give each node's vector as a tuple; the batched encoder
+    # turns it into its own row form (packed bytes in GF(8), entry lists in
+    # the others, whose entries need not fit in a byte) before any mix.
+    code = iterate_transform(build_mrmub(4, 2, 2, field=GF(q)), 2)
+    data = random_fill(code, random.Random(q))
+    cols = code.encode(data)
+    assert code.encode(tuple(tuple(x) for x in data)) == cols
+    assert Cluster(code, data=tuple(tuple(x) for x in data)).columns == cols
+    assert cols == [m.apply([v for x in data for v in x]) for m in code.column_maps()]
 
 
 def per_node_rows(code, j):
