@@ -19,7 +19,6 @@ from .code_model import (
     IrregularArrayCode,
     bounds,
     feasible,
-    mrmub_admissible,
     redundancy,
     update_bandwidth,
     update_complexity,
@@ -40,7 +39,6 @@ __all__ = [
     "IrregularArrayCode",
     "bounds",
     "feasible",
-    "mrmub_admissible",
     "redundancy",
     "update_bandwidth",
     "update_complexity",

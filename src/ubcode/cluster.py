@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .code_model import InvalidParamsError, NodeOutOfRangeError
+from .code_model import InvalidParamsError, NodeOutOfRangeError, _is_count
+from .linalg import _is_row
 
 
 class ClusterStateError(RuntimeError):
@@ -94,11 +95,11 @@ class Cluster:
         regardless of the delta's value: the protocol is data-oblivious.
         """
         self.code.check_node(node)
-        f = self.field
-        if len(new_data) != self.code.m[node]:
-            raise InvalidParamsError(
-                f"update vector length {len(new_data)} != {self.code.m[node]}"
-            )
+        f, m = self.field, self.code.m[node]
+        if not _is_row(new_data, m):
+            got = (f"length {len(new_data)} != {m}" if isinstance(new_data, (list, tuple))
+                   else f"is {type(new_data).__name__}, not a list of {m} symbols")
+            raise InvalidParamsError(f"update vector {got}")
         new_data = [f.validate(v) for v in new_data]
         old = self.truth[node]
         delta = [f.sub(a, b) for a, b in zip(new_data, old)]
@@ -166,7 +167,7 @@ class Cluster:
         Returns exact measured statistics: mean symbols per update (a
         Fraction), per-node update totals, and per-repair download counts.
         """
-        if updates < 0 or repairs < 0:
+        if not (_is_count(updates) and _is_count(repairs)):
             raise InvalidParamsError(f"negative workload: {updates} updates, {repairs} repairs")
         rng = random.Random(seed)
         per_node = [0] * self.n

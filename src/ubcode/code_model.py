@@ -52,6 +52,7 @@ from .linalg import (
     InconsistentSystemError,
     Matrix,
     UnderdeterminedSystemError,
+    _is_row,
     full_rank_decompose,
     left_inverse,
     rank,
@@ -84,10 +85,6 @@ class NodeOutOfRangeError(ValueError):
 
 def _is_count(v) -> bool:  # a nonnegative int; a bool is no count (see _is_a)
     return _is_a(v, int) and v >= 0
-
-
-def _is_row(v, n: int) -> bool:  # a list or tuple of n entries
-    return isinstance(v, (list, tuple)) and len(v) == n
 
 
 def validate_dimensions(n: int, k: int, m) -> tuple[int, ...]:
@@ -508,6 +505,9 @@ class BoundsReport:
     update_complexity_bound is None for k = n-1, where the paper's bound does
     not hold.  At k = n-1 the cyclic bandwidth_assignment need not support
     bandwidth_profile, and ``build_mub`` exceeds min_redundancy_at_min_bandwidth.
+    Both optima are reachable at once (MR-MUB) exactly when
+    min_redundancy_at_min_bandwidth == min_redundancy, with the forced shape
+    (m, bandwidth_profile).
     """
 
     n: int
@@ -618,46 +618,6 @@ def _bandwidth_profile(n: int, k: int, m: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # -- existence / feasibility ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Admissibility:
-    """Whether both optima are simultaneously reachable for (n, k, m)."""
-
-    verdict: str  # "admissible" | "not_admissible" | "undetermined"
-    data_profile: tuple[int, ...] | None = None
-    parity_profile: tuple[int, ...] | None = None
-    detail: str = ""
-
-    @property
-    def admissible(self) -> bool:
-        return self.verdict == "admissible"
-
-
-def mrmub_admissible(n: int, k: int, m) -> Admissibility:
-    """Decide whether a code can reach minimum redundancy and minimum update
-    bandwidth at once, returning the forced (m, p) shape when it can.
-
-    Read off ``bounds``: the parameters are MR-MUB exactly when the minimum
-    redundancy at minimum bandwidth equals the minimum redundancy, and the
-    bandwidth-optimal profile is then the forced parity shape.  For
-    1 < k < n-1 the theory settles this only when k divides every m_i.
-    """
-    rep = bounds(n, k, m)
-    r_sma = rep.min_redundancy_at_min_bandwidth
-    if r_sma is None:
-        return Admissibility(
-            "undetermined", detail=f"k={k} does not divide every node size in {rep.m}"
-        )
-    if r_sma > rep.min_redundancy:
-        return Admissibility(
-            "not_admissible",
-            detail=f"minimum redundancy at minimum bandwidth is {r_sma} > {rep.min_redundancy}",
-        )
-    return Admissibility(
-        "admissible", rep.m, rep.bandwidth_profile,
-        f"minimum redundancy {r_sma} is reachable at minimum bandwidth",
-    )
 
 
 @dataclass(frozen=True)

@@ -68,33 +68,28 @@ def _digits_to_int(digits: list[int], p: int) -> int:
 
 
 def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of polynomial division over GF(p), digits low-first."""
+    """Remainder of num divided by the monic den over GF(p), digits low-first,
+    with one digit fewer than den."""
     num = list(num)
     dlead = len(den) - 1
-    while den[dlead] == 0:
-        dlead -= 1
-    inv_lead = pow(den[dlead], p - 2, p) if p > 2 else 1
     for shift in range(len(num) - 1 - dlead, -1, -1):
-        coef = (num[shift + dlead] * inv_lead) % p
+        coef = num[shift + dlead]
         if coef:
             for i in range(dlead + 1):
                 num[shift + i] = (num[shift + i] - coef * den[i]) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
+    return num[:dlead]
 
 
 def _poly_is_irreducible(poly: list[int], p: int) -> bool:
-    """Exhaustive trial division by every monic polynomial of degree <= deg/2."""
+    """Exhaustive trial division of a monic poly of degree >= 1 by every
+    monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
-    if deg < 1 or poly[deg] == 0:
-        return False
     for ddeg in range(1, deg // 2 + 1):
         # Enumerate monic polynomials of degree ddeg: low coefficients count
         # through p**ddeg combinations.
         for low in range(p**ddeg):
             den = _int_to_digits(low, p, ddeg) + [1]
-            if _poly_rem(poly, den, p) == [0]:
+            if not any(_poly_rem(poly, den, p)):
                 return False
     return True
 
@@ -127,18 +122,18 @@ def _smallest_irreducible(p: int, d: int) -> list[int]:
 class Field:
     """GF(q) with fixed modulus, primitive element, and full mul/inv tables.
 
-    Construction walks the powers of the primitive element g with one table
-    lookup per element: g times the low and the high half of an element are
-    read from split tables of about sqrt(q) products and added (XOR in
-    characteristic 2, a digit-wise add table in odd extension fields).  In
-    odd extension fields a Zech table (log(1 + g^t)) also serves scalar
-    add/neg/sub and the row kernel.  In characteristic 2 with q <= 256,
-    ``mul_tables[c]`` is the 256-byte table of c*v (zero at v >= q), so
-    ``row.translate(mul_tables[c])`` scales a row of byte entries; every
-    other field has ``mul_tables = None``.  ``linalg`` reads it as the
-    switch to packed rows: ``rref``/``rank`` eliminate on them, and ``@``
-    and the transformed encoder combine rows on them (``pack_rows`` and
-    ``combine_rows``).
+    Construction walks the powers of the primitive element g, one step per
+    element.  In characteristic 2 a step is one XOR of two split-table
+    lookups: g times the low and the high half of an element, from tables
+    of about sqrt(q) products.  Every other field steps by the table-free
+    multiply.  In odd extension fields a Zech table (log(1 + g^t)) also
+    serves scalar add/neg/sub and the row kernel.  In characteristic 2 with
+    q <= 256, ``mul_tables[c]`` is the 256-byte table of c*v (zero at
+    v >= q), so ``row.translate(mul_tables[c])`` scales a row of byte
+    entries; every other field has ``mul_tables = None``.  ``linalg`` reads
+    it as the switch to packed rows: ``rref``/``rank`` eliminate on them,
+    and ``@`` and the transformed encoder combine rows on them
+    (``pack_rows`` and ``combine_rows``).
 
     Immutable after construction; safe to share between threads.  Use the
     cached factory :func:`GF` rather than constructing directly.
@@ -188,9 +183,7 @@ class Field:
                 continue
             for j, cb in enumerate(db):
                 prod[i + j] = (prod[i + j] + ca * cb) % p
-        rem = _poly_rem(prod, self.modulus, p)
-        rem += [0] * (self.degree - len(rem))
-        return _digits_to_int(rem, p)
+        return _digits_to_int(_poly_rem(prod, self.modulus, p), p)
 
     def _raw_pow(self, a: int, e: int) -> int:
         acc = 1
@@ -213,20 +206,17 @@ class Field:
         raise AssertionError(f"no primitive element in GF({self.q})")
 
     def _build_tables(self) -> None:
-        # One lookup step per element.  Multiplying by g is linear over GF(p),
-        # so g*val is g*(low half of val) plus g*(high half of val), and each
-        # half's products fill a table of about sqrt(q) entries.
+        # One step per element.  In characteristic 2 multiplying by g is
+        # linear over GF(2), so g*val is g*(low half of val) XOR g*(high half
+        # of val), each half's products read from a table of about sqrt(q)
+        # entries.  Every other field multiplies by g with _raw_mul: no
+        # workload builds an odd field large enough for the walk to matter.
         p, d, g = self.characteristic, self.degree, self.primitive
         order = self.q - 1
         exp = [1] * order
         log = [0] * self.q
         val = 1
-        if d == 1:
-            for i in range(order):
-                exp[i] = val
-                log[val] = i
-                val = val * g % p
-        elif p == 2:
+        if p == 2:
             h = d // 2
             mask = (1 << h) - 1
             lo = [self._raw_mul(t, g) for t in range(1 << h)]
@@ -236,28 +226,10 @@ class Field:
                 log[val] = i
                 val = hi[val >> h] ^ lo[val & mask]
         else:
-            # Halves at base P = p^h.  The two products are added digit-wise
-            # in three chunks of at most h digits (d <= 2h + 1) through
-            # add[x*P + y], the digit-wise sum of h-digit numbers x and y,
-            # built one low digit at a time.
-            h = d // 2
-            P = p**h
-            add = [0]
-            for w in (p**k for k in range(h)):
-                add = [
-                    (x % p + y % p) % p + p * add[x // p * w + y // p]
-                    for x in range(w * p) for y in range(w * p)
-                ]
-            lo = [self._raw_mul(t, g) for t in range(P)]
-            hi = [self._raw_mul(t * P, g) for t in range(self.q // P)]
-            lo0, lo1, lo2 = ([v // P**j % P * P for v in lo] for j in range(3))
-            hi0, hi1, hi2 = ([v // P**j % P for v in hi] for j in range(3))
             for i in range(order):
                 exp[i] = val
                 log[val] = i
-                l, u = val % P, val // P
-                val = (add[lo0[l] + hi0[u]] + P * add[lo1[l] + hi1[u]]
-                       + P * P * add[lo2[l] + hi2[u]])
+                val = self._raw_mul(val, g)
         if val != 1:
             raise AssertionError("primitive element does not have full order")
         self._exp = exp

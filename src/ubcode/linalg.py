@@ -43,16 +43,22 @@ class ShapeMismatchError(ValueError):
     """Operand dimensions, or the fields they are over, are incompatible."""
 
 
+def _is_row(v, n: int) -> bool:  # a list or tuple of n entries
+    return isinstance(v, (list, tuple)) and len(v) == n
+
+
 class Matrix:
     """A rows x cols matrix over ``field``; ``data`` is a tuple of row tuples.
-    The constructor checks the shape and every entry; no data gives zeros."""
+    The constructor checks the shape (data is a list or tuple of ``rows``
+    rows, each a list or tuple of ``cols`` entries) and every entry; no data
+    gives zeros."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, rows: int, cols: int, data=None):
         if data is None:
             data = ((0,) * cols,) * rows
-        elif len(data) != rows or any(len(r) != cols for r in data):
+        elif not (_is_row(data, rows) and all(_is_row(r, cols) for r in data)):
             raise ShapeMismatchError(f"data does not match shape {rows}x{cols}")
         else:
             data = tuple(tuple(map(field.validate, row)) for row in data)
@@ -69,9 +75,11 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, data: list[list[int]]) -> "Matrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(field, rows, cols, data)
+        """The matrix whose rows are ``data``: a list or tuple of lists or
+        tuples, one per row, all as long as the first."""
+        if not isinstance(data, (list, tuple)) or data and not isinstance(data[0], (list, tuple)):
+            raise ShapeMismatchError(f"rows {data!r} are not a list of lists")
+        return cls(field, len(data), len(data[0]) if data else 0, data)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":

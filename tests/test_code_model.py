@@ -21,7 +21,6 @@ from ubcode.linalg import (
 )
 from ubcode.transform import iterate_transform
 from ubcode.code_model import (
-    Admissibility,
     DivisibilityError,
     EnumerationTooLargeError,
     InvalidParamsError,
@@ -34,7 +33,6 @@ from ubcode.code_model import (
     code_from_json,
     code_to_json,
     feasible,
-    mrmub_admissible,
     redundancy,
     solve_data_from_columns,
     update_bandwidth,
@@ -245,38 +243,42 @@ def test_bandwidth_optimal_profile_requires_divisibility():
 
 
 # -- admissibility -----------------------------------------------------------------
+#
+# bounds() answers it: both optima are reachable at once (MR-MUB) exactly
+# when min_redundancy_at_min_bandwidth == min_redundancy, the forced shape is
+# (rep.m, rep.bandwidth_profile), and a None figure leaves it undetermined.
 
 
 def test_admissible_balanced():
-    res = mrmub_admissible(4, 2, [2, 2, 2, 2])
-    assert res.admissible
-    assert res.parity_profile == (2, 2, 2, 2)
+    rep = bounds(4, 2, [2, 2, 2, 2])
+    assert rep.min_redundancy_at_min_bandwidth == rep.min_redundancy
+    assert (rep.m, rep.bandwidth_profile) == ((2, 2, 2, 2), (2, 2, 2, 2))
 
 
 def test_admissible_single_node():
-    res = mrmub_admissible(5, 3, [6, 0, 0, 0, 0])
-    assert res.admissible
-    assert res.parity_profile == (0, 2, 2, 2, 2)
+    rep = bounds(5, 3, [6, 0, 0, 0, 0])
+    assert rep.min_redundancy_at_min_bandwidth == rep.min_redundancy
+    assert (rep.m, rep.bandwidth_profile) == ((6, 0, 0, 0, 0), (0, 2, 2, 2, 2))
 
 
 def test_not_admissible_mixed_profile():
-    res = mrmub_admissible(4, 2, [4, 2, 2, 0])
-    assert res.verdict == "not_admissible"
-    assert "11 > 8" in res.detail
+    rep = bounds(4, 2, [4, 2, 2, 0])
+    assert (rep.min_redundancy_at_min_bandwidth, rep.min_redundancy) == (11, 8)
 
 
 def test_admissible_edge_thresholds():
-    res = mrmub_admissible(4, 1, [3, 1, 2, 5])
-    assert res.admissible
-    assert res.parity_profile == (8, 10, 9, 6)
-    res = mrmub_admissible(4, 3, [3, 6, 3, 3])
-    assert res.admissible
-    assert sum(res.parity_profile) == bounds(4, 3, [3, 6, 3, 3]).min_redundancy
+    rep = bounds(4, 1, [3, 1, 2, 5])
+    assert rep.min_redundancy_at_min_bandwidth == rep.min_redundancy
+    assert rep.bandwidth_profile == (8, 10, 9, 6)
+    rep = bounds(4, 3, [3, 6, 3, 3])
+    assert rep.min_redundancy_at_min_bandwidth == rep.min_redundancy
+    assert sum(rep.bandwidth_profile) == rep.min_redundancy
 
 
 def test_admissible_undetermined_without_divisibility():
-    res = mrmub_admissible(5, 3, [4, 4, 4, 4, 4])
-    assert res.verdict == "undetermined"
+    rep = bounds(5, 3, [4, 4, 4, 4, 4])
+    assert rep.min_redundancy_at_min_bandwidth is None
+    assert rep.bandwidth_profile is None
 
 
 def test_admissibility_follows_the_theorem_across_divisible_profiles():
@@ -288,7 +290,7 @@ def test_admissibility_follows_the_theorem_across_divisible_profiles():
             for m in product(range(0, (4 if n <= 5 else 3) * k, k), repeat=n):
                 if not any(m):
                     continue
-                rep, res = bounds(n, k, m), mrmub_admissible(n, k, m)
+                rep = bounds(n, k, m)
                 assert sum(rep.redundancy_profile) == rep.min_redundancy
                 assert sum(rep.bandwidth_profile) == rep.min_redundancy_at_min_bandwidth
                 big_b = sum(m)
@@ -301,11 +303,10 @@ def test_admissibility_follows_the_theorem_across_divisible_profiles():
                 elif sum(1 for mi in m if mi) == 1:
                     expect = tuple(0 if mi else big_b // k for mi in m)
                 else:
-                    assert res.verdict == "not_admissible", (n, k, m)
+                    assert rep.min_redundancy_at_min_bandwidth > rep.min_redundancy, (n, k, m)
                     continue
-                assert (res.verdict, res.data_profile, res.parity_profile) == (
-                    "admissible", m, expect,
-                ), (n, k, m)
+                assert rep.min_redundancy_at_min_bandwidth == rep.min_redundancy, (n, k, m)
+                assert (rep.m, rep.bandwidth_profile) == (m, expect), (n, k, m)
 
 
 # -- feasibility --------------------------------------------------------------------
@@ -650,9 +651,33 @@ def test_repair_and_decoder_reject_out_of_range_nodes(code):
          "column 0 is not a list of 4 symbols"),
         (lambda c, cl: c.repair(0, lambda src, rows: 5), ValueError,
          "node 1 returned int, not a list, for 4 rows"),
+        (lambda c, cl: cl.apply_update(0, 5), InvalidParamsError,
+         "update vector is int, not a list of 2 symbols"),
+        (lambda c, cl: cl.apply_update(0, None), InvalidParamsError,
+         "update vector is NoneType, not a list of 2 symbols"),
+        (lambda c, cl: cl.apply_update(0, [1]), InvalidParamsError,
+         "update vector length 1 != 2"),
+        (lambda c, cl: cl.run_workload("3", 0), InvalidParamsError, "workload: 3 updates, 0 repairs"),
+        (lambda c, cl: cl.run_workload(1.5, 0), InvalidParamsError, "1.5 updates, 0 repairs"),
+        (lambda c, cl: cl.run_workload(True, 0), InvalidParamsError, "True updates, 0 repairs"),
+        (lambda c, cl: cl.run_workload(0, None), InvalidParamsError, "0 updates, None repairs"),
+        (lambda c, cl: Matrix(c.field, 1, 2, [5]), ShapeMismatchError,
+         "data does not match shape 1x2"),
+        (lambda c, cl: Matrix(c.field, 1, 2, 5), ShapeMismatchError,
+         "data does not match shape 1x2"),
+        (lambda c, cl: Matrix.from_rows(c.field, 5), ShapeMismatchError,
+         "rows 5 are not a list of lists"),
+        (lambda c, cl: Matrix.from_rows(c.field, [5, 6]), ShapeMismatchError,
+         r"rows \[5, 6\] are not a list of lists"),
+        (lambda c, cl: build_mrmub(4, 2, 2, assembly=5), ShapeMismatchError,
+         "rows 5 are not a list of lists"),
+        (lambda c, cl: build_mrmub(4, 2, 2, assembly=[5, 6]), ShapeMismatchError,
+         r"rows \[5, 6\] are not a list of lists"),
     ],
     ids=["bool-node", "str-node", "none-fill", "int-vectors", "int-cluster-fill", "list-known",
-         "int-column", "int-fetch"],
+         "int-column", "int-fetch", "int-update", "none-update", "short-update",
+         "str-updates", "float-updates", "bool-updates", "none-repairs", "int-matrix-row",
+         "int-matrix-data", "int-rows", "int-row", "int-assembly", "int-assembly-rows"],
 )
 def test_codec_entries_reject_wrong_types(call, error, message):
     code = build_mrmub(4, 2, 2)

@@ -226,6 +226,16 @@ def test_base_rejects_bad_generator(gf2):
         RowWiseMdsBase(gf2, 3, 2, generator=[[1, 0, 1], [0, 0, 1]])
 
 
+def test_base_rejects_bad_shapes(gf2):
+    with pytest.raises(InvalidParamsError, match=r"^need n_out >= k, got 1 < 2$"):
+        RowWiseMdsBase(gf2, 1, 2)
+    base = RowWiseMdsBase(gf2, 3, 2, generator=[[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(InvalidParamsError, match=r"^data length 3 is not a multiple of 2$"):
+        base.encode([1, 0, 1])
+    with pytest.raises(TooManyErasuresError, match=r"^need 2 encoded columns, have 1$"):
+        base.decode({2: [1]})
+
+
 # -- the selection check against one inversion per selection -------------------------------
 
 
@@ -362,6 +372,13 @@ def test_selection_failure_names_the_checked_matrix(gf2):
     with pytest.raises(InvalidParamsError, match=bad_assembly):
         build_mrmub(4, 2, 2, field=gf2, base_generator=PARITY_CHECK_3_2,
                     assembly=[[1, 0, 0], [0, 1, 1]])
+
+
+def test_build_rejects_a_matrix_of_the_wrong_shape():
+    with pytest.raises(InvalidParamsError, match=r"^assembly 0 is 2x2, expected 2x3$"):
+        build_mrmub(4, 2, 2, assembly=[[1, 0], [0, 1]])
+    with pytest.raises(InvalidParamsError, match=r"^generator 0 is 1x3, expected 2x3$"):
+        build_mrmub(4, 2, 2, base_generator=[[1, 0, 1]])
 
 
 def test_build_rejects_a_generator_over_another_field():
