@@ -168,7 +168,8 @@ class Cluster:
         Fraction), per-node update totals, and per-repair download counts.
         """
         if not (_is_count(updates) and _is_count(repairs)):
-            raise InvalidParamsError(f"negative workload: {updates} updates, {repairs} repairs")
+            raise InvalidParamsError(f"workload counts must be ints >= 0, "
+                                     f"got updates={updates!r}, repairs={repairs!r}")
         rng = random.Random(seed)
         per_node = [0] * self.n
         total = 0

@@ -126,7 +126,7 @@ class Field:
     element.  In characteristic 2 a step is one XOR of two split-table
     lookups: g times the low and the high half of an element, from tables
     of about sqrt(q) products.  Every other field steps by the table-free
-    multiply.  In odd extension fields a Zech table (log(1 + g^t)) also
+    multiply.  In odd characteristic a Zech table (log(1 + g^t)) also
     serves scalar add/neg/sub and the row kernel.  In characteristic 2 with
     q <= 256, ``mul_tables[c]`` is the 256-byte table of c*v (zero at
     v >= q), so ``row.translate(mul_tables[c])`` scales a row of byte
@@ -235,7 +235,7 @@ class Field:
         self._exp = exp
         self._log = log
         self._zech = None
-        if p != 2 and d > 1:
+        if p != 2:
             # zech[t] = log(1 + g^t), or -1 where 1 + g^t = 0.  Adding 1 only
             # changes the lowest base-p digit, so each entry is O(1).
             self._zech = [
@@ -263,12 +263,9 @@ class Field:
         return a
 
     def add(self, a: int, b: int) -> int:
-        p = self.characteristic
-        if self.degree == 1:
-            return (a + b) % p
-        if p == 2:
+        if self.characteristic == 2:
             return a ^ b
-        # Odd extension field: a + b = g^(log a) * (1 + g^(log b - log a))
+        # Odd characteristic: a + b = g^(log a) * (1 + g^(log b - log a))
         # via the Zech table.
         if a == 0:
             return b
@@ -280,10 +277,7 @@ class Field:
         return 0 if z < 0 else self._exp[(la + z) % order]
 
     def neg(self, a: int) -> int:
-        p = self.characteristic
-        if self.degree == 1:
-            return (-a) % p
-        if p == 2 or a == 0:
+        if self.characteristic == 2 or a == 0:
             return a
         # -1 = g^(order/2) in odd characteristic.
         order = self.q - 1
@@ -317,9 +311,6 @@ class Field:
 
     def scale_row(self, c: int, row: list[int]) -> list[int]:
         """The row c*row, entrywise."""
-        if self.degree == 1:
-            p = self.q
-            return [(c * v) % p for v in row]
         if c == 0:
             return [0] * len(row)
         exp, log, order = self._exp, self._log, self.q - 1
@@ -328,16 +319,13 @@ class Field:
 
     def sub_scaled_row(self, dst: list[int], c: int, src: list[int]) -> list[int]:
         """The row dst - c*src, entrywise."""
-        if self.degree == 1:
-            p = self.q
-            return [(d - c * s) % p for d, s in zip(dst, src)]
         if c == 0:
             return list(dst)
         exp, log, order = self._exp, self._log, self.q - 1
         if self.characteristic == 2:
             lc = log[c]
             return [d ^ exp[(lc + log[s]) % order] if s else d for d, s in zip(dst, src)]
-        # Odd extension field: -c*s = g^(log c + log s + order/2), and
+        # Odd characteristic: -c*s = g^(log c + log s + order/2), and
         # d + g^x = g^(log d) * (1 + g^(x - log d)) via the Zech table.
         zech = self._zech
         lm = log[c] + order // 2

@@ -40,8 +40,10 @@ from __future__ import annotations
 from functools import cached_property
 
 from .finite_field import Field
-from .linalg import FieldTooSmallError, Matrix, combine_lists, combine_rows, invert, pack_rows
-from .code_model import InvalidParamsError, IrregularArrayCode, solve_data_from_columns
+from .linalg import (
+    FieldTooSmallError, Matrix, _is_row, combine_lists, combine_rows, invert, pack_rows,
+)
+from .code_model import InvalidParamsError, IrregularArrayCode, _is_count, solve_data_from_columns
 
 
 class InvalidPairError(ValueError):
@@ -94,9 +96,12 @@ class TransformedCode(IrregularArrayCode):
         field: Field = base.field
         if field.q <= 2:
             raise FieldTooSmallError("pair mixing needs q > 2 (g must differ from 1)")
+        # Two distinct node indices, bools refused: save_spec would write a
+        # bool as a JSON boolean, which load_spec refuses.
+        if not (_is_row(pair, 2) and all(_is_count(v) and v < n for v in pair)
+                and pair[0] != pair[1]):
+            raise InvalidPairError(f"invalid node pair {pair!r} for n={n}")
         a, b = pair
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise InvalidPairError(f"invalid node pair {pair} for n={n}")
         if len(set(base.m)) != 1 or len(set(base.col_lens)) != 1:
             raise InvalidParamsError("transformation needs a regular (uniform) base code")
 
@@ -279,8 +284,8 @@ def rotation_pairs(n: int, rounds: int) -> list[tuple[int, int]]:
     The ceil(n/2) cap is also checked in ``TransformedCode``, but only once
     rounds exist; checked here, it stops a huge count before its pair list
     is built."""
-    if rounds < 0:
-        raise InvalidPairError(f"rounds must be >= 0, got {rounds}")
+    if not _is_count(rounds):
+        raise InvalidPairError(f"rounds must be an int >= 0, got {rounds!r}")
     if rounds > (n + 1) // 2:
         raise InvalidPairError(f"{rounds} rounds exceed ceil({n}/2)")
     pairs = []

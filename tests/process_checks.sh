@@ -19,7 +19,8 @@
 #    exit 1 and one stderr line, and the codeword repairs every node byte for
 #    byte at the cut-set figure.  A one-round (4, 2) spec whose pair is (0, 1)
 #    repairs every node byte for byte at 12, 12, 16 and 16 symbols.  The three
-#    seeded codewords of tests/test_cli.py's CODEWORD_CASES match their
+#    seeded codewords of tests/test_cli.py's CODEWORD_CASES and a two-round
+#    (4, 2) GF(7) codeword, the one prime-field golden, match their
 #    default-build golden files and decode byte for byte with their last n-k
 #    nodes erased.  A bad construct, a malformed UBCODE_SEED, a spec nested
 #    200,000 deep, a (4, 2) spec with three pairing rounds, a spec whose
@@ -126,6 +127,7 @@ codeword() {  # construct an mrmub spec, encode it with seed 16, diff against th
   diff "$out" "$cw"
 }
 codeword codeword_4_2_q8_r2_systematic_seed16.txt 2,3 --n 4 --k 2 --m 2,2,2,2 --q 8 --transform-rounds 2
+codeword codeword_4_2_q7_r2_systematic_seed16.txt 2,3 --n 4 --k 2 --m 2,2,2,2 --q 7 --transform-rounds 2
 codeword codeword_6_4_q25_r3_systematic_seed16.txt 4,5 --n 6 --k 4 --m 4,4,4,4,4,4 --q 25 --transform-rounds 3
 codeword codeword_6_3_q65536_systematic_seed16.txt 3,4,5 --n 6 --k 3 --m 6,6,6,6,6,6 --q 65536
 usage_error python -m ubcode.cli construct --kind mrmub --n 4 --k 0 --m 2,2,2,2 \

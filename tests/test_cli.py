@@ -459,10 +459,11 @@ def test_deeply_nested_spec_is_a_usage_error(tmp_path, capsys):
     "argv, message",
     [
         (["construct", "--kind", "mrmub", "--n", "4", "--k", "2", "--m", "2,2,2,2",
-          "--transform-rounds", "-1"], "rounds must be >= 0, got -1"),
-        (["simulate", "--updates", "-1"], "negative workload: -1 updates, 1 repairs"),
-        (["simulate", "--repairs", "-2"], "negative workload: 8 updates, -2 repairs"),
-        (["simulate", "--updates", "-1", "--repairs", "-2"], "negative workload"),
+          "--transform-rounds", "-1"], "rounds must be an int >= 0, got -1"),
+        (["simulate", "--updates", "-1"],
+         "workload counts must be ints >= 0, got updates=-1, repairs=1"),
+        (["simulate", "--repairs", "-2"], "got updates=8, repairs=-2"),
+        (["simulate", "--updates", "-1", "--repairs", "-2"], "got updates=-1, repairs=-2"),
     ],
     ids=["transform-rounds", "updates", "repairs", "both"],
 )

@@ -19,7 +19,7 @@ from ubcode.linalg import (
     solve,
     vstack,
 )
-from ubcode.transform import iterate_transform
+from ubcode.transform import InvalidPairError, iterate_transform, pair_transform, rotation_pairs
 from ubcode.code_model import (
     DivisibilityError,
     EnumerationTooLargeError,
@@ -657,10 +657,11 @@ def test_repair_and_decoder_reject_out_of_range_nodes(code):
          "update vector is NoneType, not a list of 2 symbols"),
         (lambda c, cl: cl.apply_update(0, [1]), InvalidParamsError,
          "update vector length 1 != 2"),
-        (lambda c, cl: cl.run_workload("3", 0), InvalidParamsError, "workload: 3 updates, 0 repairs"),
-        (lambda c, cl: cl.run_workload(1.5, 0), InvalidParamsError, "1.5 updates, 0 repairs"),
-        (lambda c, cl: cl.run_workload(True, 0), InvalidParamsError, "True updates, 0 repairs"),
-        (lambda c, cl: cl.run_workload(0, None), InvalidParamsError, "0 updates, None repairs"),
+        (lambda c, cl: cl.run_workload("3", 0), InvalidParamsError,
+         r"workload counts must be ints >= 0, got updates='3', repairs=0"),
+        (lambda c, cl: cl.run_workload(1.5, 0), InvalidParamsError, "updates=1.5, repairs=0"),
+        (lambda c, cl: cl.run_workload(True, 0), InvalidParamsError, "updates=True, repairs=0"),
+        (lambda c, cl: cl.run_workload(0, None), InvalidParamsError, "updates=0, repairs=None"),
         (lambda c, cl: Matrix(c.field, 1, 2, [5]), ShapeMismatchError,
          "data does not match shape 1x2"),
         (lambda c, cl: Matrix(c.field, 1, 2, 5), ShapeMismatchError,
@@ -673,11 +674,24 @@ def test_repair_and_decoder_reject_out_of_range_nodes(code):
          "rows 5 are not a list of lists"),
         (lambda c, cl: build_mrmub(4, 2, 2, assembly=[5, 6]), ShapeMismatchError,
          r"rows \[5, 6\] are not a list of lists"),
+        (lambda c, cl: pair_transform(c, (0, 1.0)), InvalidPairError,
+         r"invalid node pair \(0, 1.0\) for n=4"),
+        (lambda c, cl: pair_transform(c, (0, "1")), InvalidPairError, r"pair \(0, '1'\)"),
+        (lambda c, cl: pair_transform(c, (0,)), InvalidPairError, r"pair \(0,\)"),
+        (lambda c, cl: pair_transform(c, 5), InvalidPairError, "pair 5 "),
+        (lambda c, cl: pair_transform(c, (True, 2)), InvalidPairError, r"pair \(True, 2\)"),
+        (lambda c, cl: rotation_pairs(4, 1.5), InvalidPairError,
+         "rounds must be an int >= 0, got 1.5"),
+        (lambda c, cl: iterate_transform(c, "2"), InvalidPairError, "got '2'"),
+        (lambda c, cl: iterate_transform(c, None), InvalidPairError, "got None"),
+        (lambda c, cl: iterate_transform(c, True), InvalidPairError, "got True"),
     ],
     ids=["bool-node", "str-node", "none-fill", "int-vectors", "int-cluster-fill", "list-known",
          "int-column", "int-fetch", "int-update", "none-update", "short-update",
          "str-updates", "float-updates", "bool-updates", "none-repairs", "int-matrix-row",
-         "int-matrix-data", "int-rows", "int-row", "int-assembly", "int-assembly-rows"],
+         "int-matrix-data", "int-rows", "int-row", "int-assembly", "int-assembly-rows",
+         "float-pair", "str-pair", "short-pair", "int-pair", "bool-pair",
+         "float-rounds", "str-rounds", "none-rounds", "bool-rounds"],
 )
 def test_codec_entries_reject_wrong_types(call, error, message):
     code = build_mrmub(4, 2, 2)

@@ -262,7 +262,7 @@ def ref_sub(f, a, b):
     return ref_add(f, a, ref_neg(f, b))
 
 
-@pytest.mark.parametrize("q", [9, 25, 27])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 25, 27])
 def test_scalar_add_neg_sub_match_digit_reference_exhaustive(q):
     f = GF(q)
     for a in range(q):
@@ -273,8 +273,8 @@ def test_scalar_add_neg_sub_match_digit_reference_exhaustive(q):
 
 
 @st.composite
-def odd_extension_pairs(draw):
-    f = GF(draw(st.sampled_from([243, 3**10])))
+def odd_field_pairs(draw):
+    f = GF(draw(st.sampled_from([251, 65521, 243, 3**10])))
     element = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
     a = draw(element)
     # b = -a hits the 1 + g^t = 0 slot of the Zech table.
@@ -283,7 +283,7 @@ def odd_extension_pairs(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(odd_extension_pairs())
+@given(odd_field_pairs())
 def test_scalar_add_neg_sub_match_digit_reference(case):
     f, a, b = case
     assert f.add(a, b) == ref_add(f, a, b)
@@ -293,8 +293,9 @@ def test_scalar_add_neg_sub_match_digit_reference(case):
 
 # -- row kernel --------------------------------------------------------------------
 
-# Every field kind the kernel branches on: characteristic 2 (including the
-# prime GF(2)), odd primes, and odd extension fields through the Zech table.
+# Both field kinds the kernel branches on: characteristic 2 (including the
+# prime GF(2)) and odd characteristic through the Zech table, prime and
+# extension fields alike.
 KERNEL_FIELDS = [2, 4, 8, 32, 256, 1 << 16, 3, 7, 9, 25, 27, 243, 3**10]
 
 
@@ -306,8 +307,8 @@ def kernel_rows(draw):
     size = draw(st.integers(0, 12))
     src = draw(st.lists(element, min_size=size, max_size=size))
     dst = draw(st.lists(element, min_size=size, max_size=size))
-    # Some entries cancel exactly (d == c*s), which in an odd extension
-    # field is the 1 + g^t = 0 slot of the Zech table.
+    # Some entries cancel exactly (d == c*s), which in odd characteristic
+    # is the 1 + g^t = 0 slot of the Zech table.
     cancel = draw(st.lists(st.booleans(), min_size=size, max_size=size))
     dst = [f.mul(c, s) if hit else d for d, s, hit in zip(dst, src, cancel)]
     return f, dst, c, src

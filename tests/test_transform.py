@@ -77,7 +77,7 @@ def test_rotation_pairs():
     assert rotation_pairs(5, 3) == [(3, 4), (1, 2), (0, 1)]
     with pytest.raises(InvalidPairError):
         rotation_pairs(4, 3)
-    with pytest.raises(InvalidPairError, match="rounds must be >= 0"):
+    with pytest.raises(InvalidPairError, match="rounds must be an int >= 0"):
         rotation_pairs(4, -1)
 
 
