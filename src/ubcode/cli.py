@@ -110,23 +110,30 @@ def save_spec(code, path: str) -> None:
 
 
 def load_spec(path: str):
+    """The code a spec file describes.  A JSON or schema error names the
+    file, as ``read_columns``' errors do."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
-            raise SpecSchemaError("spec nests too deeply to parse") from None
-    code = code_from_json(doc)
-    if "transform" in doc:
-        g = spec_value(doc, ("transform", "g"), int)
-        if g != code.field.primitive:
-            raise SpecSchemaError(f"spec key transform.g must be {code.field.primitive}, "
-                                  f"the primitive element of GF({code.field.q})")
-        pairs = spec_value(doc, ("transform", "pairs"), list)
-        for t in range(len(pairs)):
-            pair = spec_value(doc, ("transform", "pairs", t), list, int)
-            if len(pair) != 2:
-                raise SpecSchemaError(f"spec key transform.pairs[{t}] must hold two nodes")
-            code = TransformedCode(code, tuple(pair))
+            raise SpecSchemaError(f"{path}: spec nests too deeply to parse") from None
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path}: {exc}") from None
+    try:
+        code = code_from_json(doc)
+        if "transform" in doc:
+            g = spec_value(doc, ("transform", "g"), int)
+            if g != code.field.primitive:
+                raise SpecSchemaError(f"spec key transform.g must be {code.field.primitive}, "
+                                      f"the primitive element of GF({code.field.q})")
+            pairs = spec_value(doc, ("transform", "pairs"), list)
+            for t in range(len(pairs)):
+                pair = spec_value(doc, ("transform", "pairs", t), list, int)
+                if len(pair) != 2:
+                    raise SpecSchemaError(f"spec key transform.pairs[{t}] must hold two nodes")
+                code = TransformedCode(code, tuple(pair))
+    except SpecSchemaError as exc:
+        raise SpecSchemaError(f"{path}: {exc}") from None
     return code
 
 

@@ -24,19 +24,26 @@ floats.
 Erasure decoding returns the kept columns as given and rebuilds only the
 erased ones.  Each code keeps one elimination per survivor set it has been
 asked to decode, filled lazily on first use: at most one entry per distinct
-kept set, with no option to size or turn it off.  That bound is
-combinatorial in n: up to sum_{e <= n-k} C(n, e) entries, each holding R x R
-field symbols for R kept parity rows (``build_mrmub(20, 10, 10)``: 616,666
-entries, about 70 GB as Python tuples, if every pattern is decoded).  The
-first decode of a kept set runs ``linalg.left_inverse`` on ``P_{S,E}``,
-about twice the work of one solve of ``[P_{S,E} | b]``; later decodes of
-that set only apply.
+kept set, with no option to size or turn it off.  An entry holds three
+blocks as columns in the field's row form (``linalg.pack_rows``: one
+``bytes`` per column in GF(2)..GF(256), an entry list elsewhere): the kept
+parity rows on the kept data, the left-null-space rows and the left
+inverse.  For R kept parity rows that is R field symbols per kept data
+symbol, and R x R for the other two together.  The bound is combinatorial
+in n: up to sum_{e <= n-k} C(n, e) entries (``build_mrmub(20, 10, 10)``,
+over GF(32): 616,666 entries, about 25 GB of packed columns, if every
+pattern is decoded).  The first decode of a kept set runs
+``linalg.left_inverse`` on ``P_{S,E}``, about twice the work of one solve
+of ``[P_{S,E} | b]``, and packs the three blocks.  Every decode, first or
+later, then makes three ``linalg.combine_rows`` (residue, agreement check,
+solve), and ``_column`` one more per erased column; in GF(2)..GF(256) each
+is one ``bytes.translate`` per nonzero coefficient and one int XOR per sum.
 
 Code objects are immutable once constructed, apart from that cache, the
-parity maps and the factor grids, which are filled lazily; the
-metric/verification functions are pure, so subset checks and decodes may
-run concurrently over shared instances, and a race only computes an entry
-twice.
+parity maps with their packed columns, and the factor grids, which are
+filled lazily; the metric/verification functions are pure, so subset
+checks and decodes may run concurrently over shared instances, and a race
+only computes an entry twice.
 """
 
 from __future__ import annotations
@@ -53,8 +60,10 @@ from .linalg import (
     Matrix,
     UnderdeterminedSystemError,
     _is_row,
+    combine_rows,
     full_rank_decompose,
     left_inverse,
+    pack_rows,
     rank,
     solve,
 )
@@ -203,6 +212,13 @@ class IrregularArrayCode:
             for j, pj in enumerate(self.p)
         ]
 
+    @cached_property
+    def _parity_columns(self) -> list[list]:
+        """Per node j, the columns of ``_parity_maps[j]`` in the field's row
+        form (``linalg.pack_rows``), one per global data symbol: ``_column``
+        takes its parity as one ``combine_rows`` over them."""
+        return [pack_rows(self.field, zip(*pmap.data)) for pmap in self._parity_maps]
+
     def column_maps(self) -> list[Matrix]:
         """Per-column matrices mapping the global data vector to the stored symbols.
 
@@ -274,7 +290,8 @@ class IrregularArrayCode:
         return self._encode(data)
 
     def _encode(self, data: list[list[int]]) -> list[list[int]]:
-        """Columns [x_j ; p_j], p_j the parity map of j on the global data."""
+        """Columns [x_j ; p_j], p_j the parity map of j on the global data
+        (``Matrix.apply``, which says why it stays scalar)."""
         flat = [v for x in data for v in x]
         return [list(x) + pmap.apply(flat) for x, pmap in zip(data, self._parity_maps)]
 
@@ -308,9 +325,12 @@ class IrregularArrayCode:
         return [list(known[j]) if j in known else self._column(j, data) for j in range(self.n)]
 
     def _column(self, j: int, data: list[list[int]]) -> list[int]:
-        """Column j of the codeword of ``data``."""
+        """Column j of the codeword of ``data``: its parity is one
+        ``combine_rows`` of the global data over ``_parity_columns[j]``, one
+        term per nonzero data symbol."""
         col = [0] * self.col_lens[j]
-        parity = self._parity_maps[j].apply([v for x in data for v in x])
+        parity = combine_rows(self.field, [v for x in data for v in x],
+                              self._parity_columns[j], self.p[j])
         for rows, values in ((self.data_rows(j), data[j]), (self.parity_rows(j), parity)):
             for r, v in zip(rows, values):
                 col[r] = v
@@ -349,7 +369,8 @@ class IrregularArrayCode:
         With a plan in ``repair_schedule`` for the failed node, download its
         (source, row) symbols in plan order.  They and the lost symbols are
         linear in the global data, so the weights W solving ``reads^T W =
-        lost_map^T`` rebuild the column as ``W^T`` times the downloads.  The
+        lost_map^T`` rebuild the column as the downloads' combination of W's
+        rows, one ``combine_rows``.  The
         reads must be independent and span the lost column; otherwise
         ``solve`` raises.  Without a plan, download the first k surviving
         columns, solve for the data and build the lost column alone.
@@ -364,7 +385,8 @@ class IrregularArrayCode:
         reads = Matrix.of(self.field, len(plan), maps[failed].cols,
                           [maps[src].data[row] for src, row in plan])
         weights = solve(reads.transpose(), maps[failed].transpose())
-        return weights.transpose().apply(values)
+        return list(combine_rows(self.field, values, pack_rows(self.field, weights.data),
+                                 weights.cols))
 
 
 def erased_block(code: IrregularArrayCode, kept) -> Matrix:
@@ -385,53 +407,65 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
     """Solve for every data vector given a subset of intact columns.
 
     The one erasure decoder for every code; it reads only the parity maps.
-    Survivors hold their data verbatim; taking j's parity map times the
-    data vector, erased part still zero, off kept parity j leaves the
-    residue ``b = P_{S,E} x_E`` (see ``erased_block``).  ``P_{S,E}`` is
-    eliminated once per code and kept set S (``_elimination``): the
-    survivors agree exactly when its left-null-space rows annihilate b, and
-    its left inverse then gives the erased data.  Its entry points,
-    ``decode_columns`` and ``repair``'s fetch, check the keys, lengths and
-    symbols.  Raises TooManyErasuresError beyond n-k erasures,
-    InconsistentSystemError when the survivors contradict each other and
-    UnderdeterminedSystemError when they do not pin the data down, on every call.
+    Survivors hold their data verbatim; taking the kept data's share,
+    ``P_{S,K} x_K``, off the kept parity leaves the residue ``b = P_{S,E}
+    x_E`` (see ``erased_block``).  ``P_{S,E}`` is eliminated once per code
+    and kept set S (``_elimination``): the survivors agree exactly when its
+    left-null-space rows annihilate b, and its left inverse then gives the
+    erased data.  Each of the three products (residue, check, solve) is one
+    ``combine_rows`` over cached columns, one term per nonzero coefficient.
+    Its entry points, ``decode_columns`` and ``repair``'s fetch, check the
+    keys, lengths and symbols.  Raises TooManyErasuresError beyond n-k
+    erasures, InconsistentSystemError when the survivors contradict each
+    other and UnderdeterminedSystemError when they do not pin the data
+    down, on every call.
     """
     n, f = code.n, code.field
     kept = tuple(sorted(known))
     erased = [i for i in range(n) if i not in known]
     if len(erased) > n - code.k:
         raise TooManyErasuresError(f"{len(erased)} erasures exceed tolerance {n - code.k}")
-    data = [
-        [known[j][r] for r in code.data_rows(j)] if j in known else [0] * code.m[j]
-        for j in range(n)
-    ]
-    flat = [v for x in data for v in x]
-    rhs = []
-    for j in kept:
-        residue = [known[j][r] for r in code.parity_rows(j)]
-        rhs += f.sub_scaled_row(residue, 1, code._parity_maps[j].apply(flat))
-    inverse, null_rows = _elimination(code, kept)
-    if any(null_rows.apply(rhs)):
+    neg_kept_block, null_cols, inverse, block_rank = _elimination(code, kept)
+    data = [[known[j][r] for r in code.data_rows(j)] if j in known else None for j in range(n)]
+    parity = [known[j][r] for j in kept for r in code.parity_rows(j)]
+    rhs = combine_rows(f, [v for j in kept for v in data[j]] + [1],
+                       neg_kept_block + pack_rows(f, [parity]), len(parity))
+    if any(combine_rows(f, rhs, null_cols, len(parity) - block_rank)):
         raise InconsistentSystemError("system has no solution")
+    unknowns = sum(code.m[i] for i in erased)
     if inverse is None:
-        unknowns = sum(code.m[i] for i in erased)
-        raise UnderdeterminedSystemError(
-            f"column rank {len(rhs) - null_rows.rows} < {unknowns} unknowns"
-        )
-    x = inverse.apply(rhs)
+        raise UnderdeterminedSystemError(f"column rank {block_rank} < {unknowns} unknowns")
+    x = combine_rows(f, rhs, inverse, unknowns)
     pos = 0
     for i in erased:
-        data[i] = x[pos : pos + code.m[i]]
+        data[i] = list(x[pos : pos + code.m[i]])
         pos += code.m[i]
     return data
 
 
-def _elimination(code: IrregularArrayCode, kept: tuple[int, ...]) -> tuple[Matrix | None, Matrix]:
-    """``left_inverse(P_{S,E})`` for kept set S: (left inverse or None,
-    left-null-space rows), computed once and kept in ``code._eliminations``."""
+def _elimination(code: IrregularArrayCode, kept: tuple[int, ...]) -> tuple:
+    """What decoding kept set S needs, computed once from one
+    ``left_inverse(P_{S,E})`` and kept in ``code._eliminations``: the
+    columns of ``-P_{S,K}`` (the kept parity rows on the kept data
+    columns), of the left-null-space rows and of the left inverse (None
+    when ``P_{S,E}`` has no full column rank), each in the field's row form
+    (``linalg.pack_rows``), and the rank of ``P_{S,E}``."""
     cache = code._eliminations
     if kept not in cache:
-        cache[kept] = left_inverse(erased_block(code, kept))
+        f = code.field
+        inverse, null_rows = left_inverse(erased_block(code, kept))
+        offs = code.data_offsets()
+        parity = [row for j in kept for row in code._parity_maps[j].data]
+        columns = list(zip(*parity)) if parity else [()] * offs[-1]
+        kept_block = [columns[c] for i in kept for c in range(offs[i], offs[i + 1])]
+        minus_one = f.neg(1)
+        cache[kept] = (
+            pack_rows(f, kept_block if minus_one == 1
+                      else (f.scale_row(minus_one, col) for col in kept_block)),
+            pack_rows(f, zip(*null_rows.data)),  # no columns when there are no rows
+            None if inverse is None else pack_rows(f, zip(*inverse.data)),
+            len(parity) - null_rows.rows,
+        )
     return cache[kept]
 
 

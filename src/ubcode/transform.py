@@ -32,7 +32,9 @@ packed ``bytes`` rows from the fill to ``_encode``'s return.  It reads
 only the root's parity maps and the pairing tables, so it stays independent
 of the factor grids the update protocol runs on, which ``Cluster``'s audit
 checks it against.  Repair reads plain symbol lists and mixes them with
-``linalg.combine_lists`` in every field.
+``linalg.combine_lists`` in every field; the base decode and base columns a
+paired repair needs (``solve_data_from_columns``, ``_column``) take their
+products as ``linalg.combine_rows`` over the base's cached packed columns.
 """
 
 from __future__ import annotations

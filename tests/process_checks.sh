@@ -6,10 +6,12 @@
 # It exits non-zero at the first failed command, diff or exit-code assertion.
 #
 # 1. A three-round GF(25) transformed spec: verify --json reports every check
-#    ok, a 2-node erasure decodes byte for byte, and every node repairs byte
-#    for byte at the cut-set figure.  An (8, 4) irregular MUB spec over GF(32)
-#    (packed elimination) and a (6, 3) MR-MUB spec over GF(2^16) (entry-list
-#    elimination) each verify --json with every check ok.
+#    ok, its seed-16 golden codeword decodes byte for byte under each of its
+#    15 two-node erasures (each a cold decode of its kept set, on entry-list
+#    rows), and every node repairs byte for byte at the cut-set figure.  An
+#    (8, 4) irregular MUB spec over GF(32) (packed elimination) and a (6, 3)
+#    MR-MUB spec over GF(2^16) (entry-list elimination) each verify --json
+#    with every check ok.
 # 2. The demos and two bounds reports match the golden files.  A two-round
 #    transformed spec constructs byte for byte as its golden file over the
 #    default systematic assemblies and verifies with exit 0; its verify --json
@@ -46,9 +48,12 @@ out="$tmp/spec_b.out"
 python -m ubcode.cli construct --kind mrmub --n 6 --k 4 --m 4,4,4,4,4,4 --q 25 \
   --transform-rounds 3 --out "$spec"
 all_checks_ok "$spec"
+golden=tests/golden/codeword_6_4_q25_r3_systematic_seed16.txt
+for erased in 0,1 0,2 0,3 0,4 0,5 1,2 1,3 1,4 1,5 2,3 2,4 2,5 3,4 3,5 4,5; do
+  python -m ubcode.cli decode --spec "$spec" --in "$golden" --erased "$erased" --out "$out"
+  diff "$out" "$golden"
+done
 python -m ubcode.cli encode --spec "$spec" --seed 7 --out "$cw"
-python -m ubcode.cli decode --spec "$spec" --in "$cw" --erased 1,4 --out "$out"
-diff "$out" "$cw"
 for j in 0 1 2 3 4 5; do
   # (n - 1) * alpha' / 2 = 5 * 48 / 2 symbols per repair
   python -m ubcode.cli repair --spec "$spec" --in "$cw" --node "$j" --out "$out" \

@@ -420,7 +420,9 @@ def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     doc = json.loads(spec.read_text())
     edit(doc)
     spec.write_text(json.dumps(doc))
-    assert_usage_error(capsys, ["verify", str(spec)], message)
+    # A schema error ("spec ...") names the file it is in; a params error does not.
+    assert_usage_error(capsys, ["verify", str(spec)],
+                       f"{spec}: {message}" if message.startswith("spec ") else message)
 
 
 @pytest.mark.parametrize("g", [3, 1, 0, 99999, -1],
@@ -433,7 +435,7 @@ def test_spec_mixer_other_than_the_primitive_element_is_a_usage_error(tmp_path, 
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     assert_usage_error(capsys, ["verify", str(spec)],
-                       "spec key transform.g must be 2, the primitive element of GF(8)")
+                       f"{spec}: spec key transform.g must be 2, the primitive element of GF(8)")
 
 
 @pytest.mark.parametrize("key, value", [("primitive", 3), ("modulus", [1, 0, 1, 1])],
@@ -452,7 +454,28 @@ def test_spec_field_tables_other_than_this_build_are_a_usage_error(tmp_path, cap
 def test_deeply_nested_spec_is_a_usage_error(tmp_path, capsys):
     spec = tmp_path / "deep.json"
     spec.write_text("[" * 200_000 + "]" * 200_000)
-    assert_usage_error(capsys, ["verify", str(spec)], "spec nests too deeply to parse")
+    assert_usage_error(capsys, ["verify", str(spec)], f"{spec}: spec nests too deeply to parse")
+
+
+@pytest.mark.parametrize("command", ["decode", "update", "repair"])
+def test_spec_json_and_schema_errors_name_the_spec_file(tmp_path, capsys, spec_file, command):
+    # These commands read two files; a bad spec must say that the spec is bad.
+    cw = tmp_path / "cw.txt"
+    assert run(["encode", "--spec", str(spec_file), "--seed", "5", "--out", str(cw)]) == 0
+    capsys.readouterr()
+    extra = {"decode": ["--erased", "0"], "update": ["--node", "0"], "repair": ["--node", "0"]}
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"field": {}')
+    keyless = tmp_path / "keyless.json"
+    doc = json.loads(spec_file.read_text())
+    del doc["field"]
+    keyless.write_text(json.dumps(doc))
+    for spec, message in [(truncated, "Expecting ',' delimiter"), (keyless, "spec has no key field")]:
+        code, out, err = run_capture(capsys, [command, "--spec", str(spec), "--in", str(cw),
+                                              *extra[command], "--out", str(tmp_path / "out.txt")])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {spec}: ") and message in err
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -553,6 +553,13 @@ def decoder_check_codes():
         for rounds in (1, 2, 3):
             transformed = iterate_transform(build_mrmub(5, 3, 3, field=GF(q)), rounds)
             codes.extend([transformed, transformed.as_irregular_code()])
+    # Every row form once more: GF(32) packs rows in a byte, GF(7) and
+    # GF(2^16) keep entry lists, prime and characteristic-2.
+    for q in (32, 7, 65536):
+        f = GF(q)
+        codes.append(build_mrmub(5, 3, 3, field=f))
+        codes.append(build_mub(4, 2, [4, 2, 2, 0], field=f))
+    codes.append(iterate_transform(build_mrmub(5, 3, 3, field=GF(7)), 1))
     return codes
 
 
@@ -598,14 +605,16 @@ def test_decoded_columns_are_copies(decoder_codes, rng):
 
 
 def test_decoder_rejects_a_rank_deficient_kept_set_on_every_call(rng):
-    code = dependent_parity_code(25)
-    cols = code.encode(random_fill(code, rng))
-    for kept in [(0, 1), (0, 2), (0, 3)]:
-        known = {j: cols[j] for j in kept}
-        for _ in range(2):  # the cached elimination still raises
-            with pytest.raises(UnderdeterminedSystemError, match="column rank 3 < 4 unknowns"):
-                code.decode_columns(known)
-    assert code.decode_columns({1: cols[1], 2: cols[2]}) == cols
+    for q in (25, 8, 32, 7, 256, 65536):  # every row form, packed and entry-list
+        code = dependent_parity_code(q)
+        cols = code.encode(random_fill(code, rng))
+        for kept in [(0, 1), (0, 2), (0, 3)]:
+            known = {j: cols[j] for j in kept}
+            for _ in range(2):  # the cached elimination still raises
+                with pytest.raises(UnderdeterminedSystemError,
+                                   match="column rank 3 < 4 unknowns"):
+                    code.decode_columns(known)
+        assert code.decode_columns({1: cols[1], 2: cols[2]}) == cols
 
 
 def test_decoder_rejects_too_many_erasures_for_every_class(fig1b_code):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ubcode import code_model
 from ubcode.cli import load_spec, run, save_spec
 from ubcode.finite_field import GF, Field
-from ubcode.linalg import FieldTooSmallError
+from ubcode.linalg import FieldTooSmallError, Matrix
 from ubcode.code_model import (
     InvalidParamsError,
     bounds,
@@ -540,6 +540,36 @@ def test_each_fetched_symbol_is_validated_once(monkeypatch):
     for node in range(code.n):
         assert code.repair(node, fetch) == cols[node]
     assert calls[0] == returned[0] == 720
+
+
+def test_reads_make_no_matrix_apply_call(monkeypatch):
+    # Decodes and repairs take every product as one linalg.combine_rows over
+    # cached columns; only the write side (parity_terms, the flat encode)
+    # runs Matrix.apply.  An update of this code ships two products per
+    # peer and one for the node's own term: 11 apply calls.
+    code = iterate_transform(build_mrmub(6, 4, 4), 3)
+    cluster = Cluster(code, seed=1)
+    planned = fig1b()  # the flat repair on a registered plan
+    planned_cols = planned.encode(random_fill(planned, random.Random(2)))
+    apply, calls = Matrix.apply, [0]
+
+    def counted(self, vec):
+        calls[0] += 1
+        return apply(self, vec)
+
+    monkeypatch.setattr(Matrix, "apply", counted)
+    cols = cluster.columns
+    for erased in combinations(range(code.n), code.n - code.k):
+        assert code.decode_columns({j: cols[j] for j in range(code.n) if j not in erased}) == cols
+    for node in range(code.n):
+        cluster.fail_and_repair(node)
+    for node in range(planned.n):
+        assert planned.repair(node, lambda src, rows: [planned_cols[src][r] for r in rows]) \
+            == planned_cols[node]
+    assert calls[0] == 0
+    for node in range(code.n):
+        cluster.apply_update(node, [1] * code.m[node])
+        assert calls[0] == 11 * (node + 1)
 
 
 PLAIN_FETCH_CASES = [
