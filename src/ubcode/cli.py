@@ -110,8 +110,9 @@ def save_spec(code, path: str) -> None:
 
 
 def load_spec(path: str):
-    """The code a spec file describes.  A JSON or schema error names the
-    file, as ``read_columns``' errors do."""
+    """The code a spec file describes.  Every error in loading it (JSON,
+    schema or library) names the file, as ``read_columns``' errors do, and
+    keeps its type."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -132,8 +133,8 @@ def load_spec(path: str):
                 if len(pair) != 2:
                     raise SpecSchemaError(f"spec key transform.pairs[{t}] must hold two nodes")
                 code = TransformedCode(code, tuple(pair))
-    except SpecSchemaError as exc:
-        raise SpecSchemaError(f"{path}: {exc}") from None
+    except ValueError as exc:  # the library's errors all take one message
+        raise type(exc)(f"{path}: {exc}") from None
     return code
 
 

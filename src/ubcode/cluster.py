@@ -150,10 +150,14 @@ class Cluster:
     # -- verification ------------------------------------------------------------
 
     def audit(self) -> AuditResult:
-        """Recompute the encode of the ground truth and compare symbol-for-symbol;
-        ``truth`` was checked as it came in, so ``_encode`` does not recheck it."""
+        """Recompute the encode of the ground truth and compare it column by
+        column, scanning the rows of the first column that differs for the
+        first mismatch; ``truth`` was checked as it came in, so ``_encode``
+        does not recheck it."""
         expect = self.code._encode(self.truth)
         for j, (got, want) in enumerate(zip(self.columns, expect)):
+            if got == want:
+                continue
             for r, (a, b) in enumerate(zip(got, want)):
                 if a != b:
                     return AuditResult(False, (j, r), f"node {j} row {r}: {a} != {b}")

@@ -40,7 +40,7 @@ solve), and ``_column`` one more per erased column; in GF(2)..GF(256) each
 is one ``bytes.translate`` per nonzero coefficient and one int XOR per sum.
 
 Code objects are immutable once constructed, apart from that cache, the
-parity maps with their packed columns, and the factor grids, which are
+parity maps and the factor grids, each with its packed columns, which are
 filled lazily; the metric/verification functions are pure, so subset
 checks and decodes may run concurrently over shared instances, and a race
 only computes an entry twice.
@@ -259,6 +259,29 @@ class IrregularArrayCode:
     def _own_terms(self) -> list[bool]:
         return [not self.construction[i][i].is_zero() for i in range(self.n)]
 
+    @cached_property
+    def _factor_columns(self) -> list[tuple]:
+        """Per sender i, its factors as columns in the field's row form
+        (``linalg.pack_rows``), built on the first ``parity_terms`` call:
+        ``(width, a_cols, edges, own)``.  ``a_cols`` are the columns of every
+        nonzero ``A[i][j]``'s rows stacked in ascending j, ``width`` rows in
+        all; ``edges`` holds ``(j, start, stop, b_cols)`` per such edge, its
+        payload's slice of the stack and ``B[i][j]``'s columns; ``own`` is the
+        nonzero diagonal's columns, or None."""
+        f = self.field
+        A, B = self.factors
+        out = []
+        for i in range(self.n):
+            edges, stacked = [], []
+            for j, a_map in enumerate(A[i]):
+                if j != i and a_map.rows:
+                    edges.append((j, len(stacked), len(stacked) + a_map.rows,
+                                  pack_rows(f, zip(*B[i][j].data))))
+                    stacked += a_map.data
+            own = pack_rows(f, zip(*self.construction[i][i].data)) if self._own_terms[i] else None
+            out.append((len(stacked), pack_rows(f, zip(*stacked)), edges, own))
+        return out
+
     def parity_terms(self, i: int, x: list[int]):
         """Node i's data x reaching parity, as the update protocol ships it.
 
@@ -267,15 +290,19 @@ class IrregularArrayCode:
         i -> j (rank-0 edges send nothing and are skipped) and ``addend =
         B[i][j] payload`` is what j adds to its flat parity, in
         ``parity_rows(j)`` order.  A nonzero diagonal (a transformed code's
-        paired nodes) comes last as ``(i, None, addend)``.
+        paired nodes) comes last as ``(i, None, addend)``.  Each product is
+        one ``combine_rows`` over ``_factor_columns[i]``: one for every
+        payload at once, one per addend on the payload shipped, and one for
+        the diagonal.  Every list yielded is fresh, never a cached column.
         """
-        A, B = self.factors
-        for j, a_map in enumerate(A[i]):
-            if j != i and a_map.rows:
-                payload = a_map.apply(x)
-                yield j, payload, B[i][j].apply(payload)
-        if self._own_terms[i]:
-            yield i, None, self.construction[i][i].apply(x)
+        f = self.field
+        width, a_cols, edges, own = self._factor_columns[i]
+        payloads = combine_rows(f, x, a_cols, width)
+        for j, start, stop, b_cols in edges:
+            payload = list(payloads[start:stop])
+            yield j, payload, list(combine_rows(f, payload, b_cols, self.p[j]))
+        if own is not None:
+            yield i, None, list(combine_rows(f, x, own, self.p[i]))
 
     def intermediates(self, i: int, x_i: list[int]) -> list[tuple[int, list[int]]]:
         """The n-1 per-destination vectors node i ships, cyclic placement order:
@@ -290,8 +317,10 @@ class IrregularArrayCode:
         return self._encode(data)
 
     def _encode(self, data: list[list[int]]) -> list[list[int]]:
-        """Columns [x_j ; p_j], p_j the parity map of j on the global data
-        (``Matrix.apply``, which says why it stays scalar)."""
+        """Columns [x_j ; p_j], p_j the parity map of j times the global
+        data, one ``Matrix.apply`` per node: the one product left on the
+        scalar loop (``Matrix.apply`` says why).  It reads no factor grid, so
+        ``Cluster``'s audit checks the update protocol against it."""
         flat = [v for x in data for v in x]
         return [list(x) + pmap.apply(flat) for x, pmap in zip(data, self._parity_maps)]
 
@@ -449,14 +478,18 @@ def _elimination(code: IrregularArrayCode, kept: tuple[int, ...]) -> tuple:
     columns of ``-P_{S,K}`` (the kept parity rows on the kept data
     columns), of the left-null-space rows and of the left inverse (None
     when ``P_{S,E}`` has no full column rank), each in the field's row form
-    (``linalg.pack_rows``), and the rank of ``P_{S,E}``."""
+    (``linalg.pack_rows``), and the rank of ``P_{S,E}``.  Both blocks are
+    read off one transpose of the stacked kept parity rows."""
     cache = code._eliminations
     if kept not in cache:
         f = code.field
-        inverse, null_rows = left_inverse(erased_block(code, kept))
         offs = code.data_offsets()
         parity = [row for j in kept for row in code._parity_maps[j].data]
         columns = list(zip(*parity)) if parity else [()] * offs[-1]
+        erased_cols = [columns[c] for i in range(code.n) if i not in kept
+                       for c in range(offs[i], offs[i + 1])]
+        inverse, null_rows = left_inverse(
+            Matrix.of(f, len(erased_cols), len(parity), erased_cols).transpose())
         kept_block = [columns[c] for i in kept for c in range(offs[i], offs[i + 1])]
         minus_one = f.neg(1)
         cache[kept] = (

@@ -14,10 +14,11 @@ below, and counts the same pivots without building a matrix.  Products
 take the same two forms, chosen by ``pack_rows`` and summed by
 ``combine_rows``: a row of ``a @ b`` is the sum of a's entries times b's
 rows, in GF(2)..GF(256) one ``bytes.translate`` per nonzero entry and one
-int XOR per sum.  Decodes and repairs take their products the same way, as
-``combine_rows`` over a matrix's columns.  ``Matrix.apply`` stays scalar on
-plain symbol lists, and only the write side calls it: the flat encode and
-the update protocol's ``parity_terms`` (``Matrix.apply`` says why).
+int XOR per sum.  Decodes, repairs and the update protocol's
+``parity_terms`` take their products the same way, as ``combine_rows`` over
+a matrix's cached columns.  ``Matrix.apply`` stays scalar on plain symbol
+lists, and its one caller is the flat ``_encode``, the re-encode behind
+``Cluster``'s audit (``Matrix.apply`` says why it stays).
 """
 
 from __future__ import annotations
@@ -140,10 +141,11 @@ class Matrix:
 
     def apply(self, vec: list[int]) -> list[int]:
         """Matrix-vector product on a plain symbol list, one scalar step per
-        entry.  Only the write side calls it (the flat ``_encode`` and
-        ``parity_terms``): a faster product there also speeds the
-        benchmark's update stream, whose per-update samples then outgrow
-        its memory bound (see ROADMAP)."""
+        entry.  Its one library caller is the flat ``_encode``, which
+        ``Cluster``'s audit runs on every update.  Through ``combine_rows``
+        that encode would speed the benchmark's update stream, whose
+        per-update samples then grow its peak memory to the edge of its
+        bound or past it (see ROADMAP)."""
         if len(vec) != self.cols:
             raise ShapeMismatchError(f"vector length {len(vec)} != cols {self.cols}")
         f = self.field

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 from ubcode.cli import dump_columns, load_spec, parse_columns, run, save_spec
 from ubcode.cluster import Cluster
 from ubcode import code_model
-from ubcode.code_model import bounds, code_to_json
+from ubcode.code_model import InvalidParamsError, bounds, code_to_json
 from ubcode.construct import build_mrmub, build_mub
 from ubcode.finite_field import GF
 from ubcode.linalg import vandermonde_columns
-from ubcode.transform import iterate_transform
+from ubcode.transform import InvalidPairError, iterate_transform
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,7 +96,7 @@ def test_spec_with_too_many_rounds_is_a_usage_error(tmp_path, capsys, rounds):
     code, out, err = run_capture(capsys, ["encode", "--spec", str(spec),
                                           "--out", str(tmp_path / "cw.txt")])
     assert time.monotonic() - start < 1
-    assert (code, out, err) == (2, "", "error: 3 rounds exceed ceil(4/2)\n")
+    assert (code, out, err) == (2, "", f"error: {spec}: 3 rounds exceed ceil(4/2)\n")
 
 
 def test_construct_with_a_billion_rounds_is_a_usage_error(tmp_path, capsys):
@@ -420,9 +421,8 @@ def test_spec_schema_error_is_a_usage_error(tmp_path, capsys, edit, message):
     doc = json.loads(spec.read_text())
     edit(doc)
     spec.write_text(json.dumps(doc))
-    # A schema error ("spec ...") names the file it is in; a params error does not.
-    assert_usage_error(capsys, ["verify", str(spec)],
-                       f"{spec}: {message}" if message.startswith("spec ") else message)
+    # Every error, a schema or a params error, names the file it is in.
+    assert_usage_error(capsys, ["verify", str(spec)], f"{spec}: {message}")
 
 
 @pytest.mark.parametrize("g", [3, 1, 0, 99999, -1],
@@ -448,7 +448,8 @@ def test_spec_field_tables_other_than_this_build_are_a_usage_error(tmp_path, cap
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     code, out, err = run_capture(capsys, ["verify", str(spec)])
-    assert (code, out, err) == (2, "", "error: field tables in file do not match this build\n")
+    assert (code, out, err) == (2, "", f"error: {spec}: field tables in file do not match "
+                                       "this build\n")
 
 
 def test_deeply_nested_spec_is_a_usage_error(tmp_path, capsys):
@@ -476,6 +477,38 @@ def test_spec_json_and_schema_errors_name_the_spec_file(tmp_path, capsys, spec_f
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {spec}: ") and message in err
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["decode", "update", "repair"])
+def test_spec_library_errors_name_the_spec_file(tmp_path, capsys, command):
+    # A spec that parses but describes no code of this build: its params
+    # disagree with its matrices, its field tables are another build's, or
+    # its chain holds too many rounds.  The codeword file is fine.
+    golden = json.loads((GOLDEN / "spec_4_2_q8_r2.json").read_text())
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(golden))
+    cw = tmp_path / "cw.txt"
+    assert run(["encode", "--spec", str(good), "--seed", "5", "--out", str(cw)]) == 0
+    capsys.readouterr()
+    extra = {"decode": ["--erased", "0"], "update": ["--node", "0"], "repair": ["--node", "0"]}
+    cases = [
+        (("params", "m"), [2, 2, 2, 4], InvalidParamsError, "do not match the matrices'"),
+        (("field", "primitive"), 3, InvalidParamsError, "field tables in file do not match"),
+        (("transform", "pairs"), [[2, 3], [0, 1], [2, 3]], InvalidPairError,
+         "3 rounds exceed ceil(4/2)"),
+    ]
+    for (section, key), value, error, message in cases:
+        doc = json.loads(json.dumps(golden))
+        doc[section][key] = value
+        spec = tmp_path / f"{key}.json"
+        spec.write_text(json.dumps(doc))
+        code, out, err = run_capture(capsys, [command, "--spec", str(spec), "--in", str(cw),
+                                              *extra[command], "--out", str(tmp_path / "out.txt")])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {spec}: ") and message in err
+        assert len(err.splitlines()) == 1
+        with pytest.raises(error, match=f"^{re.escape(str(spec))}: "):  # the type is kept
+            load_spec(str(spec))
 
 
 @pytest.mark.parametrize(

@@ -371,6 +371,25 @@ def test_audit_detects_corruption(fig1b_code):
     assert result.location == (2, 3)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_mrmub(4, 2, 2), lambda: iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 2)],
+    ids=["flat", "transformed"],
+)
+def test_audit_reports_the_first_mismatch(make):
+    # The audit skips equal columns whole; with rows of two nodes corrupted
+    # it still reports the lower (node, row), though the higher node's row
+    # index is the lower one.
+    cluster = Cluster(make(), seed=15)
+    last = cluster.code.col_lens[1] - 1
+    want = cluster.columns[1][last]
+    cluster.columns[3][0] ^= 1
+    cluster.columns[1][last] ^= 1
+    result = cluster.audit()
+    assert (result.ok, result.location) == (False, (1, last))
+    assert result.detail == f"node 1 row {last}: {want ^ 1} != {want}"
+
+
 def test_update_after_tampered_parity_raises():
     code = build_mrmub(4, 2, 2)
     cluster = Cluster(code, seed=15)

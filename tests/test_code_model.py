@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 
 import pytest
@@ -508,6 +509,92 @@ def test_zero_diagonal():
         assert before[j][:1] == after[j][:1]
         delta = code.construction[j][j].apply(data[j])
         assert before[j][1] == f.add(after[j][1], delta[0])
+
+
+def dense_product(f, matrix, x):
+    """``matrix`` times ``x`` in scalar loops: the protocol tests' reference."""
+    out = []
+    for row in matrix.data:
+        acc = 0
+        for a, v in zip(row, x):
+            acc = f.add(acc, f.mul(a, v))
+        out.append(acc)
+    return out
+
+
+def own_term_code():
+    """A GF(2) code with a nonzero diagonal and a rank-0 edge 0 -> 1 whose
+    sender holds data and whose receiver holds parity."""
+    f = GF(2)
+    one, zero = Matrix.from_rows(f, [[1]]), Matrix.zeros(f, 1, 1)
+    return IrregularArrayCode(2, [[zero if (i, j) == (0, 1) else one for j in range(3)]
+                                  for i in range(3)])
+
+
+PROTOCOL_CODES = {
+    "gf2-pcode": pcode_fixture,  # rank-0 edges, no diagonal
+    "gf2-own-terms": own_term_code,
+    "gf2-zero-diagonal": lambda: zero_diagonal(own_term_code()),
+    "gf8-r1": lambda: iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 1),
+    "gf25-r2": lambda: iterate_transform(build_mrmub(4, 2, 2, field=GF(25)), 2),
+    "gf65536": lambda: build_mrmub(6, 3, 6, field=GF(65536)),
+    "gf7": lambda: build_mrmub(5, 3, 3, field=GF(7)),
+    "spec-a": lambda: build_mub(8, 4, [8, 8, 4, 4, 0, 12, 4, 8]),  # node 4 holds no data
+}
+
+
+@cache
+def protocol_code(name):
+    return PROTOCOL_CODES[name]()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_parity_terms_match_a_dense_reference(data):
+    # Each payload is A[i][j] x and each addend B[i][j] times the payload
+    # shipped, in ascending j over the edges of nonzero rank, then the
+    # diagonal's term.  Together they are construction's parity change, and
+    # intermediates lists the same payloads in cyclic order.
+    code = protocol_code(data.draw(st.sampled_from(sorted(PROTOCOL_CODES))))
+    f, n = code.field, code.n
+    i = data.draw(st.integers(0, n - 1))
+    symbol = st.integers(0, f.q - 1)
+    x = data.draw(st.one_of(st.just([0] * code.m[i]),
+                            st.lists(symbol, min_size=code.m[i], max_size=code.m[i])))
+    A, B = code.factors
+    want = []
+    for j in range(n):
+        if j != i and A[i][j].rows:
+            payload = dense_product(f, A[i][j], x)
+            want.append((j, payload, dense_product(f, B[i][j], payload)))
+    if not code.construction[i][i].is_zero():
+        want.append((i, None, dense_product(f, code.construction[i][i], x)))
+    assert list(code.parity_terms(i, x)) == want
+    folded = {j: addend for j, _, addend in want}
+    for j in range(n):
+        assert folded.get(j, [0] * code.p[j]) == dense_product(f, code.construction[i][j], x), j
+    shipped = {j: payload for j, payload, _ in want if j != i}
+    assert code.intermediates(i, x) == [(j, shipped.get(j, [])) for j in
+                                        ((i + d) % n for d in range(1, n))]
+
+
+@pytest.mark.parametrize("name", ["gf8-r1", "gf25-r2", "gf7"])
+def test_parity_terms_never_hand_out_a_cached_column(name):
+    # A unit vector makes every product a lone coefficient-1 term, which a
+    # list field's combine returns as the cached column itself.  Mutating
+    # everything yielded must leave the next call's results unchanged.
+    code = protocol_code(name)
+    for i in range(code.n):
+        for t in range(code.m[i]):
+            x = [int(s == t) for s in range(code.m[i])]
+            first = list(code.parity_terms(i, x))
+            want = [(j, None if p is None else list(p), list(a)) for j, p, a in first]
+            for _, payload, addend in first:
+                for vec in (payload, addend):
+                    if vec is not None:
+                        vec[:] = [1] * len(vec)
+                        vec.append(0)
+            assert list(code.parity_terms(i, x)) == want, (i, t)
 
 
 def test_encode_and_generic_decode_round_trip(rng):

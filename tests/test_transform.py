@@ -543,12 +543,14 @@ def test_each_fetched_symbol_is_validated_once(monkeypatch):
 
 
 def test_reads_make_no_matrix_apply_call(monkeypatch):
-    # Decodes and repairs take every product as one linalg.combine_rows over
-    # cached columns; only the write side (parity_terms, the flat encode)
-    # runs Matrix.apply.  An update of this code ships two products per
-    # peer and one for the node's own term: 11 apply calls.
+    # Decodes, repairs and the update protocol take every product as one
+    # linalg.combine_rows over cached columns, and this code's audit runs
+    # the batched transformed encoder: an update makes no apply call.  The
+    # flat _encode alone runs Matrix.apply, one call per node, so an update
+    # of a flat code makes n calls, all of them its audit's.
     code = iterate_transform(build_mrmub(6, 4, 4), 3)
     cluster = Cluster(code, seed=1)
+    flat = Cluster(build_mrmub(10, 6, 12), seed=1)
     planned = fig1b()  # the flat repair on a registered plan
     planned_cols = planned.encode(random_fill(planned, random.Random(2)))
     apply, calls = Matrix.apply, [0]
@@ -569,7 +571,9 @@ def test_reads_make_no_matrix_apply_call(monkeypatch):
     assert calls[0] == 0
     for node in range(code.n):
         cluster.apply_update(node, [1] * code.m[node])
-        assert calls[0] == 11 * (node + 1)
+    assert calls[0] == 0
+    flat.apply_update(0, [1] * flat.code.m[0])
+    assert calls[0] == 10
 
 
 PLAIN_FETCH_CASES = [
