@@ -4,7 +4,9 @@ Node indices on the command line are 0-based.  Codeword files hold one
 column per line, each symbol a fixed-width 4-digit hex integer.  Machine
 output is available behind --json; exit status is 0 on success, 1 on a
 verification failure, 2 on a usage error.  The UBCODE_SEED environment
-variable supplies the default seed.
+variable supplies the default seed.  Spec files hold
+``code_model.code_to_json``'s document; this module only reads and writes
+their bytes and names the file in every error in loading one.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from .code_model import (
     code_to_json,
     feasible,
     redundancy,
-    spec_value,
     update_bandwidth,
     update_complexity,
     verify_mds,
 )
 from .construct import build_mub, fig1b, fig3
-from .transform import TransformedCode, iterate_transform
+from .transform import iterate_transform
 from .cluster import Cluster, ClusterStateError, RepairMismatchError, random_data
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 
@@ -98,21 +99,15 @@ def write_columns(path: str, columns: list[list[int]]) -> None:
 
 
 def save_spec(code, path: str) -> None:
-    root = code
-    while isinstance(root, TransformedCode):
-        root = root.base
-    doc = code_to_json(root)
-    if root is not code:
-        doc["transform"] = {"pairs": [list(p) for p in code.pairs], "g": code.field.primitive}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(code_to_json(code), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_spec(path: str):
-    """The code a spec file describes.  Every error in loading it (JSON,
-    schema or library) names the file, as ``read_columns``' errors do, and
-    keeps its type."""
+    """The code a spec file describes (``code_model.code_from_json``).  Every
+    error in loading it (JSON, schema or library) names the file, as
+    ``read_columns``' errors do, and keeps its type."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -121,21 +116,9 @@ def load_spec(path: str):
         except ValueError as exc:  # not JSON, or not text
             raise ValueError(f"{path}: {exc}") from None
     try:
-        code = code_from_json(doc)
-        if "transform" in doc:
-            g = spec_value(doc, ("transform", "g"), int)
-            if g != code.field.primitive:
-                raise SpecSchemaError(f"spec key transform.g must be {code.field.primitive}, "
-                                      f"the primitive element of GF({code.field.q})")
-            pairs = spec_value(doc, ("transform", "pairs"), list)
-            for t in range(len(pairs)):
-                pair = spec_value(doc, ("transform", "pairs", t), list, int)
-                if len(pair) != 2:
-                    raise SpecSchemaError(f"spec key transform.pairs[{t}] must hold two nodes")
-                code = TransformedCode(code, tuple(pair))
+        return code_from_json(doc)
     except ValueError as exc:  # the library's errors all take one message
         raise type(exc)(f"{path}: {exc}") from None
-    return code
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Irregular array codes: the code class, decoding, metrics, bounds, verification.
+"""Irregular array codes: the code class, decoding, metrics, bounds,
+verification and the code-spec document.
 
 An irregular array code stores, in node j, a data vector of m_j symbols and
 a parity vector of p_j symbols; the parities are linear in all data vectors
@@ -38,6 +39,10 @@ of ``[P_{S,E} | b]``, and packs the three blocks.  Every decode, first or
 later, then makes three ``linalg.combine_rows`` (residue, agreement check,
 solve), and ``_column`` one more per erased column; in GF(2)..GF(256) each
 is one ``bytes.translate`` per nonzero coefficient and one int XOR per sum.
+
+The code-spec document has one owner, this module: ``code_to_json`` writes
+and ``code_from_json`` reads every code, a transformed one as its root's
+field, params and factor grids plus ``transform: {pairs, g}``.
 
 Code objects are immutable once constructed, apart from that cache, the
 parity maps and the factor grids, each with its packed columns, which are
@@ -418,18 +423,20 @@ class IrregularArrayCode:
                                  weights.cols))
 
 
-def erased_block(code: IrregularArrayCode, kept) -> Matrix:
-    """``P_{S,E}``: the parity rows of the kept columns S, in order, on the
-    data columns of the erased nodes E, the complement of S.
-
-    A slice of the parity maps; no factor grid is needed.
-    """
+def _kept_parity_columns(code: IrregularArrayCode, kept) -> tuple[int, list, list]:
+    """The kept columns S's parity rows, stacked in order, R rows in all, read
+    as columns, one per data symbol: ``(R, erased, kept)`` with ``erased``
+    the columns on the data of E, the complement of S (``P_{S,E}``
+    transposed), and ``kept`` those on S's own data (``P_{S,K}``
+    transposed), each in node order.  A slice of the parity maps; no factor
+    grid is needed."""
     offs = code.data_offsets()
-    cols = [c for i in range(code.n) if i not in kept for c in range(offs[i], offs[i + 1])]
-    return Matrix.of(
-        code.field, sum(code.p[j] for j in kept), len(cols),
-        [[row[c] for c in cols] for j in kept for row in code._parity_maps[j].data],
-    )
+    parity = [row for j in kept for row in code._parity_maps[j].data]
+    columns = list(zip(*parity)) if parity else [()] * offs[-1]
+    erased_cols, kept_cols = [], []
+    for i in range(code.n):
+        (kept_cols if i in kept else erased_cols).extend(columns[offs[i] : offs[i + 1]])
+    return len(parity), erased_cols, kept_cols
 
 
 def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]]:
@@ -438,7 +445,7 @@ def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]
     The one erasure decoder for every code; it reads only the parity maps.
     Survivors hold their data verbatim; taking the kept data's share,
     ``P_{S,K} x_K``, off the kept parity leaves the residue ``b = P_{S,E}
-    x_E`` (see ``erased_block``).  ``P_{S,E}`` is eliminated once per code
+    x_E`` (see ``_kept_parity_columns``).  ``P_{S,E}`` is eliminated once per code
     and kept set S (``_elimination``): the survivors agree exactly when its
     left-null-space rows annihilate b, and its left inverse then gives the
     erased data.  Each of the three products (residue, check, solve) is one
@@ -479,25 +486,20 @@ def _elimination(code: IrregularArrayCode, kept: tuple[int, ...]) -> tuple:
     columns), of the left-null-space rows and of the left inverse (None
     when ``P_{S,E}`` has no full column rank), each in the field's row form
     (``linalg.pack_rows``), and the rank of ``P_{S,E}``.  Both blocks are
-    read off one transpose of the stacked kept parity rows."""
+    read off ``_kept_parity_columns``."""
     cache = code._eliminations
     if kept not in cache:
         f = code.field
-        offs = code.data_offsets()
-        parity = [row for j in kept for row in code._parity_maps[j].data]
-        columns = list(zip(*parity)) if parity else [()] * offs[-1]
-        erased_cols = [columns[c] for i in range(code.n) if i not in kept
-                       for c in range(offs[i], offs[i + 1])]
+        rows, erased_cols, kept_block = _kept_parity_columns(code, kept)
         inverse, null_rows = left_inverse(
-            Matrix.of(f, len(erased_cols), len(parity), erased_cols).transpose())
-        kept_block = [columns[c] for i in kept for c in range(offs[i], offs[i + 1])]
+            Matrix.of(f, len(erased_cols), rows, erased_cols).transpose())
         minus_one = f.neg(1)
         cache[kept] = (
             pack_rows(f, kept_block if minus_one == 1
                       else (f.scale_row(minus_one, col) for col in kept_block)),
             pack_rows(f, zip(*null_rows.data)),  # no columns when there are no rows
             None if inverse is None else pack_rows(f, zip(*inverse.data)),
-            len(parity) - null_rows.rows,
+            rows - null_rows.rows,
         )
     return cache[kept]
 
@@ -599,7 +601,6 @@ def bounds(n: int, k: int, m) -> BoundsReport:
     ms = [m[i] for i in order]
 
     mu = max(ms[n - k - 1], -(-big_b // k))
-    r_min = sum(max(mu - ms[i], 0) + ms[i] for i in range(n - k))
 
     # A minimum-redundancy parity profile: the first n-k ranks are forced,
     # the rest absorb the displaced data greedily up to their headroom.
@@ -628,13 +629,10 @@ def bounds(n: int, k: int, m) -> BoundsReport:
             assignment[i][order[(r + d) % n]] = lo if d <= w else hi
 
     if k == n - 1:
-        r_sma = r_min
         bandwidth_profile = redundancy_profile
     elif all(mi % k == 0 for mi in m):
-        r_sma = ((n - 1) * sum(ms[: n - k]) + (n - k) * ms[n - k]) // k
         bandwidth_profile = _bandwidth_profile(n, k, m)
     else:
-        r_sma = None
         bandwidth_profile = None
 
     return BoundsReport(
@@ -642,9 +640,10 @@ def bounds(n: int, k: int, m) -> BoundsReport:
         k=k,
         m=m,
         water_level=mu,
-        min_redundancy=r_min,
+        min_redundancy=sum(redundancy_profile),
         min_update_bandwidth=gamma_min,
-        min_redundancy_at_min_bandwidth=r_sma,
+        min_redundancy_at_min_bandwidth=(None if bandwidth_profile is None
+                                         else sum(bandwidth_profile)),
         update_complexity_bound=None if k == n - 1 else Fraction(n - k) + Fraction(k - 1, k),
         redundancy_profile=redundancy_profile,
         bandwidth_profile=bandwidth_profile,
@@ -771,21 +770,25 @@ def verify_mds(code) -> MdsReport:
         raise EnumerationTooLargeError(f"C({n},{k}) exceeds {MDS_SUBSET_LIMIT}")
     total = sum(code.m)
 
+    def erased_rank(subset) -> tuple[int, int]:
+        """rank(P_{S,E}) and its column count, ranked on its transpose."""
+        rows, erased_cols, _ = _kept_parity_columns(code, subset)
+        return rank(Matrix.of(code.field, len(erased_cols), rows, erased_cols)), len(erased_cols)
+
     for subset in combinations(range(n), k):
-        block = erased_block(code, subset)
-        got = rank(block)
-        if got < block.cols:
+        got, unknowns = erased_rank(subset)
+        if got < unknowns:
             return MdsReport(
                 False, subset, None,
-                f"columns {subset}: column rank {total - block.cols + got} < {total} unknowns",
+                f"columns {subset}: column rank {total - unknowns + got} < {total} unknowns",
             )
 
     for subset in combinations(range(n), k - 1):
         symbols = sum(code.col_lens[j] for j in subset)
         if symbols < total:
             return MdsReport(True, None, subset, "symbol count below data size")
-        block = erased_block(code, subset)
-        if rank(block) < block.cols:
+        got, unknowns = erased_rank(subset)
+        if got < unknowns:
             return MdsReport(True, None, subset, "rank deficient")
     return MdsReport(
         False, None, None, f"every {k - 1}-subset already determines the data"
@@ -850,44 +853,60 @@ def matrix_from_json(field: Field, doc: dict, path: tuple) -> Matrix:
 
 
 def code_to_json(code: IrregularArrayCode) -> dict:
-    """Code-spec document: field, params, and the two factor grids.
+    """Code-spec document: field, params and the two factor grids of the root
+    (the untransformed code at the bottom of a ``TransformedCode`` chain),
+    and for a transformed code ``transform: {pairs, g}``, its pairs in round
+    order and the mixer g, the field's primitive element.
 
     Construction matrices are re-derived as B @ A on load; diagonal entries
-    are stored as empty matrices, so the code must be in zero-diagonal form.
+    are stored as empty matrices, so the root must be in zero-diagonal form.
     """
-    if any(code._own_terms):
+    from .transform import TransformedCode  # transform imports this module
+
+    root = code
+    while isinstance(root, TransformedCode):
+        root = root.base
+    if any(root._own_terms):
         raise InvalidParamsError(
             "serialize zero_diagonal(code): diagonal contributions cannot be stored"
         )
-    n = code.n
+    n = root.n
     empty = {"rows": 0, "cols": 0, "entries": []}
-    return {
-        "field": code.field.to_json(),
+    doc = {
+        "field": root.field.to_json(),
         "params": {
             "n": n,
-            "k": code.k,
-            "m": list(code.m),
-            "p": list(code.p),
-            "q": code.field.q,
+            "k": root.k,
+            "m": list(root.m),
+            "p": list(root.p),
+            "q": root.field.q,
         },
         "matrices": {
             name: [
                 [empty if i == j else matrix_to_json(grid[i][j]) for j in range(n)]
                 for i in range(n)
             ]
-            for name, grid in zip("AB", code.factors)
+            for name, grid in zip("AB", root.factors)
         },
     }
+    if root is not code:
+        doc["transform"] = {"pairs": [list(p) for p in code.pairs], "g": code.field.primitive}
+    return doc
 
 
 def code_from_json(obj: dict) -> IrregularArrayCode:
-    """Rebuild a code from its spec document.
+    """Rebuild a code from its spec document: the root, then one
+    ``TransformedCode`` per pair of an optional ``transform`` entry.
 
-    A missing or ill-typed key, or a diagonal entry that is not the empty
-    matrix, raises ``SpecSchemaError`` naming the key.  The stored params
-    are checked: n, k and m before any matrix is read, p's length and q
-    against the field, and (m, p) against what the matrices give.
+    A missing or ill-typed key, a diagonal entry that is not the empty
+    matrix, a mixer g other than the field's primitive element or a pair
+    that is not two nodes raises ``SpecSchemaError`` naming the key.  The
+    stored params are checked: n, k and m before any matrix is read, p's
+    length and q against the field, and (m, p) against what the matrices
+    give.
     """
+    from .transform import TransformedCode  # transform imports this module
+
     stored = spec_value(obj, ("field",), dict)
     field = GF(spec_value(obj, ("field", "q"), int))
     if stored.get("primitive") not in (None, field.primitive) or (
@@ -915,4 +934,13 @@ def code_from_json(obj: dict) -> IrregularArrayCode:
     if (code.m, code.p) != (m, p):
         raise InvalidParamsError(f"params m={list(m)}, p={list(p)} do not match the "
                                  f"matrices' m={list(code.m)}, p={list(code.p)}")
+    if "transform" in obj:
+        if spec_value(obj, ("transform", "g"), int) != field.primitive:
+            raise SpecSchemaError(f"spec key transform.g must be {field.primitive}, "
+                                  f"the primitive element of GF({field.q})")
+        for t in range(len(spec_value(obj, ("transform", "pairs"), list))):
+            pair = spec_value(obj, ("transform", "pairs", t), list, int)
+            if len(pair) != 2:
+                raise SpecSchemaError(f"spec key transform.pairs[{t}] must hold two nodes")
+            code = TransformedCode(code, tuple(pair))
     return code

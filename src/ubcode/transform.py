@@ -98,8 +98,8 @@ class TransformedCode(IrregularArrayCode):
         field: Field = base.field
         if field.q <= 2:
             raise FieldTooSmallError("pair mixing needs q > 2 (g must differ from 1)")
-        # Two distinct node indices, bools refused: save_spec would write a
-        # bool as a JSON boolean, which load_spec refuses.
+        # Two distinct node indices, bools refused: code_to_json would write a
+        # bool as a JSON boolean, which code_from_json refuses.
         if not (_is_row(pair, 2) and all(_is_count(v) and v < n for v in pair)
                 and pair[0] != pair[1]):
             raise InvalidPairError(f"invalid node pair {pair!r} for n={n}")

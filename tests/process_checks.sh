@@ -30,8 +30,12 @@
 #    params.m disagrees with its matrices each exit 2 with one stderr line and
 #    no traceback.  A non-MDS (4, 2) spec verifies under UBCODE_SEED=2 with
 #    exit 1, all four checks reported, a failed workload-audit and no stderr.
+# 3. The README's command-line block runs as written, each command with
+#    `ubcode` replaced by `python -m ubcode.cli`, in a scratch directory, and
+#    each exits 0, its documented status.
 set -e -o pipefail
 cd "$(dirname "$0")/.."
+repo=$PWD
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 tmp=$(mktemp -d "${RUNNER_TEMP:-/tmp}/process_checks.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
@@ -164,4 +168,17 @@ cat "$out" "$err"
 [ ! -s "$err" ] || { echo "expected no stderr"; exit 1; }
 [ "$(cut -d' ' -f1 "$out" | tr '\n' ' ')" = "factor-grids mds feasibility workload-audit " ]
 grep -qx "workload-audit   FAIL  column rank 3 < 4 unknowns" "$out"
+
+# -- 3. the README's command-line block, as written --------------------------------
+
+readme="$tmp/readme"
+mkdir "$readme"
+# The first code block after the heading, continuation lines joined: one command a line.
+awk '/^## Command-line tool/ { s = 1 } s && /^```/ { if (b) exit; b = 1; next } b' README.md \
+  | sed -e ':a' -e '/\\$/N; s/\\\n//; ta' -e 's/^ubcode /python -m ubcode.cli /' > "$readme/commands"
+[ -s "$readme/commands" ] && ! grep -qv '^python -m ubcode.cli ' "$readme/commands"
+while read -r command; do
+  (cd "$readme" && export PYTHONPATH="$repo/src:$PYTHONPATH" && eval "$command") < /dev/null \
+    || { echo "README command exited $?, expected 0: $command"; exit 1; }
+done < "$readme/commands"
 echo "process checks passed"

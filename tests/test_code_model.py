@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,10 @@ from ubcode.linalg import (
     solve,
     vstack,
 )
-from ubcode.transform import InvalidPairError, iterate_transform, pair_transform, rotation_pairs
+from ubcode.cli import load_spec
+from ubcode.transform import (
+    InvalidPairError, TransformedCode, iterate_transform, pair_transform, rotation_pairs,
+)
 from ubcode.code_model import (
     DivisibilityError,
     EnumerationTooLargeError,
@@ -913,6 +917,60 @@ def test_code_json_rejects_nonzero_diagonal():
     with pytest.raises(InvalidParamsError):
         code_to_json(code)
     code_to_json(zero_diagonal(code))
+
+
+# Every kind of code a spec holds: built codes with a dataless node, over
+# packed and entry-list fields, and 1- to 3-round transformed chains.
+ROUND_TRIP_CODES = [
+    lambda: build_mub(4, 2, [4, 2, 2, 0]),
+    lambda: build_mub(6, 3, [6, 3, 3, 0, 3, 0], field=GF(8)),
+    lambda: build_mrmub(4, 2, 2, field=GF(8)),
+    lambda: build_mrmub(5, 3, 3, field=GF(25)),
+    lambda: build_mrmub(4, 2, 2, field=GF(1 << 16)),
+    fig3,
+    lambda: iterate_transform(build_mrmub(4, 2, 2, field=GF(8)), 1),
+    lambda: iterate_transform(build_mrmub(4, 2, 2, field=GF(25)), 2),
+    lambda: iterate_transform(build_mrmub(6, 4, 4, field=GF(8)), 3),
+    lambda: iterate_transform(build_mrmub(5, 3, 3, field=GF(25)), 3),
+]
+
+
+@cache
+def round_trip_code(index: int):
+    return ROUND_TRIP_CODES[index]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(ROUND_TRIP_CODES) - 1), st.integers(0, 2**32))
+def test_every_code_round_trips_through_its_spec(index, seed):
+    """A spec reproduces its code: a transformed code comes back as the same
+    chain, a flat one as the ``IrregularArrayCode`` on its grid (a spec
+    stores no generators, assemblies or repair plan, so codewords are
+    compared, not repair counts)."""
+    code = round_trip_code(index)
+    doc = code_to_json(code)
+    text = json.dumps(doc, sort_keys=True)
+    loaded = code_from_json(json.loads(text))
+    assert type(loaded) is (TransformedCode if isinstance(code, TransformedCode)
+                            else IrregularArrayCode)
+    assert getattr(loaded, "pairs", None) == getattr(code, "pairs", None)
+    assert loaded.construction == code.construction
+    fill = random_fill(code, random.Random(seed))
+    assert loaded.encode(fill) == code.encode(fill)
+    assert json.dumps(code_to_json(loaded), sort_keys=True) == text
+
+
+GOLDEN_SPECS = sorted((Path(__file__).parent / "golden").glob("spec_*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_SPECS, ids=lambda p: p.name)
+def test_code_from_json_reads_golden_specs_as_load_spec_does(path):
+    code = code_from_json(json.loads(path.read_text()))
+    assert isinstance(code, TransformedCode) and code.pairs == [(2, 3), (0, 1)]
+    loaded = load_spec(str(path))
+    assert type(loaded) is type(code) and loaded.pairs == code.pairs
+    assert loaded.construction == code.construction
+    assert code.m == (8, 8, 8, 8) and code.col_lens == (16, 16, 16, 16)
 
 
 def test_verify_mds_flags_a_threshold_below_k():
