@@ -21,10 +21,11 @@
 #    exit 1 and one stderr line, and the codeword repairs every node byte for
 #    byte at the cut-set figure.  A one-round (4, 2) spec whose pair is (0, 1)
 #    repairs every node byte for byte at 12, 12, 16 and 16 symbols.  The three
-#    seeded codewords of tests/test_cli.py's CODEWORD_CASES and a two-round
-#    (4, 2) GF(7) codeword, the one prime-field golden, match their
-#    default-build golden files and decode byte for byte with their last n-k
-#    nodes erased.  A bad construct, a malformed UBCODE_SEED, a spec nested
+#    seeded codewords of tests/test_cli.py's CODEWORD_CASES, a two-round
+#    (4, 2) GF(7) codeword, the one prime-field golden, and two flat GF(32)
+#    codewords (the benchmark's (10, 6) update-stream code and the (8, 4)
+#    irregular MUB spec, on packed parity columns) match their default-build
+#    golden files and decode byte for byte with their last n-k nodes erased.  A bad construct, a malformed UBCODE_SEED, a spec nested
 #    200,000 deep, a (4, 2) spec with three pairing rounds, a spec whose
 #    transform.g is not the field's primitive element and a spec whose
 #    params.m disagrees with its matrices each exit 2 with one stderr line and
@@ -125,20 +126,24 @@ for case in 0,12 1,12 2,16 3,16; do
     | grep -qx "total,${case#*,}"
   diff "$out" "$cw"
 done
-codeword() {  # construct an mrmub spec, encode it with seed 16, diff against the golden file,
-  # then decode it with the nodes $2 (its last n-k) erased and diff again
-  local golden=$1 erased=$2 spec="$tmp/codeword.json"
-  shift 2
-  python -m ubcode.cli construct --kind mrmub "$@" --out "$spec"
+codeword() {  # construct a spec of the kind $3, encode it with seed 16, diff against the
+  # golden file, then decode it with the nodes $2 (its last n-k) erased and diff again
+  local golden=$1 erased=$2 kind=$3 spec="$tmp/codeword.json"
+  shift 3
+  python -m ubcode.cli construct --kind "$kind" "$@" --out "$spec"
   python -m ubcode.cli encode --spec "$spec" --seed 16 --out "$cw"
   diff "$cw" "tests/golden/$golden"
   python -m ubcode.cli decode --spec "$spec" --in "$cw" --erased "$erased" --out "$out"
   diff "$out" "$cw"
 }
-codeword codeword_4_2_q8_r2_systematic_seed16.txt 2,3 --n 4 --k 2 --m 2,2,2,2 --q 8 --transform-rounds 2
-codeword codeword_4_2_q7_r2_systematic_seed16.txt 2,3 --n 4 --k 2 --m 2,2,2,2 --q 7 --transform-rounds 2
-codeword codeword_6_4_q25_r3_systematic_seed16.txt 4,5 --n 6 --k 4 --m 4,4,4,4,4,4 --q 25 --transform-rounds 3
-codeword codeword_6_3_q65536_systematic_seed16.txt 3,4,5 --n 6 --k 3 --m 6,6,6,6,6,6 --q 65536
+codeword codeword_4_2_q8_r2_systematic_seed16.txt 2,3 mrmub --n 4 --k 2 --m 2,2,2,2 --q 8 --transform-rounds 2
+codeword codeword_4_2_q7_r2_systematic_seed16.txt 2,3 mrmub --n 4 --k 2 --m 2,2,2,2 --q 7 --transform-rounds 2
+codeword codeword_6_4_q25_r3_systematic_seed16.txt 4,5 mrmub --n 6 --k 4 --m 4,4,4,4,4,4 --q 25 --transform-rounds 3
+codeword codeword_6_3_q65536_systematic_seed16.txt 3,4,5 mrmub --n 6 --k 3 --m 6,6,6,6,6,6 --q 65536
+# the benchmark's update-stream code and spec a (dataless node 4), both flat over GF(32)
+codeword codeword_10_6_q32_systematic_seed16.txt 6,7,8,9 mrmub --n 10 --k 6 \
+  --m 12,12,12,12,12,12,12,12,12,12
+codeword codeword_8_4_q32_mub_systematic_seed16.txt 4,5,6,7 mub --n 8 --k 4 --m 8,8,4,4,0,12,4,8
 usage_error python -m ubcode.cli construct --kind mrmub --n 4 --k 0 --m 2,2,2,2 \
   --out "$tmp/spec.json"
 usage_error env UBCODE_SEED=abc python -m ubcode.cli bounds --n 4 --k 2 --m 2,2,2,2

@@ -125,9 +125,10 @@ CODEWORD_CASES = [
 CODEWORD_IDS = ["q8-r2", "q25-r3", "q65536"]
 
 
-def check_seeded_codeword(capsys, tmp_path, spec, n, golden, erased, repair_total):
+def check_seeded_codeword(capsys, tmp_path, spec, golden, erased, repair_totals):
     """Encode ``spec`` with seed 16, then decode ``erased`` and repair every
-    node, each against the golden file."""
+    node, each against the golden file, node j downloading
+    ``repair_totals[j]`` symbols."""
     expected = (GOLDEN / golden).read_bytes()
     cw, out = tmp_path / "cw.txt", tmp_path / "out.txt"
     assert run(["encode", "--spec", str(spec), "--seed", "16", "--out", str(cw)]) == 0
@@ -136,12 +137,12 @@ def check_seeded_codeword(capsys, tmp_path, spec, n, golden, erased, repair_tota
                                         "--erased", erased, "--out", str(out)])
     assert code == 0, err
     assert out.read_bytes() == expected
-    for node in range(n):
+    for node, total in enumerate(repair_totals):
         out.unlink()
         code, stdout, err = run_capture(capsys, ["repair", "--spec", str(spec), "--in", str(cw),
                                                  "--node", str(node), "--out", str(out)])
         assert code == 0, err
-        assert f"total,{repair_total}" in stdout.splitlines()
+        assert f"total,{total}" in stdout.splitlines()
         assert out.read_bytes() == expected
 
 
@@ -149,8 +150,8 @@ def check_seeded_codeword(capsys, tmp_path, spec, n, golden, erased, repair_tota
 def test_seeded_codeword_matches_golden(tmp_path, capsys, shape, golden, erased, repair_total):
     spec = tmp_path / "spec.json"
     vandermonde_spec(spec, *shape)
-    check_seeded_codeword(capsys, tmp_path, spec, shape[0], f"{golden}_seed16.txt", erased,
-                          repair_total)
+    check_seeded_codeword(capsys, tmp_path, spec, f"{golden}_seed16.txt", erased,
+                          [repair_total] * shape[0])
 
 
 @pytest.mark.parametrize("shape, golden, erased, repair_total", CODEWORD_CASES, ids=CODEWORD_IDS)
@@ -160,8 +161,29 @@ def test_default_codeword_matches_golden(tmp_path, capsys, shape, golden, erased
     assert run(["construct", "--kind", "mrmub", "--n", str(n), "--k", str(k),
                 "--m", ",".join([str(m)] * n), "--q", str(q), "--transform-rounds", str(rounds),
                 "--out", str(spec)]) == 0
-    check_seeded_codeword(capsys, tmp_path, spec, n, f"{golden}_systematic_seed16.txt", erased,
-                          repair_total)
+    check_seeded_codeword(capsys, tmp_path, spec, f"{golden}_systematic_seed16.txt", erased,
+                          [repair_total] * n)
+
+
+# Two flat GF(32) codes as `construct` builds them, whose encoder combines
+# packed parity columns: the benchmark's update-stream code, and an irregular
+# MUB code with a dataless node 4, whose columns differ in length, so its
+# nodes repair at different totals.
+FLAT_CODEWORD_CASES = [
+    (["mrmub", "--n", "10", "--k", "6", "--m", ",".join(["12"] * 10)],
+     "codeword_10_6_q32", "0,3,5,8", [120] * 10),
+    (["mub", "--n", "8", "--k", "4", "--m", "8,8,4,4,0,12,4,8"],
+     "codeword_8_4_q32_mub", "0,4,5,7", [51, 51, 54, 54, 58, 58, 58, 58]),
+]
+
+
+@pytest.mark.parametrize("argv, golden, erased, repair_totals", FLAT_CODEWORD_CASES,
+                         ids=["q32-mrmub", "q32-mub"])
+def test_flat_codeword_matches_golden(tmp_path, capsys, argv, golden, erased, repair_totals):
+    spec = tmp_path / "spec.json"
+    assert run(["construct", "--kind", *argv, "--out", str(spec)]) == 0
+    check_seeded_codeword(capsys, tmp_path, spec, f"{golden}_systematic_seed16.txt", erased,
+                          repair_totals)
 
 
 def test_bounds_open_case(capsys):
