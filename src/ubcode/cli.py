@@ -83,11 +83,10 @@ def parse_columns(text: str, col_lens, field) -> list[list[int]]:
 
 def read_columns(path: str, col_lens, field) -> list[list[int]]:
     with open(path) as fh:
-        text = fh.read()
-    try:
-        return parse_columns(text, col_lens, field)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            return parse_columns(fh.read(), col_lens, field)
+        except ValueError as exc:  # not text, or not columns of this spec
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_columns(path: str, columns: list[list[int]]) -> None:
@@ -124,12 +123,16 @@ def load_spec(path: str):
 # -- subcommands -----------------------------------------------------------------
 
 
-def parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+def parse_int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value; an error names the flag."""
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise ValueError(f"{flag}: {text!r} is not a comma-separated list of integers") from None
 
 
 def cmd_bounds(args) -> int:
-    rep = bounds(args.n, args.k, parse_int_list(args.m))
+    rep = bounds(args.n, args.k, parse_int_list("--m", args.m))
     if args.json:
         print(json.dumps(dataclasses.asdict(rep), indent=1, default=str))
         return 0
@@ -154,7 +157,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    m_list = parse_int_list(args.m)
+    m_list = parse_int_list("--m", args.m)
     if args.kind == "mrmub" and any(v != m_list[0] for v in m_list):
         print("mrmub construction needs a uniform data profile", file=sys.stderr)
         return 2
@@ -180,7 +183,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     code = load_spec(args.spec)
     columns = read_columns(args.infile, code.col_lens, code.field)
-    erased = set(parse_int_list(args.erased))
+    erased = set(parse_int_list("--erased", args.erased))
     for j in sorted(erased):
         code.check_node(j)
     known = {j: columns[j] for j in range(code.n) if j not in erased}
@@ -216,7 +219,7 @@ def cmd_update(args) -> int:
     cluster = _cluster_from_files(args)
     cluster.code.check_node(args.node)
     if args.data:
-        new_data = parse_int_list(args.data)
+        new_data = parse_int_list("--data", args.data)
     else:
         rng = random.Random(args.seed)
         new_data = [
@@ -323,11 +326,7 @@ def cmd_simulate(args) -> int:
 
 
 def symbol_names(code) -> list[str]:
-    names = []
-    for i, mi in enumerate(code.m):
-        for l in range(mi):
-            names.append(f"x{i + 1},{l + 1}")
-    return names
+    return [f"x{i + 1},{l + 1}" for i, mi in enumerate(code.m) for l in range(mi)]
 
 
 def linear_form(names: list[str], row: list[int]) -> str:
@@ -376,9 +375,7 @@ def cmd_demo(args) -> int:
     print(f"redundancy           = {redundancy(built)}")
     print(f"update complexity    = {update_complexity(built)}")
     cluster = Cluster(built, seed=default_seed())
-    repair_counts = []
-    for node in range(built.n):
-        repair_counts.append(cluster.fail_and_repair(node).total())
+    repair_counts = [cluster.fail_and_repair(node).total() for node in range(built.n)]
     print(f"repair downloads     = {repair_counts}")
     return 0
 

@@ -220,9 +220,11 @@ class IrregularArrayCode:
     @cached_property
     def _parity_columns(self) -> list[list]:
         """Per node j, the columns of ``_parity_maps[j]`` in the field's row
-        form (``linalg.pack_rows``), one per global data symbol: ``_column``
+        form (``linalg.pack_rows``), one per global data symbol, read off the
+        grid's blocks directly, so an encode builds no map: ``_column``
         takes its parity as one ``combine_rows`` over them."""
-        return [pack_rows(self.field, zip(*pmap.data)) for pmap in self._parity_maps]
+        return [pack_rows(self.field, [c for row in self.construction for c in zip(*row[j].data)])
+                for j in range(self.n)]
 
     def column_maps(self) -> list[Matrix]:
         """Per-column matrices mapping the global data vector to the stored symbols.
@@ -322,12 +324,11 @@ class IrregularArrayCode:
         return self._encode(data)
 
     def _encode(self, data: list[list[int]]) -> list[list[int]]:
-        """Columns [x_j ; p_j], p_j the parity map of j times the global
-        data, one ``Matrix.apply`` per node: the one product left on the
-        scalar loop (``Matrix.apply`` says why).  It reads no factor grid, so
+        """Columns [x_j ; p_j], one ``_column`` per node: p_j is the
+        ``combine_rows`` of the global data over ``_parity_columns[j]`` that
+        every decode and repair takes.  It reads no factor grid, so
         ``Cluster``'s audit checks the update protocol against it."""
-        flat = [v for x in data for v in x]
-        return [list(x) + pmap.apply(flat) for x, pmap in zip(data, self._parity_maps)]
+        return [self._column(j, data) for j in range(self.n)]
 
     def as_irregular_code(self) -> "IrregularArrayCode":
         """A plain data-then-parity ``IrregularArrayCode`` on this code's grid."""

@@ -14,11 +14,10 @@ below, and counts the same pivots without building a matrix.  Products
 take the same two forms, chosen by ``pack_rows`` and summed by
 ``combine_rows``: a row of ``a @ b`` is the sum of a's entries times b's
 rows, in GF(2)..GF(256) one ``bytes.translate`` per nonzero entry and one
-int XOR per sum.  Decodes, repairs and the update protocol's
+int XOR per sum.  Flat encodes, decodes, repairs and the update protocol's
 ``parity_terms`` take their products the same way, as ``combine_rows`` over
-a matrix's cached columns.  ``Matrix.apply`` stays scalar on plain symbol
-lists, and its one caller is the flat ``_encode``, the re-encode behind
-``Cluster``'s audit (``Matrix.apply`` says why it stays).
+a matrix's cached columns.  ``Matrix.apply`` is a scalar dense reference
+with no library caller (it says why it stays).
 """
 
 from __future__ import annotations
@@ -141,11 +140,9 @@ class Matrix:
 
     def apply(self, vec: list[int]) -> list[int]:
         """Matrix-vector product on a plain symbol list, one scalar step per
-        entry.  Its one library caller is the flat ``_encode``, which
-        ``Cluster``'s audit runs on every update.  Through ``combine_rows``
-        that encode would speed the benchmark's update stream, whose
-        per-update samples then grow its peak memory to the edge of its
-        bound or past it (see ROADMAP)."""
+        entry: a dense reference with no library caller.  The tests check
+        the row products against it, and the benchmark's tracer wraps it by
+        name."""
         if len(vec) != self.cols:
             raise ShapeMismatchError(f"vector length {len(vec)} != cols {self.cols}")
         f = self.field

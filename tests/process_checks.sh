@@ -25,12 +25,13 @@
 #    (4, 2) GF(7) codeword, the one prime-field golden, and two flat GF(32)
 #    codewords (the benchmark's (10, 6) update-stream code and the (8, 4)
 #    irregular MUB spec, on packed parity columns) match their default-build
-#    golden files and decode byte for byte with their last n-k nodes erased.  A bad construct, a malformed UBCODE_SEED, a spec nested
-#    200,000 deep, a (4, 2) spec with three pairing rounds, a spec whose
-#    transform.g is not the field's primitive element and a spec whose
-#    params.m disagrees with its matrices each exit 2 with one stderr line and
-#    no traceback.  A non-MDS (4, 2) spec verifies under UBCODE_SEED=2 with
-#    exit 1, all four checks reported, a failed workload-audit and no stderr.
+#    golden files and decode byte for byte with their last n-k nodes erased.
+#    A bad construct, a malformed UBCODE_SEED, a spec nested 200,000 deep, a
+#    (4, 2) spec with three pairing rounds, a spec whose transform.g is not
+#    the field's primitive element and a spec whose params.m disagrees with
+#    its matrices each exit 2 with one stderr line and no traceback.  A
+#    non-MDS (4, 2) spec verifies under UBCODE_SEED=2 with exit 1, all four
+#    checks reported, a failed workload-audit and no stderr.
 # 3. The README's command-line block runs as written, each command with
 #    `ubcode` replaced by `python -m ubcode.cli`, in a scratch directory, and
 #    each exits 0, its documented status.

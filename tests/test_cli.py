@@ -763,6 +763,38 @@ def test_malformed_codeword_file_is_a_usage_error(tmp_path, capsys, spec_file, c
     assert_usage_error(capsys, argv, "expected 4 columns, found 1")
 
 
+@pytest.mark.parametrize("command", ["update", "repair", "decode", "encode"])
+def test_codeword_file_that_is_not_text_names_itself(tmp_path, capsys, spec_file, command):
+    # Not UTF-8: the file is read inside the try that prefixes its path, so a
+    # text-decoding error names it as a malformed column does.
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00\n")
+    argv = [command, "--spec", str(spec_file), "--out", str(tmp_path / "o")]
+    if command == "encode":
+        argv += ["--data", str(bad)]
+    else:
+        argv += ["--in", str(bad)] + (["--erased", "1"] if command == "decode" else ["--node", "1"])
+    assert_usage_error(capsys, argv, f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("flag, command", [
+    ("--m", ["bounds", "--n", "4", "--k", "2"]),
+    ("--m", ["construct", "--kind", "mub", "--n", "4", "--k", "2"]),
+    ("--erased", ["decode"]),
+    ("--data", ["update", "--node", "0"]),
+], ids=["bounds", "construct", "decode", "update"])
+def test_integer_list_flag_names_itself(tmp_path, capsys, spec_file, flag, command):
+    argv = [*command, flag, "1,x"]
+    if command[0] != "bounds":
+        argv += ["--out", str(tmp_path / "out")]
+    if command[0] in ("decode", "update"):  # both read the flag after loading their files
+        cw = tmp_path / "codeword.txt"
+        run_capture(capsys, ["encode", "--spec", str(spec_file), "--seed", "7", "--out", str(cw)])
+        argv += ["--spec", str(spec_file), "--in", str(cw)]
+    assert_usage_error(capsys, argv,
+                       f"error: {flag}: '1,x' is not a comma-separated list of integers")
+
+
 @pytest.mark.parametrize(
     "erased, message",
     [("9", "outside 0..3"), ("0,-1", "outside 0..3"), ("0,1,2", "3 erasures exceed tolerance 2")],

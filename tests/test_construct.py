@@ -522,8 +522,15 @@ def column_map_encode(code, data):
 
 
 def test_pipeline_encode_equals_direct_encode(mrmub_codes, mub_codes, fig1b_code, fig3_code):
+    # The fixtures are over GF(2)..GF(8), on packed rows; the three codes
+    # after them take the encoder's entry-list path, in an odd extension, a
+    # 16-bit and a prime field.
     rng = random.Random(101)
-    built_list = [fig1b_code, fig3_code] + [b for *_, b in mrmub_codes + mub_codes]
+    built_list = [fig1b_code, fig3_code] + [b for *_, b in mrmub_codes + mub_codes] + [
+        build_mrmub(5, 3, 3, field=GF(25)),
+        build_mrmub(6, 3, 6, field=GF(65536)),
+        build_mub(4, 2, [4, 2, 2, 0], field=GF(7)),
+    ]
     trials = 1000
     for t in range(trials):
         built = built_list[t % len(built_list)]
