@@ -9,10 +9,12 @@ data symbol.  Every code in the package, built, loaded or transformed, is an
 ``IrregularArrayCode`` given by that flat grid; ``transform.TransformedCode``
 is its one structured subclass.
 
-Two things read that grid.  The codec (encode, erasure decode, column maps,
-``verify_mds``) reads it through one parity map per node, every grid entry
-into that node side by side.  The update protocol reads it one edge at a
-time, through each edge's factor pair, and is checked against the codec.
+Two things read that grid, each through its own derived form.  The codec
+(encode, erasure decode, column maps, ``verify_mds``, the transformed root
+step) reads one form per node: its parity columns, one per global data
+symbol, every grid entry into that node read off once.  The update protocol
+reads it one edge at a time, through each edge's factor pair, and is checked
+against the codec.
 
 Codewords are plain lists of n columns, each a list of canonical field
 integers in the code's row layout (data-then-parity, or per half of a
@@ -45,7 +47,7 @@ and ``code_from_json`` reads every code, a transformed one as its root's
 field, params and factor grids plus ``transform: {pairs, g}``.
 
 Code objects are immutable once constructed, apart from that cache, the
-parity maps and the factor grids, each with its packed columns, which are
+parity columns and the factor grids with their packed columns, which are
 filled lazily; the metric/verification functions are pure, so subset
 checks and decodes may run concurrently over shared instances, and a race
 only computes an entry twice.
@@ -127,12 +129,13 @@ class IrregularArrayCode:
     owns the shape, the node and data-fill checks,
     the row layout (per node, its data and parity rows, stored once as
     tuples in ``_rows``: data then parity here, and one layout shared by
-    every node of a transformed code), the parity maps, erasure decoding,
+    every node of a transformed code), the parity columns, erasure decoding,
     repair and the update protocol, whose factor grids come from the grid,
     one edge at a time on first use, or from ``from_factors``, which derives
     the grid from them.  Encoding, decoding and the column maps read only
-    the parity maps, never a factor grid, so an encode is an independent
-    check of what the update protocol ships.
+    the parity columns, never a factor grid, and the protocol never reads
+    the parity columns, so an encode is an independent check of what the
+    update protocol ships.
     """
 
     repair_schedule = None  # optional download plans: node -> [(source, row), ...]
@@ -206,40 +209,31 @@ class IrregularArrayCode:
         return offs
 
     @cached_property
-    def _parity_maps(self) -> list[Matrix]:
-        """Per node j, the p_j x sum(m) map from the global data vector to
-        j's flat parity: every ``construction[i][j]`` side by side, the
-        diagonal included.  The one data-to-parity product of the codec."""
-        return [
-            Matrix.of(self.field, pj, sum(self.m),
-                      [[v for edges in self.construction for v in edges[j].data[t]]
-                       for t in range(pj)])
-            for j, pj in enumerate(self.p)
-        ]
-
-    @cached_property
     def _parity_columns(self) -> list[list]:
-        """Per node j, the columns of ``_parity_maps[j]`` in the field's row
-        form (``linalg.pack_rows``), one per global data symbol, read off the
-        grid's blocks directly, so an encode builds no map: ``_column``
-        takes its parity as one ``combine_rows`` over them."""
-        return [pack_rows(self.field, [c for row in self.construction for c in zip(*row[j].data)])
-                for j in range(self.n)]
+        """Per node j, the codec's one form of the grid: one column per
+        global data symbol, its p_j coefficients into j's parity (empty when
+        p_j = 0), in the field's row form (``linalg.pack_rows``), read off
+        every ``construction[i][j]``, the diagonal included.  ``_column``,
+        ``_kept_parity_columns``, ``column_maps`` and the transformed root
+        step read it; the update protocol never does."""
+        return [pack_rows(self.field, [c for row in self.construction for c in zip(*row[j].data)]
+                          if pj else [()] * sum(self.m))  # no rows: zip would give no column
+                for j, pj in enumerate(self.p)]
 
     def column_maps(self) -> list[Matrix]:
         """Per-column matrices mapping the global data vector to the stored symbols.
 
-        Column j holds its own data verbatim at ``data_rows(j)`` and row t of
-        its parity map at ``parity_rows(j)[t]``.
+        Column j holds its own data verbatim at ``data_rows(j)``, one unit
+        row each, and the rows of ``_parity_columns[j]`` at ``parity_rows(j)``.
         """
         offs = self.data_offsets()
-        unit = Matrix.identity(self.field, offs[-1]).data
         maps = []
-        for j, pmap in enumerate(self._parity_maps):
+        for j, cols in enumerate(self._parity_columns):
             rows = [None] * self.col_lens[j]
             for t, r in enumerate(self.data_rows(j)):
-                rows[r] = unit[offs[j] + t]
-            for r, row in zip(self.parity_rows(j), pmap.data):
+                rows[r] = [0] * offs[-1]
+                rows[r][offs[j] + t] = 1
+            for r, row in zip(self.parity_rows(j), zip(*cols)):
                 rows[r] = row
             maps.append(Matrix.of(self.field, self.col_lens[j], offs[-1], rows))
         return maps
@@ -346,7 +340,7 @@ class IrregularArrayCode:
         Checks that ``known`` is a dict and each key, column and symbol,
         then returns the kept columns as given (copies; the solve checks that
         they agree) and builds only the erased ones: data from the solve,
-        parity through the parity maps."""
+        parity through ``_column``."""
         if not isinstance(known, dict):
             raise InvalidParamsError(f"known columns must be a dict of node -> column, "
                                      f"got {type(known).__name__}")
@@ -424,26 +418,25 @@ class IrregularArrayCode:
                                  weights.cols))
 
 
-def _kept_parity_columns(code: IrregularArrayCode, kept) -> tuple[int, list, list]:
-    """The kept columns S's parity rows, stacked in order, R rows in all, read
-    as columns, one per data symbol: ``(R, erased, kept)`` with ``erased``
-    the columns on the data of E, the complement of S (``P_{S,E}``
-    transposed), and ``kept`` those on S's own data (``P_{S,K}``
-    transposed), each in node order.  A slice of the parity maps; no factor
-    grid is needed."""
+def _kept_parity_columns(code: IrregularArrayCode, kept, nodes) -> tuple[int, list]:
+    """The kept columns S's parity rows, stacked in order, R rows in all,
+    read as columns, one per data symbol of ``nodes``, in node order:
+    ``(R, columns)``.  On E, the complement of S, they are ``P_{S,E}``
+    transposed, and on S itself ``P_{S,K}`` transposed.  A column joins the
+    kept nodes' ``_parity_columns`` for its symbol, one ``bytes`` join in
+    GF(2)..GF(256); no factor grid is read."""
     offs = code.data_offsets()
-    parity = [row for j in kept for row in code._parity_maps[j].data]
-    columns = list(zip(*parity)) if parity else [()] * offs[-1]
-    erased_cols, kept_cols = [], []
-    for i in range(code.n):
-        (kept_cols if i in kept else erased_cols).extend(columns[offs[i] : offs[i + 1]])
-    return len(parity), erased_cols, kept_cols
+    packed = code.field.mul_tables is not None  # the row form rule of linalg.pack_rows
+    per_node = [[col for i in nodes for col in code._parity_columns[j][offs[i] : offs[i + 1]]]
+                for j in kept]
+    columns = [b"".join(parts) if packed else sum(parts, []) for parts in zip(*per_node)]
+    return sum(code.p[j] for j in kept), columns
 
 
 def solve_data_from_columns(code, known: dict[int, list[int]]) -> list[list[int]]:
     """Solve for every data vector given a subset of intact columns.
 
-    The one erasure decoder for every code; it reads only the parity maps.
+    The one erasure decoder for every code; it reads only the parity columns.
     Survivors hold their data verbatim; taking the kept data's share,
     ``P_{S,K} x_K``, off the kept parity leaves the residue ``b = P_{S,E}
     x_E`` (see ``_kept_parity_columns``).  ``P_{S,E}`` is eliminated once per code
@@ -491,7 +484,9 @@ def _elimination(code: IrregularArrayCode, kept: tuple[int, ...]) -> tuple:
     cache = code._eliminations
     if kept not in cache:
         f = code.field
-        rows, erased_cols, kept_block = _kept_parity_columns(code, kept)
+        erased = [i for i in range(code.n) if i not in kept]
+        rows, erased_cols = _kept_parity_columns(code, kept, erased)
+        kept_block = _kept_parity_columns(code, kept, kept)[1]
         inverse, null_rows = left_inverse(
             Matrix.of(f, len(erased_cols), rows, erased_cols).transpose())
         minus_one = f.neg(1)
@@ -773,7 +768,8 @@ def verify_mds(code) -> MdsReport:
 
     def erased_rank(subset) -> tuple[int, int]:
         """rank(P_{S,E}) and its column count, ranked on its transpose."""
-        rows, erased_cols, _ = _kept_parity_columns(code, subset)
+        rows, erased_cols = _kept_parity_columns(code, subset,
+                                                 [i for i in range(n) if i not in subset])
         return rank(Matrix.of(code.field, len(erased_cols), rows, erased_cols)), len(erased_cols)
 
     for subset in combinations(range(n), k):

@@ -132,8 +132,8 @@ class Field:
     v >= q), so ``row.translate(mul_tables[c])`` scales a row of byte
     entries; every other field has ``mul_tables = None``.  ``linalg`` reads
     it as the switch to packed rows: ``rref``/``rank`` eliminate on them,
-    and ``@`` and the transformed encoder combine rows on them
-    (``pack_rows`` and ``combine_rows``).
+    and every product, ``@``, each encode, decode and repair and the update
+    protocol's, combines rows on them (``pack_rows`` and ``combine_rows``).
 
     Immutable after construction; safe to share between threads.  Use the
     cached factory :func:`GF` rather than constructing directly.

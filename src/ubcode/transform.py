@@ -23,15 +23,15 @@ An r-round codeword is 2^r interleaved codewords of the root (the
 untransformed code at the bottom of the chain), and ``_encode`` makes them in
 one batched pass.  It splits the fill down the rounds into one block per
 root node whose data rows each carry all 2^r instances, computes each root
-node's parity as one matrix product, its parity map times every root node's
-block stacked, so every nonzero entry costs one row operation for the whole
-batch, and joins the columns back up the rounds.  Every mix and product of
-that pass is one ``linalg.combine_rows`` on rows in the form
-``linalg.pack_rows`` gives the fill, so in GF(2)..GF(256) the blocks are
-packed ``bytes`` rows from the fill to ``_encode``'s return.  It reads
-only the root's parity maps and the pairing tables, so it stays independent
-of the factor grids the update protocol runs on, which ``Cluster``'s audit
-checks it against.  Repair reads plain symbol lists and mixes them with
+node's parity as one matrix product, its parity rows, read off the root's
+parity columns, times every root node's block stacked, so every nonzero
+entry costs one row operation for the whole batch, and joins the columns
+back up the rounds.  Every mix and product of that pass is one
+``linalg.combine_rows`` on rows in the form ``linalg.pack_rows`` gives the
+fill, so in GF(2)..GF(256) the blocks are packed ``bytes`` rows from the
+fill to ``_encode``'s return.  It reads only the root's parity columns and
+the pairing tables, so it stays independent of the factor grids the update
+protocol runs on, which ``Cluster``'s audit checks it against.  Repair reads plain symbol lists and mixes them with
 ``linalg.combine_lists`` in every field; the base decode and base columns a
 paired repair needs (``solve_data_from_columns``, ``_column``) take their
 products as ``linalg.combine_rows`` over the base's cached packed columns.
@@ -82,7 +82,7 @@ class TransformedCode(IrregularArrayCode):
     table; the inherited update protocol factors that grid's edges on the
     first update, so inner rounds are never factored.  ``_encode`` does not
     use that grid: it encodes the 2^r root instances in one batch through
-    every round's table and the root's parity maps (see the module
+    every round's table and the root's parity columns (see the module
     docstring).
     """
 
@@ -174,14 +174,14 @@ class TransformedCode(IrregularArrayCode):
         fills = self._split(blocks)
         if isinstance(self.base, TransformedCode):
             return self._join(self.base._encode_batch(fills, 2 * width))
-        # The root's parity map of node j times every root node's data rows
-        # stacked, each row holding all instances side by side, is j's
-        # parity for the whole batch.
+        # Each parity row of root node j, read off its parity columns, times
+        # every root node's data rows stacked, each row holding all instances
+        # side by side, is that row of j's parity for the whole batch.
         width *= 2
         batch = [x[r : r + width] for x in fills for r in range(0, len(x), width)]
         cols = []
-        for x, pmap in zip(fills, self.base._parity_maps):
-            for coeffs in pmap.data:
+        for x, parity_cols in zip(fills, self.base._parity_columns):
+            for coeffs in zip(*parity_cols):
                 x = x + combine_rows(self.field, coeffs, batch, width)
             cols.append(x)
         return self._join(cols)

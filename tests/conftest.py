@@ -53,6 +53,27 @@ def random_fill(code, rng: random.Random):
     return [[rng.randrange(code.field.q) for _ in range(mi)] for mi in code.m]
 
 
+def grid_encode(code, data):
+    """Reference codeword, one scalar step per grid entry: parity_j is the sum
+    over i of ``construction[i][j]`` times x_i, placed at ``parity_rows(j)``
+    beside x_j at ``data_rows(j)``.  It reads neither the codec's parity
+    columns nor the column maps, and combines no rows."""
+    f = code.field
+    cols = []
+    for j in range(code.n):
+        parity = [0] * code.p[j]
+        for x, edges in zip(data, code.construction):
+            for t, row in enumerate(edges[j].data):
+                for a, v in zip(row, x):
+                    parity[t] = f.add(parity[t], f.mul(a, v))
+        col = [None] * code.col_lens[j]
+        for rows, values in ((code.data_rows(j), data[j]), (code.parity_rows(j), parity)):
+            for r, v in zip(rows, values):
+                col[r] = v
+        cols.append(col)
+    return cols
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -46,7 +46,7 @@ from ubcode.code_model import (
     zero_diagonal,
 )
 
-from conftest import random_fill
+from conftest import grid_encode, random_fill
 
 
 def pcode_fixture():
@@ -678,6 +678,24 @@ def test_decoder_matches_full_column_map_reference(rng):
             assert code.decode_columns(known) == cols
             assert solve_data_from_columns(code, known) == reference_decode(code, known) == data
         assert len(code._eliminations) == len(patterns)  # one entry per kept set
+
+
+@pytest.mark.parametrize("q", [16, 25])
+def test_a_zero_parity_node_keeps_one_parity_column_per_data_symbol(q, rng):
+    # build_mub(4, 2, [6, 0, 0, 0]) has p = (0, 3, 3, 3).  Node 0's parity
+    # columns are six empty ones, so a kept set's columns, joined over its
+    # nodes, are still one per data symbol when node 0 is kept.
+    code = build_mub(4, 2, [6, 0, 0, 0], field=GF(q))
+    assert code.p == (0, 3, 3, 3)
+    assert [len(cols) for cols in code._parity_columns] == [6, 6, 6, 6]
+    data = random_fill(code, rng)
+    cols = code.encode(data)
+    assert cols == grid_encode(code, data)
+    for erased in erasure_patterns(code, code.n - code.k):
+        known = {j: cols[j] for j in range(code.n) if j not in erased}
+        assert code.decode_columns(known) == cols, erased
+        assert solve_data_from_columns(code, known) == reference_decode(code, known) == data
+    assert verify_mds(code) == reference_verify_mds(code)
 
 
 def test_decoded_columns_are_copies(decoder_codes, rng):

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ubcode.finite_field import GF
@@ -45,7 +45,7 @@ from ubcode.construct import (
 
 from ubcode.transform import iterate_transform
 
-from conftest import random_fill
+from conftest import grid_encode, random_fill
 
 
 def symbol_index(m_vec, node, sym):
@@ -516,11 +516,6 @@ def reference_pipeline_encode(built, data):
     return columns
 
 
-def column_map_encode(code, data):
-    flat = [v for x in data for v in x]
-    return [s.apply(flat) for s in code.column_maps()]
-
-
 def test_pipeline_encode_equals_direct_encode(mrmub_codes, mub_codes, fig1b_code, fig3_code):
     # The fixtures are over GF(2)..GF(8), on packed rows; the three codes
     # after them take the encoder's entry-list path, in an odd extension, a
@@ -537,7 +532,46 @@ def test_pipeline_encode_equals_direct_encode(mrmub_codes, mub_codes, fig1b_code
         data = random_fill(built, rng)
         cols = built.encode(data)
         assert cols == reference_pipeline_encode(built, data)
-        assert cols == column_map_encode(built, data)
+        assert cols == grid_encode(built, data)
+
+
+@st.composite
+def grid_encode_cases(draw):
+    """(code, data): over GF(4), GF(16), GF(25), GF(7) or GF(2^16), either a
+    flat ``build_mub`` code, whose profile has dataless nodes or, with one
+    node holding all the data, zero-parity nodes, or a one- or two-round
+    transformed (4, 2) code."""
+    f = GF(draw(st.sampled_from([4, 16, 25, 7, 65536])))
+    try:
+        if draw(st.booleans()):
+            n = draw(st.integers(3, 5))
+            k = draw(st.integers(1, n - 1))
+            shares = st.integers(0, 2)
+            if draw(st.booleans()):  # one node holds all data and no parity
+                m = [0] * n
+                m[draw(st.integers(0, n - 1))] = k * draw(st.integers(1, 2))
+            else:
+                m = [k * s for s in draw(st.lists(shares, min_size=n, max_size=n).filter(any))]
+            code = build_mub(n, k, m, field=f)
+        else:
+            code = iterate_transform(build_mrmub(4, 2, 2 * draw(st.integers(1, 2)), field=f),
+                                     draw(st.integers(1, 2)))
+    except FieldTooSmallError:
+        assume(False)
+    return code, random_fill(code, random.Random(draw(st.integers(0, 2**16))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_encode_cases())
+def test_encode_matches_a_scalar_grid_reference(case):
+    # _encode (flat: one _column per node; transformed: the batched root
+    # step) and the column maps all read the parity columns; the reference
+    # reads the grid's entries one by one.
+    code, data = case
+    cols = code.encode(data)
+    assert cols == grid_encode(code, data)
+    flat = [v for x in data for v in x]
+    assert [s.apply(flat) for s in code.column_maps()] == cols
 
 
 @pytest.mark.parametrize("q", [8, 25])
@@ -552,7 +586,7 @@ def test_flat_transform_encode_with_own_terms(rounds, q):
     for _ in range(50):
         data = random_fill(flat, rng)
         cols = flat.encode(data)
-        assert cols == column_map_encode(flat, data)
+        assert cols == grid_encode(flat, data)
         stored = code.encode(data)
         assert cols == [
             [col[r] for r in code.data_rows(j) + code.parity_rows(j)]
