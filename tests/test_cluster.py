@@ -399,7 +399,7 @@ def test_update_after_tampered_parity_raises():
 
 
 def test_update_through_a_tampered_factor_raises():
-    # The audit encodes through the parity maps, never through the factor
+    # The audit encodes through the parity columns, never through the factor
     # grids an update ships, so a receiver factor that no longer matches the
     # code shows on the first update whose payload crosses that edge.
     code = build_mrmub(4, 2, 2)
