@@ -6,13 +6,25 @@ GF(p), lowest degree first.  The modulus is always the irreducible monic
 polynomial of degree d with the smallest integer encoding, and the
 designated primitive element is the smallest element of full multiplicative
 order, so constructing the same q twice yields bit-identical tables.
+
+Every field but GF(2^16) builds its exp/log tables by walking the powers of
+the primitive element.  GF(2^16) reads them from the package data file
+``gf65536.bin`` (``tests/write_gf65536.py`` writes it from the same walk), so
+a one-shot process does not pay for 65,535 Python steps.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from functools import lru_cache
 
 MAX_FIELD_SIZE = 1 << 16
+
+# GF(2^16)'s exp table (65,535 entries) then its log table (65,536), each
+# entry a little-endian uint16, and the CRC-32 of the file's 262,142 bytes.
+_TABLE_FILE = os.path.join(os.path.dirname(__file__), "gf65536.bin")
+_TABLE_CRC32 = 0x75a4ae7d
 
 
 class NotPrimePowerError(ValueError):
@@ -21,6 +33,11 @@ class NotPrimePowerError(ValueError):
 
 class FieldTooLargeError(ValueError):
     """Raised when a requested field size exceeds MAX_FIELD_SIZE."""
+
+
+class TableFileError(RuntimeError):
+    """Raised when the packaged GF(2^16) table file is missing, short or
+    altered: the installation is broken, not the caller's input."""
 
 
 def _prime_factors(x: int) -> list[int]:
@@ -119,11 +136,51 @@ def _smallest_irreducible(p: int, d: int) -> list[int]:
     raise AssertionError(f"no irreducible polynomial of degree {d} over GF({p})")
 
 
+def _read_uint16(fh, count: int, crc: int) -> tuple[list[int], int]:
+    """The next ``count`` little-endian uint16 of ``fh`` as a list, and
+    ``crc`` carried over their bytes."""
+    from array import array  # imported here: only GF(2^16) reads a table file
+    from zlib import crc32
+
+    table = array("H")
+    table.fromfile(fh, count)
+    crc = crc32(table, crc)
+    if sys.byteorder == "big":
+        table.byteswap()
+    # A list, not the array: indexing an array boxes a new int on every read,
+    # which slows the row kernel by about half.
+    return table.tolist(), crc
+
+
+def _read_gf65536() -> tuple[list[int], list[int]]:
+    """GF(2^16)'s exp and log tables from the package data file, one table's
+    raw bytes in memory at a time, after checking the file's length and CRC."""
+    order = (1 << 16) - 1
+    want = 2 * (order + order + 1)
+    try:
+        with open(_TABLE_FILE, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != want:
+                raise TableFileError(f"GF(2^16) table file {_TABLE_FILE} has {size} bytes, "
+                                     f"not {want}")
+            exp, crc = _read_uint16(fh, order, 0)
+            log, crc = _read_uint16(fh, order + 1, crc)
+    except OSError as exc:
+        raise TableFileError(f"cannot read the GF(2^16) table file: {exc}") from exc
+    if crc != _TABLE_CRC32:
+        raise TableFileError(f"GF(2^16) table file {_TABLE_FILE} fails its CRC-32 check "
+                             f"({crc:#010x}, not {_TABLE_CRC32:#010x})")
+    return exp, log
+
+
 class Field:
     """GF(q) with fixed modulus, primitive element, and full mul/inv tables.
 
-    Construction walks the powers of the primitive element g, one step per
-    element.  In characteristic 2 a step is one XOR of two split-table
+    GF(2^16) reads its exp/log tables from the package data file
+    ``gf65536.bin``, checked by length and CRC-32; a missing, short or
+    altered file raises :class:`TableFileError`.  Every other field builds
+    them by ``_walk``, over the powers of the primitive element g, one step
+    per element.  In characteristic 2 a step is one XOR of two split-table
     lookups: g times the low and the high half of an element, from tables
     of about sqrt(q) products.  Every other field steps by the table-free
     multiply.  In odd characteristic a Zech table (log(1 + g^t)) also
@@ -145,6 +202,8 @@ class Field:
     )
 
     def __init__(self, q: int):
+        if type(q) is not int:
+            raise NotPrimePowerError(f"field size must be an int, got {q!r}")
         if q > MAX_FIELD_SIZE:
             raise FieldTooLargeError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
         p, d = _factor_prime_power(q)
@@ -205,12 +264,14 @@ class Field:
                 return g
         raise AssertionError(f"no primitive element in GF({self.q})")
 
-    def _build_tables(self) -> None:
-        # One step per element.  In characteristic 2 multiplying by g is
-        # linear over GF(2), so g*val is g*(low half of val) XOR g*(high half
-        # of val), each half's products read from a table of about sqrt(q)
-        # entries.  Every other field multiplies by g with _raw_mul: no
-        # workload builds an odd field large enough for the walk to matter.
+    def _walk(self) -> tuple[list[int], list[int]]:
+        """The exp and log tables, by one step per element from 1 = g^0.
+
+        In characteristic 2 multiplying by g is linear over GF(2), so g*val
+        is g*(low half of val) XOR g*(high half of val), each half's products
+        read from a table of about sqrt(q) entries.  Every other field
+        multiplies by g with _raw_mul: no workload builds an odd field large
+        enough for the walk to matter."""
         p, d, g = self.characteristic, self.degree, self.primitive
         order = self.q - 1
         exp = [1] * order
@@ -230,7 +291,14 @@ class Field:
                 exp[i] = val
                 log[val] = i
                 val = self._raw_mul(val, g)
-        if val != 1:
+        return exp, log
+
+    def _build_tables(self) -> None:
+        p, order = self.characteristic, self.q - 1
+        exp, log = _read_gf65536() if self.q == 1 << 16 else self._walk()
+        # A g of order k < q-1 brings the walk back to 1 at step k, which
+        # overwrites log[1].
+        if log[1] != 0:
             raise AssertionError("primitive element does not have full order")
         self._exp = exp
         self._log = log
@@ -366,7 +434,10 @@ class Field:
         return hash(("Field", self.q))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def GF(q: int) -> Field:
-    """Cached field factory; the same q always returns the same object."""
+    """Cached field factory; the same q always returns the same object.
+
+    Typed, so a float or a bool equal to a cached size reaches Field's type
+    check instead of returning that field."""
     return Field(q)

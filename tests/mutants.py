@@ -70,6 +70,21 @@ MUTANTS = [
         ["tests/test_code_model.py::test_repair_and_decoder_reject_out_of_range_nodes",
          "tests/test_code_model.py::test_codec_entries_reject_wrong_types"],
     ),
+    (
+        "GF(2^16)'s log table read one entry early, overlapping the exp table",
+        "finite_field.py",
+        "log, crc = _read_uint16(fh, order + 1, crc)",
+        "fh.seek(2 * (order - 1))\n            log, crc = _read_uint16(fh, order + 1, crc)",
+        ["tests/test_finite_field.py::test_gf65536_tables_are_the_walks"],
+    ),
+    (
+        "the GF(2^16) table file's CRC-32 comparison skipped",
+        "finite_field.py",
+        "if crc != _TABLE_CRC32:",
+        "if False:",
+        ["tests/test_finite_field.py::"
+         "test_a_missing_short_or_altered_table_file_is_refused"],
+    ),
 ]
 
 

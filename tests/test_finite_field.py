@@ -1,16 +1,22 @@
 import hashlib
 import itertools
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ubcode import finite_field
 from ubcode.finite_field import (
     GF,
     Field,
     FieldTooLargeError,
     NotPrimePowerError,
+    TableFileError,
     _int_to_digits,
     _poly_is_irreducible,
     _smallest_irreducible,
@@ -45,6 +51,14 @@ def test_non_prime_power_rejected():
         Field(12)
     with pytest.raises(NotPrimePowerError):
         Field(1)
+
+
+@pytest.mark.parametrize("make", [GF, Field])
+@pytest.mark.parametrize("q", [2.0, 8.0, "8", None, True, False, 65536.0])
+def test_non_int_field_size_rejected(make, q):
+    GF(2)  # cached, so GF(2.0) must not be a cache hit
+    with pytest.raises(NotPrimePowerError, match=re.escape(f"must be an int, got {q!r}")):
+        make(q)
 
 
 def test_too_large_rejected():
@@ -209,6 +223,63 @@ def test_tables_are_pinned(q):
     f = GF(q)
     assert f.to_json() == {"q": q, "modulus": modulus, "primitive": primitive}
     assert hashlib.sha256(",".join(map(str, f._exp)).encode()).hexdigest() == digest
+
+
+TABLE_FILE = Path(finite_field._TABLE_FILE)
+WRITER = Path(__file__).resolve().parent / "write_gf65536.py"
+
+
+def test_gf65536_tables_are_the_walks():
+    f = Field(1 << 16)
+    assert (f._exp, f._log) == f._walk()
+    assert type(f._exp) is list and type(f._log) is list
+    assert all(f._log[v] == i for i, v in enumerate(f._exp))
+
+
+def test_gf65536_build_never_walks(monkeypatch):
+    def walk(self):
+        raise AssertionError("GF(2^16) walked its powers")
+
+    monkeypatch.setattr(Field, "_walk", walk)
+    assert Field(1 << 16).mul(2, 3) == 6
+    with pytest.raises(AssertionError, match="walked"):
+        Field(256)
+
+
+def test_gf65536_file_is_what_the_writer_writes(tmp_path):
+    out = tmp_path / "gf65536.bin"
+    done = subprocess.run([sys.executable, str(WRITER), str(out)], capture_output=True,
+                          text=True, check=True)
+    assert out.read_bytes() == TABLE_FILE.read_bytes()
+    assert done.stdout.endswith(f"262142 bytes, CRC-32 {finite_field._TABLE_CRC32:#010x}\n")
+
+
+def test_gf65536_tables_are_byteswapped_on_a_big_endian_host(monkeypatch):
+    # On a big-endian host the native-order array is swapped to the file's
+    # little-endian order; here, claiming big-endian must swap every entry.
+    f = GF(1 << 16)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    exp, log = finite_field._read_gf65536()
+    monkeypatch.undo()
+    swap = [(v >> 8) | (v & 0xFF) << 8 for v in range(1 << 16)]
+    assert exp == [swap[v] for v in f._exp]
+    assert log == [swap[v] for v in f._log]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (None, "cannot read"),
+    (lambda data: data[:-2], "has 262140 bytes, not 262142"),
+    (lambda data: data + b"\0", "has 262143 bytes, not 262142"),
+    (lambda data: data[:1000] + bytes([data[1000] ^ 1]) + data[1001:], "CRC-32"),
+    (lambda data: data[:200000] + bytes([data[200000] ^ 0x80]) + data[200001:], "CRC-32"),
+], ids=["missing", "truncated", "extended", "exp-byte-flipped", "log-byte-flipped"])
+def test_a_missing_short_or_altered_table_file_is_refused(tmp_path, monkeypatch, damage, message):
+    path = tmp_path / "gf65536.bin"
+    if damage is not None:
+        path.write_bytes(damage(TABLE_FILE.read_bytes()))
+    monkeypatch.setattr(finite_field, "_TABLE_FILE", str(path))
+    with pytest.raises(TableFileError, match=message):
+        Field(1 << 16)
 
 
 def test_gf2_modulus_search_matches_generic_search():
