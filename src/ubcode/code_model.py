@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .finite_field import Field, GF
@@ -429,7 +429,8 @@ def _kept_parity_columns(code: IrregularArrayCode, kept, nodes) -> tuple[int, li
     packed = code.field.mul_tables is not None  # the row form rule of linalg.pack_rows
     per_node = [[col for i in nodes for col in code._parity_columns[j][offs[i] : offs[i + 1]]]
                 for j in kept]
-    columns = [b"".join(parts) if packed else sum(parts, []) for parts in zip(*per_node)]
+    columns = [b"".join(parts) if packed else list(chain.from_iterable(parts))
+               for parts in zip(*per_node)]
     return sum(code.p[j] for j in kept), columns
 
 

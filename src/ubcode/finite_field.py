@@ -10,7 +10,8 @@ order, so constructing the same q twice yields bit-identical tables.
 Every field but GF(2^16) builds its exp/log tables by walking the powers of
 the primitive element.  GF(2^16) reads them from the package data file
 ``gf65536.bin`` (``tests/write_gf65536.py`` writes it from the same walk), so
-a one-shot process does not pay for 65,535 Python steps.
+a one-shot process does not pay for 65,535 Python steps, and its modulus and
+primitive element are pinned constants rather than searched for.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ MAX_FIELD_SIZE = 1 << 16
 # entry a little-endian uint16, and the CRC-32 of the file's 262,142 bytes.
 _TABLE_FILE = os.path.join(os.path.dirname(__file__), "gf65536.bin")
 _TABLE_CRC32 = 0x75a4ae7d
+# GF(2^16)'s modulus x^16 + x^5 + x^3 + x + 1, digits low-first, and its
+# primitive element: what _smallest_irreducible and _find_primitive return
+# (tests/test_finite_field.py checks both), pinned so a build skips about
+# 0.6 ms of search.
+_MODULUS_65536 = (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+_PRIMITIVE_65536 = 3
 
 
 class NotPrimePowerError(ValueError):
@@ -202,17 +209,19 @@ class Field:
     )
 
     def __init__(self, q: int):
-        if type(q) is not int:
-            raise NotPrimePowerError(f"field size must be an int, got {q!r}")
-        if q > MAX_FIELD_SIZE:
+        if _require_int(q) > MAX_FIELD_SIZE:
             raise FieldTooLargeError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
         p, d = _factor_prime_power(q)
+        pinned = q == 1 << 16
         self.q = q
         self.characteristic = p
         self.degree = d
-        self.modulus = None if d == 1 else tuple(_smallest_irreducible(p, d))
+        if d == 1:
+            self.modulus = None
+        else:
+            self.modulus = _MODULUS_65536 if pinned else tuple(_smallest_irreducible(p, d))
         self._mod_int = None if d == 1 else _digits_to_int(list(self.modulus), p)
-        self.primitive = self._find_primitive()
+        self.primitive = _PRIMITIVE_65536 if pinned else self._find_primitive()
         self._build_tables()
 
     # -- construction helpers -------------------------------------------------
@@ -373,9 +382,10 @@ class Field:
 
     # -- row kernel ------------------------------------------------------------
     #
-    # Elimination spends nearly all its time on whole-row updates, so these
-    # two work on rows of canonical elements with one branch per field kind
-    # and no per-entry calls.  Entries are trusted: validate at the boundary.
+    # Elimination and the products spend nearly all their time on row
+    # updates, so these three work on rows of canonical elements with one
+    # branch per field kind and no per-entry calls.  Entries are trusted:
+    # validate at the boundary.
 
     def scale_row(self, c: int, row: list[int]) -> list[int]:
         """The row c*row, entrywise."""
@@ -410,6 +420,30 @@ class Field:
             out.append(d)
         return out
 
+    def sub_scaled_terms(self, dst: list[int], c: int, terms) -> None:
+        """dst - c*src in place, for the row src given by its nonzero terms
+        (j, v): only the entries of dst at those j are read or written."""
+        if c == 0:
+            return
+        exp, log, order = self._exp, self._log, self.q - 1
+        if self.characteristic == 2:
+            lc = log[c]
+            for j, s in terms:
+                dst[j] ^= exp[(lc + log[s]) % order]
+            return
+        # Odd characteristic, as in sub_scaled_row.
+        zech = self._zech
+        lm = log[c] + order // 2
+        for j, s in terms:
+            lx = lm + log[s]
+            d = dst[j]
+            if d:
+                ld = log[d]
+                z = zech[(lx - ld) % order]
+                dst[j] = 0 if z < 0 else exp[(ld + z) % order]
+            else:
+                dst[j] = exp[lx % order]
+
     def elements(self):
         """Deterministic enumeration 0, 1, g, g^2, ... of all q elements."""
         yield 0
@@ -434,10 +468,21 @@ class Field:
         return hash(("Field", self.q))
 
 
-@lru_cache(maxsize=None, typed=True)
+def _require_int(q) -> int:
+    """q itself, or NotPrimePowerError when it is not an int (bools refused)."""
+    if type(q) is not int:
+        raise NotPrimePowerError(f"field size must be an int, got {q!r}")
+    return q
+
+
 def GF(q: int) -> Field:
     """Cached field factory; the same q always returns the same object.
 
-    Typed, so a float or a bool equal to a cached size reaches Field's type
-    check instead of returning that field."""
-    return Field(q)
+    Only an int reaches the cache: a float or a bool equal to a cached size
+    must not return that field, and a list cannot be a cache key.
+    ``GF.cache_clear()`` empties the cache."""
+    return _cached_field(_require_int(q))
+
+
+_cached_field = lru_cache(maxsize=None)(Field)
+GF.cache_clear = _cached_field.cache_clear

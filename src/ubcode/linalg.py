@@ -5,12 +5,13 @@ integers, fixed at construction, so matrices hash, compare by value and can
 be shared across threads freely.  Every operation builds its rows and wraps
 them in a new matrix.  Zero-row and zero-column matrices are first-class
 values: nodes holding no data produce genuinely empty factor matrices.
-Elimination always pivots on the first nonzero entry in column order, so
-every decomposition here is deterministic and reproducible.  ``rref`` and
-``rank`` share one elimination loop per row form (packed byte rows for
-GF(2)..GF(256), entry lists otherwise): ``rref`` clears each pivot's column
-above and below it, while ``rank`` is forward elimination, clearing only
-below, and counts the same pivots without building a matrix.  Products
+Elimination inserts the rows one at a time into a basis keyed by pivot
+column, and a reduction reads only a basis row's nonzero terms, so the
+sparse blocks of the built codes cost little.  ``rref`` and ``rank`` share
+one such loop per row form (packed byte rows for GF(2)..GF(256), entry
+lists otherwise): ``rref`` back-substitutes the basis into the unique
+reduced row-echelon form, so every decomposition here is deterministic,
+while ``rank`` counts the same pivots without building a matrix.  Products
 take the same two forms, chosen by ``pack_rows`` and summed by
 ``combine_rows``: a row of ``a @ b`` is the sum of a's entries times b's
 rows, in GF(2)..GF(256) one ``bytes.translate`` per nonzero entry and one
@@ -21,6 +22,8 @@ with no library caller (it says why it stays).
 """
 
 from __future__ import annotations
+
+from itertools import compress, count
 
 from .finite_field import Field
 
@@ -180,94 +183,114 @@ def vstack(field: Field, blocks: list[Matrix]) -> Matrix:
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form and pivot columns.
 
-    Pivot selection is the first nonzero entry scanning rows top-down within
-    each column left-to-right, which makes the result (and everything built
-    on it) deterministic.  Fields with byte multiply tables (characteristic
-    2, q <= 256) eliminate on packed rows; every other field on entry lists.
+    The rows are inserted one at a time, top-down, into a basis keyed by
+    pivot column (see ``_eliminate``), and then back-substituted.  The RREF
+    of a matrix is unique, so the result (and everything built on it) is the
+    textbook Gauss-Jordan one that pivots on the first nonzero entry of each
+    column.  Fields with byte multiply tables (characteristic 2, q <= 256)
+    eliminate on packed rows; every other field on entry lists.
     """
     rows, pivots = _eliminate(m, True)
-    if m.field.mul_tables is not None:
-        rows = [row.to_bytes(m.cols, "little") for row in rows]
     return Matrix.of(m.field, m.rows, m.cols, rows), pivots
 
 
 def rank(m: Matrix) -> int:
-    """The number of ``rref``'s pivots, by forward elimination: the same
-    pivots, but each clears only the rows below it and no matrix is built."""
+    """The number of ``rref``'s pivots: the rows are inserted into the same
+    basis, but nothing is back-substituted and no matrix is built."""
     return len(_eliminate(m, False)[1])
 
 
-def _eliminate(m: Matrix, clear_above: bool) -> tuple[list, list[int]]:
-    """The elimination behind ``rref`` and ``rank``: its rows, in the path's
-    own form, and its pivot columns.  Each pivot row is scaled to lead with 1
-    and cleared from the rows below it, and from those above when
-    ``clear_above``; without it the rows end in row-echelon form."""
+def _eliminate(m: Matrix, clear_above: bool) -> tuple[list | None, list[int]]:
+    """The elimination behind ``rref`` and ``rank``: the rows, in the path's
+    own form, and the pivot columns, ascending.
+
+    Each row in turn is reduced against a dict of basis rows keyed by pivot
+    column, each scaled to lead with 1, until it is zero or it leads in a
+    new pivot column, where it joins the basis.  A reduction reads only the
+    basis row's nonzero terms, so the sparse blocks of the built codes cost
+    little.  The loop stops once every column is a pivot.  With
+    ``clear_above`` each pivot, last first, is cleared from the basis rows
+    above it, and the rows are the basis rows in pivot order, then zero
+    rows; without it the rows are None."""
     if m.field.mul_tables is not None:
         return _eliminate_packed(m, clear_above)
     f = m.field
-    r = [list(row) for row in m.data]
-    pivots: list[int] = []
-    prow = 0
-    for col in range(m.cols):
-        if prow >= m.rows:
+    width = m.cols
+    basis: dict[int, list[tuple[int, int]]] = {}  # pivot column -> the row's nonzero terms
+    for row in m.data:
+        r = list(row)
+        # compress reads r lazily, so it sees the entries each reduction
+        # changes right of col and skips the zeros in C.
+        for col in compress(count(), r):
+            c = r[col]
+            terms = basis.get(col)
+            if terms is None:
+                js = list(compress(range(col, width), r[col:]))
+                vs = [r[j] for j in js]
+                basis[col] = list(zip(js, vs if c == 1 else f.scale_row(f.inv(c), vs)))
+                break
+            f.sub_scaled_terms(r, c, terms)
+        if len(basis) == width:
             break
-        src = next((i for i in range(prow, m.rows) if r[i][col] != 0), None)
-        if src is None:
-            continue
-        if src != prow:
-            r[prow], r[src] = r[src], r[prow]
-        # The pivot row is zero left of col, so only the tail from col changes.
-        tail = r[prow][col:]
-        if tail[0] != 1:
-            tail = f.scale_row(f.inv(tail[0]), tail)
-            r[prow][col:] = tail
-        for i in range(0 if clear_above else prow + 1, m.rows):
-            row = r[i]
-            c = row[col]
-            if c and i != prow:
-                row[col:] = f.sub_scaled_row(row[col:], c, tail)
-        pivots.append(col)
-        prow += 1
-    return r, pivots
+    pivots = sorted(basis)
+    if not clear_above:
+        return None, pivots
+    rows = []
+    for p in pivots:
+        row = [0] * width
+        for j, v in basis[p]:
+            row[j] = v
+        rows.append(row)
+    for i in range(len(pivots) - 1, 0, -1):
+        p = pivots[i]
+        terms = [(j, v) for j, v in enumerate(rows[i][p:], p) if v]
+        for row in rows[:i]:
+            c = row[p]
+            if c:
+                f.sub_scaled_terms(row, c, terms)
+    return rows + [[0] * width for _ in range(m.rows - len(rows))], pivots
 
 
-def _eliminate_packed(m: Matrix, clear_above: bool) -> tuple[list[int], list[int]]:
+def _eliminate_packed(m: Matrix, clear_above: bool) -> tuple[list | None, list[int]]:
     """``_eliminate`` with each row one int, entry j in byte j (little-endian).
 
-    A row is scaled by one ``bytes.translate`` through the field's multiply
-    table and two rows are added by one int XOR (characteristic 2).  The
-    pivot rule is the entry-list loop's, so the result is identical.
+    A row's leading column is its lowest nonzero byte, found in O(1) from
+    its lowest set bit.  Basis rows are kept as ``bytes``: one is scaled by
+    one ``bytes.translate`` through the field's multiply table, and two
+    rows are added by one int XOR (characteristic 2).  The rows returned
+    are ``bytes``.
     """
     f = m.field
     tables = f.mul_tables
     width = m.cols
     from_bytes = int.from_bytes
-    rows = [from_bytes(bytes(row), "little") for row in m.data]
-    pivots: list[int] = []
-    prow = 0
-    for col in range(width):
-        if prow >= m.rows:
+    basis: dict[int, bytes] = {}
+    for row in m.data:
+        r = from_bytes(bytes(row), "little")
+        while r:
+            col = ((r & -r).bit_length() - 1) >> 3
+            c = r >> 8 * col & 255
+            pivot = basis.get(col)
+            if pivot is None:
+                pivot = r.to_bytes(width, "little")
+                basis[col] = pivot if c == 1 else pivot.translate(tables[f.inv(c)])
+                break
+            r ^= from_bytes(pivot.translate(tables[c]), "little")
+        if len(basis) == width:
             break
-        shift = 8 * col
-        src = next((i for i in range(prow, m.rows) if rows[i] >> shift & 255), None)
-        if src is None:
-            continue
-        if src != prow:
-            rows[prow], rows[src] = rows[src], rows[prow]
-        pivot = rows[prow].to_bytes(width, "little")
-        lead = pivot[col]
-        if lead != 1:
-            pivot = pivot.translate(tables[f.inv(lead)])
-            rows[prow] = from_bytes(pivot, "little")
-        translate = pivot.translate
-        for i in range(0 if clear_above else prow + 1, m.rows):
-            row = rows[i]
-            c = row >> shift & 255
-            if c and i != prow:
-                rows[i] = row ^ from_bytes(translate(tables[c]), "little")
-        pivots.append(col)
-        prow += 1
-    return rows, pivots
+    pivots = sorted(basis)
+    if not clear_above:
+        return None, pivots
+    rows = [from_bytes(basis[p], "little") for p in pivots]
+    for i in range(len(pivots) - 1, 0, -1):
+        shift = 8 * pivots[i]
+        translate = rows[i].to_bytes(width, "little").translate
+        for h in range(i):
+            c = rows[h] >> shift & 255
+            if c:
+                rows[h] ^= from_bytes(translate(tables[c]), "little")
+    zero = bytes(width)
+    return [row.to_bytes(width, "little") for row in rows] + [zero] * (m.rows - len(rows)), pivots
 
 
 def pack_rows(field: Field, rows) -> list:

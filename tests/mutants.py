@@ -71,6 +71,20 @@ MUTANTS = [
          "tests/test_code_model.py::test_codec_entries_reject_wrong_types"],
     ),
     (
+        "rref's back-substitution skipped on packed rows",
+        "linalg.py",
+        "for i in range(len(pivots) - 1, 0, -1):\n        shift = 8 * pivots[i]",
+        "for i in ():\n        shift = 8 * pivots[i]",
+        ["tests/test_linalg.py::test_rref_matches_scalar_reference[GF(8)]"],
+    ),
+    (
+        "an entry-list basis row dropping its last term",
+        "linalg.py",
+        "basis[col] = list(zip(js, vs if c == 1 else f.scale_row(f.inv(c), vs)))",
+        "basis[col] = list(zip(js, vs if c == 1 else f.scale_row(f.inv(c), vs)))[:-1]",
+        ["tests/test_linalg.py::test_rref_matches_scalar_reference[GF(25)]"],
+    ),
+    (
         "GF(2^16)'s log table read one entry early, overlapping the exp table",
         "finite_field.py",
         "log, crc = _read_uint16(fh, order + 1, crc)",

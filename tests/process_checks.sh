@@ -5,13 +5,15 @@
 #     bash -e -o pipefail tests/process_checks.sh
 # It exits non-zero at the first failed command, diff or exit-code assertion.
 #
-# 1. A three-round GF(25) transformed spec: verify --json reports every check
-#    ok, its seed-16 golden codeword decodes byte for byte under each of its
-#    15 two-node erasures (each a cold decode of its kept set, on entry-list
-#    rows), and every node repairs byte for byte at the cut-set figure.  An
-#    (8, 4) irregular MUB spec over GF(32) (packed elimination) and a (6, 3)
-#    MR-MUB spec over GF(2^16) (entry-list elimination) each verify --json
-#    with every check ok.
+# 1. A three-round GF(25) transformed spec: verify --json prints its golden
+#    report byte for byte, every check ok, its seed-16 golden codeword decodes
+#    byte for byte under each of its 15 two-node erasures (each a cold decode
+#    of its kept set, on entry-list rows), and every node repairs byte for
+#    byte at the cut-set figure.  An (8, 4) irregular MUB spec over GF(32)
+#    (packed elimination) and a (6, 3) MR-MUB spec over GF(2^16) (entry-list
+#    elimination) each verify --json as their golden reports, every check ok.
+#    The reports carry the ranks: update bandwidth, the mds check's detail
+#    and the factor grids' check.
 # 2. The demos and two bounds reports match the golden files.  A two-round
 #    transformed spec constructs byte for byte as its golden file over the
 #    default systematic assemblies and verifies with exit 0; its verify --json
@@ -41,9 +43,13 @@ repo=$PWD
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 tmp=$(mktemp -d "${RUNNER_TEMP:-/tmp}/process_checks.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
+ok_checks='import json, sys; checks = json.load(sys.stdin)["checks"]; sys.exit(not all(c["ok"] for c in checks))'
 all_checks_ok() {  # verify --json on the spec $1 reports every check ok
-  python -m ubcode.cli verify "$1" --json | python -c \
-    'import json, sys; checks = json.load(sys.stdin)["checks"]; sys.exit(not all(c["ok"] for c in checks))'
+  python -m ubcode.cli verify "$1" --json | python -c "$ok_checks"
+}
+verifies_as() {  # verify --json on the spec $1 prints the golden file $2, every check ok
+  python -m ubcode.cli verify "$1" --json | diff - "tests/golden/$2"
+  python -c "$ok_checks" < "tests/golden/$2"
 }
 
 # -- 1. a three-round GF(25) transformed spec, then a GF(32) and a GF(2^16) spec --
@@ -53,7 +59,7 @@ cw="$tmp/spec_b.cw"
 out="$tmp/spec_b.out"
 python -m ubcode.cli construct --kind mrmub --n 6 --k 4 --m 4,4,4,4,4,4 --q 25 \
   --transform-rounds 3 --out "$spec"
-all_checks_ok "$spec"
+verifies_as "$spec" verify_6_4_q25_r3_systematic.json
 golden=tests/golden/codeword_6_4_q25_r3_systematic_seed16.txt
 for erased in 0,1 0,2 0,3 0,4 0,5 1,2 1,3 1,4 1,5 2,3 2,4 2,5 3,4 3,5 4,5; do
   python -m ubcode.cli decode --spec "$spec" --in "$golden" --erased "$erased" --out "$out"
@@ -67,10 +73,10 @@ for j in 0 1 2 3 4 5; do
   diff "$out" "$cw"
 done
 python -m ubcode.cli construct --kind mub --n 8 --k 4 --m 8,8,4,4,0,12,4,8 --out "$tmp/spec_a.json"
-all_checks_ok "$tmp/spec_a.json"
+verifies_as "$tmp/spec_a.json" verify_8_4_q32_mub_systematic.json
 python -m ubcode.cli construct --kind mrmub --n 6 --k 3 --m 6,6,6,6,6,6 --q 65536 \
   --out "$tmp/spec_c.json"
-all_checks_ok "$tmp/spec_c.json"
+verifies_as "$tmp/spec_c.json" verify_6_3_q65536_systematic.json
 
 # -- 2. goldens, a two-round GF(8) transformed spec, codewords, exit codes --------
 

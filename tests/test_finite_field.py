@@ -61,6 +61,14 @@ def test_non_int_field_size_rejected(make, q):
         make(q)
 
 
+@pytest.mark.parametrize("q", [[8], {8: 8}, {8}, bytearray(b"8")], ids=repr)
+def test_an_unhashable_field_size_is_refused_before_the_cache(q):
+    with pytest.raises(NotPrimePowerError, match=re.escape(f"must be an int, got {q!r}")):
+        GF(q)
+    GF.cache_clear()
+    assert GF(8) is GF(8) and GF(8).q == 8
+
+
 def test_too_large_rejected():
     with pytest.raises(FieldTooLargeError):
         Field(1 << 17)
@@ -246,6 +254,23 @@ def test_gf65536_build_never_walks(monkeypatch):
         Field(256)
 
 
+def test_gf65536_pins_what_the_searches_find():
+    assert _smallest_irreducible(2, 16) == list(finite_field._MODULUS_65536)
+    assert Field(1 << 16)._find_primitive() == finite_field._PRIMITIVE_65536
+
+
+def test_gf65536_build_never_searches(monkeypatch):
+    def search(*args):
+        raise AssertionError("GF(2^16) searched")
+
+    monkeypatch.setattr(finite_field, "_smallest_irreducible", search)
+    monkeypatch.setattr(Field, "_find_primitive", search)
+    assert Field(1 << 16).to_json() == {"q": 1 << 16, "modulus": PINNED_TABLES[1 << 16][0],
+                                        "primitive": 3}
+    with pytest.raises(AssertionError, match="searched"):
+        Field(256)
+
+
 def test_gf65536_file_is_what_the_writer_writes(tmp_path):
     out = tmp_path / "gf65536.bin"
     done = subprocess.run([sys.executable, str(WRITER), str(out)], capture_output=True,
@@ -395,6 +420,12 @@ def test_row_kernel_matches_scalar_arithmetic(case):
     ]
     assert f.scale_row(c, src) == [f.mul(c, v) for v in src]
     assert (dst, src) == before  # operands are never mutated
+    # The term kernel on src's nonzero terms gives sub_scaled_row's row, in
+    # place, and reads no other entry of dst: a None there would raise.
+    terms = [(j, s) for j, s in enumerate(src) if s]
+    holes = [d if s else None for d, s in zip(dst, src)]
+    f.sub_scaled_terms(holes, c, terms)
+    assert holes == [d if s else None for d, s in zip(f.sub_scaled_row(dst, c, src), src)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27])
@@ -406,6 +437,9 @@ def test_row_kernel_exhaustive_small_fields(q):
     for c in range(q):
         assert f.sub_scaled_row(dst, c, src) == [ref_sub(f, d, f.mul(c, s)) for d, s in pairs]
         assert f.scale_row(c, src) == [f.mul(c, s) for s in src]
+        row = dst[:]
+        f.sub_scaled_terms(row, c, [(j, s) for j, s in enumerate(src) if s])
+        assert row == [ref_sub(f, d, f.mul(c, s)) for d, s in pairs]
 
 
 # -- byte multiply tables ----------------------------------------------------------

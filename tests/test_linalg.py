@@ -206,23 +206,24 @@ def test_rank_counts_the_rref_pivots_and_ignores_transposition(m):
 
 
 def test_rank_eliminates_only_below_each_pivot(monkeypatch):
-    # Forward elimination clears at most 11 + 10 + ... + 1 = 66 entries of a
-    # full-rank 12 x 12 matrix; a full rref clears about twice as many.
+    # Row i is reduced against at most the i basis rows inserted before it:
+    # at most 0 + 1 + ... + 11 = 66 reductions of a full-rank 12 x 12
+    # matrix.  A full rref also back-substitutes, about twice as many.
     field = GF(25)
-    assert field.mul_tables is None  # the entry-list path, one call per cleared row
+    assert field.mul_tables is None  # the entry-list path, one call per reduction
     rng = random.Random(29)
     m = Matrix(field, 12, 12, [[rng.randrange(1, 25) for _ in range(12)] for _ in range(12)])
     calls = 0
-    sub_scaled_row = type(field).sub_scaled_row
+    sub_scaled_terms = type(field).sub_scaled_terms
 
-    def counted(self, dst, c, src):
+    def counted(self, dst, c, terms):
         nonlocal calls
         calls += 1
-        return sub_scaled_row(self, dst, c, src)
+        return sub_scaled_terms(self, dst, c, terms)
 
-    monkeypatch.setattr(type(field), "sub_scaled_row", counted)
+    monkeypatch.setattr(type(field), "sub_scaled_terms", counted)
     assert rank(m) == 12
-    assert calls <= 12 * 11 // 2
+    assert 0 < calls <= 12 * 11 // 2
 
 
 # -- solve --------------------------------------------------------------------
@@ -452,16 +453,30 @@ def rank_deficient_matrix(field, rows, cols, rng):
     return Matrix(field, rows, cols, data)
 
 
+def sparse_matrix(field, rows, cols, rng, density=None):
+    """Random matrix with 5-20% of its entries nonzero (``density`` if given),
+    the share of the built codes' blocks."""
+    density = rng.uniform(0.05, 0.2) if density is None else density
+    return Matrix(field, rows, cols, [
+        [rng.randrange(1, field.q) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ])
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_rref_matches_scalar_reference(field):
     rng = random.Random(field.q)
-    for trial in range(48):
-        # The last 8 are wide: packed rows of hundreds of bits.
-        if trial < 40:
+    for trial in range(64):
+        # Trials 40-47 are wide: packed rows of hundreds of bits.  The last
+        # 16 are sparse, and the last 4 of them both sparse and wide.
+        if trial < 40 or 48 <= trial < 60:
             rows, cols = rng.randint(0, 7), rng.randint(0, 9)
         else:
             rows, cols = rng.randint(3, 12), rng.randint(60, 140)
-        make = random_matrix if rng.random() < 0.5 else rank_deficient_matrix
+        if trial >= 48:
+            make = sparse_matrix
+        else:
+            make = random_matrix if rng.random() < 0.5 else rank_deficient_matrix
         m = make(field, rows, cols, rng)
         before = Matrix(field, m.rows, m.cols, m.data)
         red, pivots = rref(m)
@@ -496,6 +511,28 @@ def test_solve_and_invert_match_scalar_reference(field):
                 solve(a, b)
         else:
             assert as_lists(solve(a, b)) == [row[n:] for row in red]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(RANK_FIELDS),
+    st.integers(0, 16),
+    st.integers(0, 16),
+    st.integers(5, 20),
+    st.integers(0, 2**32),
+)
+def test_sparse_rank_and_left_inverse_match_reference(field, rows, cols, percent, seed):
+    """On a matrix with ``percent``% of its entries nonzero, rank counts the
+    reference's pivots, and L and N are the reference RREF of [m | I]'s
+    blocks, entry for entry."""
+    m = sparse_matrix(field, rows, cols, random.Random(seed), percent / 100)
+    r = len(reference_rref(m)[1])
+    assert rank(m) == r
+    red, _ = reference_rref(hstack(field, [m, Matrix.identity(field, rows)]))
+    t = [row[cols:] for row in red]
+    inverse, null_rows = left_inverse(m)
+    assert (None if inverse is None else as_lists(inverse)) == (t[:cols] if r == cols else None)
+    assert as_lists(null_rows) == t[r:]
 
 
 @settings(max_examples=200, deadline=None)
